@@ -14,6 +14,7 @@ master objective: the returned plan is within alpha of the full optimum.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
@@ -24,6 +25,11 @@ from . import lpcore, mcdlp
 from .model import Instance, Mnl, choice_prob
 
 TOL_RC = 1e-7
+
+log = logging.getLogger(__name__)
+
+# memory cap on one stacked FPTAS DP (tables of several gamma guesses at once)
+_DP_STACK_BYTES = 1 << 20
 
 __all__ = [
     "DualBundle",
@@ -52,7 +58,8 @@ class DualBundle:
 
     def __post_init__(self):
         for arr in (self.zeta, self.gamma, self.beta, self.sigma):
-            assert (arr >= -1e-7).all(), "dual variables must be non-negative"
+            if not (arr >= -1e-7).all():
+                raise ValueError("dual variables must be non-negative")
 
 
 def extract_duals(inst: Instance, sol: lpcore.LpSolution, no_repeat: bool) -> DualBundle:
@@ -80,6 +87,11 @@ class SubproblemInstance:
     def value(self, S: frozenset[int]) -> float:
         if not S:
             return 0.0
+        if isinstance(self.choice, Mnl):
+            # Mnl.prob's denominator, summed once per set in the same order
+            weights = self.choice.weights
+            denom = self.choice.no_purchase + sum(weights[k] for k in S)
+            return sum(self.w[i] * (weights[i] / denom) - self.sigma[i] for i in S)
         return sum(
             self.w[i] * choice_prob(self.choice, i, S) - self.sigma[i] for i in S
         )
@@ -209,20 +221,33 @@ def _fptas_dp(wt: np.ndarray, vt: np.ndarray, sigma: np.ndarray, I: int, J: int)
     discretized weight sum >= a and discretized volume sum <= b; index a = 0
     collapses every non-positive target.  Returns the (I+1, J+1, c+1) table.
     """
-    n = len(wt)
-    V = np.full((I + 1, J + 1, n + 1), np.inf)
-    V[0, :, 0] = 0.0
+    return _fptas_dp_stack(np.asarray(wt)[None, :], vt, sigma, I, J)[0]
+
+
+def _fptas_dp_stack(wt: np.ndarray, vt: np.ndarray, sigma: np.ndarray, I: int, J: int) -> np.ndarray:
+    """``_fptas_dp`` for a stack of weight discretizations sharing one volume
+    discretization: row k of the (L, n) array ``wt`` gives table k of the
+    returned (L, I+1, J+1, n+1) array.  Each cell sees the same min and add
+    as in a single-table run, so every table is bit-identical to one.
+    """
+    wt = np.asarray(wt).astype(np.int64)
+    L, n = wt.shape
+    # prefix-major storage keeps each DP step on contiguous memory
+    W = np.empty((n + 1, L, I + 1, J + 1))
+    W[0] = np.inf
+    W[0, :, 0, :] = 0.0
     a_idx = np.arange(I + 1)
+    layer = np.arange(L)[:, None]
     for c in range(1, n + 1):
-        w_c, v_c, s_c = int(wt[c - 1]), int(vt[c - 1]), sigma[c - 1]
-        prev = V[:, :, c - 1]
-        take = np.full((I + 1, J + 1), np.inf)
+        v_c, s_c = int(vt[c - 1]), sigma[c - 1]
+        prev, here = W[c - 1], W[c]
+        # min(prev, inf) is prev: volumes below v_c cannot take item c
+        here[..., :v_c] = prev[..., :v_c]
         if v_c <= J:
-            src_a = np.maximum(0, a_idx - w_c)
+            src_a = np.maximum(0, a_idx - wt[:, c - 1, None])
             width = J + 1 - v_c
-            take[:, v_c:] = prev[src_a, :width] + s_c
-        V[:, :, c] = np.minimum(prev, take)
-    return V
+            np.minimum(prev[..., v_c:], prev[layer, src_a, :width] + s_c, out=here[..., v_c:])
+    return W.transpose(1, 2, 3, 0)
 
 
 def _dp_backtrack(V: np.ndarray, wt, vt, sigma, a: int, b: int) -> list[int]:
@@ -240,6 +265,19 @@ def _dp_backtrack(V: np.ndarray, wt, vt, sigma, a: int, b: int) -> list[int]:
     return chosen[::-1]
 
 
+def _dp_backtrack_stack(V: np.ndarray, wt: np.ndarray, vt, k, a, b) -> np.ndarray:
+    """``_dp_backtrack`` for many cells of a stacked DP at once: cell i is
+    (a[i], b[i]) of table k[i].  Returns the (cells, n) mask of chosen items."""
+    n = V.shape[-1] - 1
+    chosen = np.zeros((len(k), n), dtype=bool)
+    for c in range(n, 0, -1):
+        take = V[k, a, b, c] != V[k, a, b, c - 1]
+        chosen[:, c - 1] = take
+        a = np.where(take, np.maximum(0, a - wt[k, c - 1]), a)
+        b = np.where(take, b - vt[c - 1], b)
+    return chosen
+
+
 def subproblem_mnl_fptas(
     sub: SubproblemInstance, eps: float = 0.1, config: FptasConfig | None = None
 ) -> tuple[frozenset[int], float]:
@@ -252,6 +290,23 @@ def subproblem_mnl_fptas(
     Items with w <= 0 are dropped (they can never help); items with zero
     penalty ride along without consuming any phi budget.  With every penalty
     zero the exact nested-scan routine applies instead.
+
+    Each (gamma, delta) table is scanned for the whole phi grid at once.
+    V[a, b, n] is nondecreasing in the target a: V[., ., 0] is 0 then inf,
+    and each DP step takes the minimum of the previous column and a shifted
+    copy of it plus sigma_c, where the shift max(0, a - w_c) is monotone and
+    floating-point min and addition preserve order.  So the entries of a
+    volume column b within a budget phi form a prefix, and the largest
+    feasible target is the length of that prefix minus one.  Every phi's
+    best cell (a*, b*) follows from those counts; each distinct cell is
+    backtracked once per table and each distinct set is scored once per
+    call.  A set seen before can never beat the incumbent by more than the
+    1e-15 margin, so visiting candidates in (gamma, delta, phi) order with
+    first-wins ties returns exactly what a per-phi scan returns.
+
+    With the module logger at DEBUG, each call logs one record with its grid
+    sizes, the DPs run, the cells backtracked and the distinct sets scored;
+    the record's ``fptas`` attribute holds them as a dict.
     """
     if not isinstance(sub.choice, Mnl):
         raise ValueError("FPTAS pricing needs an MNL choice model")
@@ -265,6 +320,8 @@ def subproblem_mnl_fptas(
     if all(sub.sigma[i] <= 0 for i in ids):
         return subproblem_mnl_repeated(sub)
     cfg = config if config is not None else FptasConfig.from_subproblem(sub, eps)
+    if not (cfg.phi_grid and cfg.gamma_grid and cfg.delta_grid):
+        return frozenset(), 0.0  # no guess to try
     n = len(ids)
     w = np.array([sub.w[i] for i in ids])
     v = np.array([sub.choice.weights[i] for i in ids])
@@ -273,33 +330,72 @@ def subproblem_mnl_fptas(
     I, J = cfg.I, cfg.J
     best_set, best_val = frozenset(), 0.0
     b_idx = np.arange(J + 1)
-    for g in cfg.gamma_grid:
-        wt = np.floor(n * wv / (eps * g)).astype(np.int64)
-        for d in cfg.delta_grid:
+    # budgets phi + 1e-12 in ascending order; rank_of[p] is grid point p's rank
+    budget = np.array(cfg.phi_grid, dtype=float) + 1e-12
+    order = np.argsort(budget, kind="stable")
+    sorted_budget = budget[order]
+    rank_of = np.empty_like(order)
+    rank_of[order] = np.arange(len(order))
+    n_phi = len(order)
+    # gamma guesses share a delta's volume discretization: stack them per DP
+    gammas = np.array(cfg.gamma_grid, dtype=float)
+    stack = max(1, _DP_STACK_BYTES // (8 * (I + 1) * (J + 1) * (n + 1)))
+    scored: set[frozenset[int]] = set()
+    n_cells = 0
+    for lo in range(0, len(gammas), stack):
+        g = gammas[lo:lo + stack]
+        L = len(g)
+        wt = np.floor(n * wv / (eps * g[:, None])).astype(np.int64)   # (L, n)
+        tables, deltas, masks = [], [], []
+        for di, d in enumerate(cfg.delta_grid):
             vt = np.ceil(n * v / (eps * d)).astype(np.int64)
-            V = _fptas_dp(wt, vt, sig, I, J)
-            Vn = V[:, :, n]
-            for phi in cfg.phi_grid:
-                # per volume budget b, the largest reachable target a
-                feas = Vn <= phi + 1e-12
-                any_feas = feas.any(axis=0)
-                if not any_feas.any():
-                    continue
-                amax = np.where(any_feas, (I + 1) - 1 - feas[::-1, :].argmax(axis=0), -1)
-                est = np.where(
-                    any_feas,
-                    (amax * eps * g / n) / (b_idx * eps * d / n + 1.0),
-                    -np.inf,
-                )
-                b_star = int(est.argmax())
-                a_star = int(amax[b_star])
-                if a_star < 0:
-                    continue
-                chosen = _dp_backtrack(V, wt, vt, sig, a_star, b_star)
-                S = frozenset(ids[c] for c in chosen)
-                val = sub.value(S)
-                if val > best_val + 1e-15:
-                    best_set, best_val = S, val
+            V = _fptas_dp_stack(wt, vt, sig, I, J)
+            # first budget rank admitting each cell, histogrammed per (table,
+            # column): the cumulative count is the number of targets within
+            # budget, one more than the largest feasible target
+            first = np.searchsorted(sorted_budget, V[..., n], side="left")
+            first += (np.arange(L * (J + 1)) * (n_phi + 1)).reshape(L, 1, J + 1)
+            hist = np.bincount(first.ravel(), minlength=L * (J + 1) * (n_phi + 1))
+            counts = hist.reshape(L, J + 1, n_phi + 1)[:, :, :n_phi].cumsum(axis=2)
+            amax = counts.transpose(0, 2, 1)[:, rank_of] - 1    # (L, phi, b)
+            est = np.where(
+                amax >= 0,
+                (amax * eps * g[:, None, None] / n) / (b_idx * eps * d / n + 1.0),
+                -np.inf,
+            )
+            b_star = est.argmax(axis=2)
+            a_star = np.take_along_axis(amax, b_star[:, :, None], axis=2)[:, :, 0]
+            # distinct (table, cell) pairs, in (table, phi) order
+            key = (np.arange(L)[:, None] * (I + 1) + a_star) * (J + 1) + b_star
+            live = np.flatnonzero(a_star >= 0)
+            _, hit = np.unique(key.ravel()[live], return_index=True)
+            k, p = np.unravel_index(live[np.sort(hit)], a_star.shape)
+            masks.append(_dp_backtrack_stack(V, wt, vt, k, a_star[k, p], b_star[k, p]))
+            tables.append(k)
+            deltas.append(np.full(len(k), di))
+            n_cells += len(k)
+        # score each set at its first (gamma, delta, phi) visit; a set seen
+        # before cannot beat the incumbent, so later visits are skipped
+        cand = np.concatenate(masks)[np.lexsort((np.concatenate(deltas), np.concatenate(tables)))]
+        _, hit = np.unique(cand, axis=0, return_index=True)
+        for row in cand[np.sort(hit)]:
+            S = frozenset(ids[c] for c in np.flatnonzero(row))
+            if S in scored:
+                continue
+            scored.add(S)
+            val = sub.value(S)
+            if val > best_val + 1e-15:
+                best_set, best_val = S, val
+    if log.isEnabledFor(logging.DEBUG):
+        stats = {
+            "eps": eps, "n": n, "phi": n_phi, "gamma": len(cfg.gamma_grid),
+            "delta": len(cfg.delta_grid), "dps": len(cfg.gamma_grid) * len(cfg.delta_grid),
+            "cells": n_cells, "sets": len(scored),
+        }
+        log.debug(
+            "FPTAS pricing: %s", " ".join(f"{name}={x}" for name, x in stats.items()),
+            extra={"fptas": stats},
+        )
     return best_set, best_val
 
 
@@ -378,8 +474,11 @@ def column_generate(
     enumerable = family_size <= 1 << 16
     for it in range(1, cap + 1):
         sol = mcdlp.solve_variant(inst, variant, assortments=restricted, colgen_master=True)
-        if history:
-            assert sol.objective >= history[-1] - 1e-7, "master objective decreased"
+        if history and not sol.objective >= history[-1] - 1e-7:
+            raise RuntimeError(
+                f"master objective decreased: {history[-1]!r} -> {sol.objective!r} "
+                f"at iteration {it}"
+            )
         history.append(sol.objective)
         duals = extract_duals(inst, sol.lp, no_repeat)
         new_cols: list[frozenset[int]] = []

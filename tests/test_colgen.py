@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from mcassort import colgen, mcdlp, simlab
 from mcassort.colgen import (
     BruteForceOracle,
+    DualBundle,
     FptasConfig,
     MnlExactOracle,
     MnlFptasOracle,
@@ -48,6 +50,37 @@ class TestBruteForce:
         S, v = subproblem_bruteforce(sub)
         assert S == frozenset({0})
         assert v == pytest.approx(1.0 * 0.5 - 0.1)
+
+
+class TestValue:
+    def test_mnl_value_matches_choice_prob_path(self):
+        rng = np.random.default_rng(35)
+        sub = _random_sub(rng, 9)
+        for r in range(1, 10):
+            S = frozenset(int(i) for i in rng.choice(9, size=r, replace=False))
+            slow = sum(sub.w[i] * sub.choice.prob(i, S) - sub.sigma[i] for i in S)
+            assert repr(float(sub.value(S))) == repr(float(slow))
+
+
+class TestInvariants:
+    def test_negative_dual_raises(self):
+        ok = np.zeros(2)
+        with pytest.raises(ValueError, match="non-negative"):
+            DualBundle(zeta=np.array([0.0, -1e-3]), gamma=ok, beta=ok, sigma=np.zeros((2, 2)))
+
+    def test_decreasing_master_objective_raises(self, monkeypatch):
+        inst = simlab.random_norepeat_instance(seed=3, n=5, cap=2, m=4)
+        real = mcdlp.solve_variant
+        calls = []  # each restricted master reports a lower objective than the last
+
+        def sinking(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            calls.append(sol)
+            return dataclasses.replace(sol, objective=sol.objective - 1e3 * len(calls))
+
+        monkeypatch.setattr(mcdlp, "solve_variant", sinking)
+        with pytest.raises(RuntimeError, match="master objective decreased"):
+            column_generate(inst, McdlpVariant.MCDLP_NR, colgen.BruteForceOracle())
 
 
 class TestMnlExact:
