@@ -133,13 +133,14 @@ def subproblem_bruteforce(
 def subproblem_mnl_repeated(sub: SubproblemInstance) -> tuple[frozenset[int], float]:
     """Exact optimum of max_S sum w_i v_i / (sum_{k in S} v_k + 1) for MNL.
 
-    Requires zero overlap penalties and an unrestricted family: the optimum is
-    then among the nested prefixes of items sorted by descending w (items with
-    w <= 0 can only hurt and are excluded up front).
+    Requires zero overlap penalties on the items with w > 0 and an
+    unrestricted family: the optimum is then among the nested prefixes of
+    items sorted by descending w (items with w <= 0 can only hurt and are
+    excluded up front, whatever their penalty).
     """
     if not isinstance(sub.choice, Mnl):
         raise ValueError("nested-scan pricing needs an MNL choice model")
-    if np.any(np.abs(sub.sigma) > 1e-12):
+    if np.any(np.abs(np.asarray(sub.sigma)[np.asarray(sub.w) > 0]) > 1e-12):
         raise ValueError("nested-scan pricing requires sigma = 0 (repeated-offer dual)")
     if not sub.family.is_unrestricted(sub.n_products):
         raise ValueError("nested-scan pricing requires an unrestricted family; use brute force")

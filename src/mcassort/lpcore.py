@@ -5,7 +5,13 @@ Problems have the fixed shape ``max c.x  s.t.  A x <= b,  lo <= x <= hi`` with
 two-phase revised simplex over bounded variables: Dantzig pricing with ties
 broken by lowest variable index, falling back to Bland's rule after a long
 degenerate streak.  Every optimal solve returns row duals and is checked for
-primal feasibility and strong duality before being handed back.
+primal feasibility and strong duality before being handed back, with its
+pivot, bound-flip and refactor counts on ``LpSolution.stats``.
+
+Each pivot refreshes the basic solution from the nonbasic variables that sit
+at a nonzero bound only (most sit at a zero lower bound), and runs the ratio
+test in vector form: every row's step cap in one pass, then the sequential
+tie rule over the rows near the smallest cap (see ``_ratio_test``).
 
 ``solve`` is a pure function of its input (fixed pivot rules, no randomness),
 so identical models produce identical solutions and concurrent solves on
@@ -14,6 +20,8 @@ distinct models are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -68,24 +76,49 @@ class LpModel:
             raise LpError("objective length mismatch")
         if len(self.lower) != self.num_vars or len(self.upper) != self.num_vars:
             raise LpError("bound length mismatch")
-        for v in self.objective:
-            if not np.isfinite(v):
-                raise LpError("objective coefficients must be finite")
-        for lo, hi in zip(self.lower, self.upper):
-            if lo < 0 or not np.isfinite(lo):
+        if not np.isfinite(np.asarray(self.objective, dtype=float)).all():
+            raise LpError("objective coefficients must be finite")
+        lo = np.asarray(self.lower, dtype=float)
+        hi = np.asarray(self.upper, dtype=float)
+        # per variable, the first failing check in the order below names the error
+        bad_lo = (lo < 0) | ~np.isfinite(lo)
+        bad_hi = ~np.isfinite(hi)
+        bad_order = hi < lo
+        bad = np.flatnonzero(bad_lo | bad_hi | bad_order)
+        if bad.size:
+            j = bad[0]
+            if bad_lo[j]:
                 raise LpError("lower bounds must be finite and >= 0")
-            if not np.isfinite(hi):
+            if bad_hi[j]:
                 raise LpError("every variable needs a finite upper bound")
-            if hi < lo:
-                raise LpError("upper bound below lower bound")
-        for row in self.rows:
-            if not np.isfinite(row.rhs):
+            raise LpError("upper bound below lower bound")
+        rhs = np.array([row.rhs for row in self.rows], dtype=float)
+        row_of, cols, coefs = self._triplets
+        bad_rhs = ~np.isfinite(rhs)
+        bad_col = ~((cols >= 0) & (cols < self.num_vars) & (cols == np.floor(cols)))
+        bad_coef = bad_col | ~np.isfinite(coefs)
+        bad_rows = np.concatenate([np.flatnonzero(bad_rhs), row_of[bad_coef]])
+        if bad_rows.size:
+            # per row, the rhs is checked first, then the coefficients in order
+            r = int(bad_rows.min())
+            if bad_rhs[r]:
                 raise LpError("row rhs must be finite")
-            for j, a in row.coeffs:
-                if j < 0 or j >= self.num_vars:
-                    raise LpError(f"row references unknown variable {j}")
-                if not np.isfinite(a):
-                    raise LpError("row coefficients must be finite")
+            k = int(np.flatnonzero(bad_coef & (row_of == r))[0])
+            j, _ = self.rows[r].coeffs[k - int(np.searchsorted(row_of, r))]
+            if bad_col[k]:
+                raise LpError(f"row references unknown variable {j}")
+            raise LpError("row coefficients must be finite")
+
+    @cached_property
+    def _triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every row coefficient as flat (row, column, value) arrays in row order."""
+        counts = np.fromiter((len(row.coeffs) for row in self.rows), dtype=np.intp, count=len(self.rows))
+        flat = np.fromiter(
+            chain.from_iterable(chain.from_iterable(row.coeffs for row in self.rows)),
+            dtype=float,
+            count=2 * int(counts.sum()),
+        )
+        return np.repeat(np.arange(len(self.rows)), counts), flat[0::2], flat[1::2]
 
     @staticmethod
     def build(
@@ -105,13 +138,32 @@ class LpModel:
         )
 
     def dense(self) -> tuple[np.ndarray, np.ndarray]:
+        row_of, cols, coefs = self._triplets
         A = np.zeros((len(self.rows), self.num_vars))
-        b = np.zeros(len(self.rows))
-        for r, row in enumerate(self.rows):
-            b[r] = row.rhs
-            for j, a in row.coeffs:
-                A[r, j] += a
-        return A, b
+        np.add.at(A, (row_of, cols.astype(np.intp)), coefs)  # repeated entries add in row order
+        return A, np.array([row.rhs for row in self.rows], dtype=float)
+
+
+@dataclass(frozen=True)
+class LpStats:
+    """What one solve did.
+
+    ``phase1_pivots`` and ``phase2_pivots`` count basis changes (phase 2
+    includes any refinement pass after a failed certificate check),
+    ``bound_flips`` entering variables that ran to their opposite bound
+    instead, ``refactors`` explicit basis inversions, ``bland`` whether a
+    degenerate streak switched pricing to Bland's rule, and
+    ``certificate_error`` the scaled certificate error of the returned optimum
+    (None when none was checked: the solve ended infeasible or unbounded, or
+    the model has no rows).
+    """
+
+    phase1_pivots: int = 0
+    phase2_pivots: int = 0
+    bound_flips: int = 0
+    refactors: int = 0
+    bland: bool = False
+    certificate_error: float | None = None
 
 
 @dataclass(frozen=True)
@@ -122,6 +174,7 @@ class LpSolution:
     duals: tuple[float, ...]
     row_tags: tuple[RowTag | None, ...]
     _tag_index: Mapping[RowTag, int] = field(default_factory=dict, repr=False)
+    stats: LpStats = field(default=LpStats(), compare=False, repr=False)
 
     @property
     def optimal(self) -> bool:
@@ -145,6 +198,43 @@ def dual_of(solution: LpSolution, row: int | RowTag) -> float:
         raise LpError(f"unknown row tag {row!r}") from None
 
 
+def _ratio_test(
+    step: np.ndarray, xB: np.ndarray, lo: np.ndarray, hi: np.ndarray, basis: np.ndarray
+) -> tuple[float, int, bool]:
+    """Leaving row for an entering move of size delta >= 0 that changes the
+    basic variables by ``-step * delta``; ``lo``/``hi`` are the basic
+    variables' bounds and ``basis`` their column indices.
+
+    Returns (delta, row, to_upper), with row -1 and delta inf when nothing
+    blocks.  Caps are computed for every row at once; the sequential rule
+    (a cap below the running minimum by more than 1e-12, or within 1e-12 of
+    it on a lower basis index) then runs over the rows near the smallest
+    cap.  That rule only ever moves to a cap within 1e-12 of the running
+    minimum, so when those rows are separated from the other caps by a
+    clear gap it picks the same row as a scan of all of them; without such
+    a gap every finite cap is scanned.
+    """
+    dec = step > _PIVOT_TOL  # basic variable decreases toward its lower bound
+    inc = step < -_PIVOT_TOL  # basic variable increases toward its upper bound
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cap = np.maximum(np.where(dec, (xB - lo) / step, (hi - xB) / -step), 0.0)
+    rows = ((dec | inc) & np.isfinite(cap)).nonzero()[0]
+    if rows.size == 0:
+        return np.inf, -1, False
+    caps = cap[rows]
+    cmin = caps.min()
+    gap = 1e-9 * (1.0 + cmin)
+    near = caps <= cmin + gap
+    if not (caps[~near] > cmin + 3 * gap).all():
+        near[:] = True
+    rows = rows[near]
+    delta, leave, leave_basic = np.inf, -1, -1
+    for r, cap_r, basic in zip(rows.tolist(), caps[near].tolist(), basis[rows].tolist()):
+        if cap_r < delta - 1e-12 or (cap_r < delta + 1e-12 and leave >= 0 and basic < leave_basic):
+            delta, leave, leave_basic = cap_r, r, basic
+    return delta, leave, bool(inc[leave])
+
+
 class _Simplex:
     """Bounded-variable primal simplex on max c.x, A x <= b, lo <= x <= hi."""
 
@@ -152,7 +242,6 @@ class _Simplex:
         A, b = model.dense()
         m, n = A.shape
         self.m, self.n_struct = m, n
-        n_art = int(np.sum(b - A @ np.array(model.lower) < -TOL_FEAS)) if m else 0
         # columns: structural | slacks | artificials (phase 1 only)
         cols = n + m
         self.A = np.zeros((m, cols))
@@ -164,32 +253,33 @@ class _Simplex:
         self.c = np.concatenate([np.array(model.objective), np.zeros(m)])
         self.art: list[int] = []
         self.model = model
+        self.pivots = self.phase1_pivots = self.flips = self.refactors = 0
+        self.bland = False
 
     def _install_artificials(self) -> None:
         start = np.array(self.lo[: self.n_struct])
         resid = self.b - self.A[:, : self.n_struct] @ start
-        self.basis = []
+        basis = []
         art_cols = []
         for r in range(self.m):
             if resid[r] >= -TOL_FEAS:
-                self.basis.append(self.n_struct + r)  # slack basic
+                basis.append(self.n_struct + r)  # slack basic
             else:
                 col = np.zeros(self.m)
                 col[r] = -1.0
                 art_cols.append(col)
                 self.art.append(self.A.shape[1] + len(art_cols) - 1)
-                self.basis.append(self.art[-1])
+                basis.append(self.art[-1])
         if art_cols:
             self.A = np.hstack([self.A, np.column_stack(art_cols)])
             self.lo = np.concatenate([self.lo, np.zeros(len(art_cols))])
             self.hi = np.concatenate([self.hi, np.full(len(art_cols), np.inf)])
             self.c = np.concatenate([self.c, np.zeros(len(art_cols))])
-        ncols = self.A.shape[1]
-        self.at_upper = np.zeros(ncols, dtype=bool)
-        self.in_basis = np.zeros(ncols, dtype=bool)
-        self.in_basis[self.basis] = True
+        self.basis = np.array(basis, dtype=np.intp)
+        self.at_upper = np.zeros(self.A.shape[1], dtype=bool)
 
     def _refactor(self) -> None:
+        self.refactors += 1
         B = self.A[:, self.basis]
         try:
             self.Binv = np.linalg.inv(B)
@@ -202,9 +292,10 @@ class _Simplex:
         return x
 
     def _xB(self) -> np.ndarray:
+        # most nonbasics sit at a zero lower bound and contribute nothing
         xN = self._x_nonbasic()
-        mask = ~self.in_basis
-        return self.Binv @ (self.b - self.A[:, mask] @ xN[mask])
+        nz = xN.nonzero()[0]
+        return self.Binv @ (self.b - self.A[:, nz] @ xN[nz])
 
     def _iterate(self, cvec: np.ndarray, max_iter: int) -> str:
         bland = False
@@ -217,13 +308,9 @@ class _Simplex:
             xB = self._xB()
             y = cvec[self.basis] @ self.Binv
             d = cvec - y @ self.A
-            viol = np.zeros_like(d)
-            free = ~self.in_basis
-            lo_side = free & ~self.at_upper
-            hi_side = free & self.at_upper
-            viol[lo_side] = d[lo_side]
-            viol[hi_side] = -d[hi_side]
-            candidates = np.nonzero(viol > TOL_DUAL)[0]
+            viol = np.where(self.at_upper, -d, d)
+            viol[self.basis] = 0.0
+            candidates = (viol > TOL_DUAL).nonzero()[0]
             if candidates.size == 0:
                 return "optimal"
             if bland:
@@ -234,37 +321,16 @@ class _Simplex:
             sigma = -1.0 if self.at_upper[e] else 1.0
             w = self.Binv @ self.A[:, e]
             # ratio test: entering moves by delta >= 0 in direction sigma
-            delta = np.inf
-            leave_pos = -1
-            leave_to_upper = False
-            for r in range(self.m):
-                step = sigma * w[r]
-                if step > _PIVOT_TOL:  # basic variable decreases toward its lower bound
-                    cap = (xB[r] - self.lo[self.basis[r]]) / step
-                    new_upper = False
-                elif step < -_PIVOT_TOL:  # basic variable increases toward its upper bound
-                    hi_r = self.hi[self.basis[r]]
-                    if not np.isfinite(hi_r):
-                        continue
-                    cap = (hi_r - xB[r]) / (-step)
-                    new_upper = True
-                else:
-                    continue
-                cap = max(cap, 0.0)
-                if cap < delta - 1e-12 or (
-                    cap < delta + 1e-12
-                    and leave_pos >= 0
-                    and self.basis[r] < self.basis[leave_pos]
-                ):
-                    delta = cap
-                    leave_pos = r
-                    leave_to_upper = new_upper
+            delta, leave_pos, leave_to_upper = _ratio_test(
+                sigma * w, xB, self.lo[self.basis], self.hi[self.basis], self.basis
+            )
             bound_gap = self.hi[e] - self.lo[e]
             if not np.isfinite(delta) and not np.isfinite(bound_gap):
                 return "unbounded"
             if bound_gap <= delta:
                 # bound flip: entering variable runs to its opposite bound
                 self.at_upper[e] = not self.at_upper[e]
+                self.flips += 1
                 if bound_gap <= _PIVOT_TOL:
                     degen_streak += 1
                 else:
@@ -272,8 +338,6 @@ class _Simplex:
             else:
                 leaving = self.basis[leave_pos]
                 self.basis[leave_pos] = e
-                self.in_basis[leaving] = False
-                self.in_basis[e] = True
                 self.at_upper[leaving] = leave_to_upper
                 self.at_upper[e] = False
                 # product-form update of Binv
@@ -284,10 +348,11 @@ class _Simplex:
                     row = self.Binv[leave_pos] / piv
                     self.Binv -= np.outer(w, row)
                     self.Binv[leave_pos] = row
+                self.pivots += 1
                 since_refactor += 1
                 degen_streak = degen_streak + 1 if delta <= _PIVOT_TOL else 0
             if degen_streak > 2 * (self.m + 10):
-                bland = True
+                bland = self.bland = True
         raise LpNumericalError("simplex iteration limit reached")
 
     def run(self) -> LpSolution:
@@ -307,13 +372,14 @@ class _Simplex:
             status = self._iterate(c1, max_iter)
             if status != "optimal":
                 raise LpNumericalError("phase 1 did not converge")
+            self.phase1_pivots = self.pivots
             xfull = self._assemble_x()
             if float(np.sum(xfull[self.art])) > TOL_FEAS * (1 + abs(self.b).sum()):
-                return LpSolution("infeasible", float("nan"), (), (), tags, tag_index)
+                return LpSolution("infeasible", float("nan"), (), (), tags, tag_index, self._stats())
             self.hi[self.art] = 0.0  # lock artificials at zero for phase 2
         status = self._iterate(self.c, max_iter)
         if status == "unbounded":
-            return LpSolution("unbounded", float("inf"), (), (), tags, tag_index)
+            return LpSolution("unbounded", float("inf"), (), (), tags, tag_index, self._stats())
         return self._certified_solution(tags, tag_index)
 
     def _assemble_x(self) -> np.ndarray:
@@ -330,11 +396,21 @@ class _Simplex:
             if err <= TOL_FEAS:
                 xs = x[: self.n_struct]
                 obj = float(np.dot(self.model.objective, xs))
-                return LpSolution("optimal", obj, tuple(xs), tuple(y), tags, tag_index)
+                return LpSolution("optimal", obj, tuple(xs), tuple(y), tags, tag_index, self._stats(err))
             if attempt < 2:
                 # one more pivoting pass from the refactored basis
                 self._iterate(self.c, 50 * (self.m + 10))
         raise LpNumericalError(f"optimality certificates violated by {err:g}")
+
+    def _stats(self, certificate_error: float | None = None) -> LpStats:
+        return LpStats(
+            phase1_pivots=self.phase1_pivots,
+            phase2_pivots=self.pivots - self.phase1_pivots,
+            bound_flips=self.flips,
+            refactors=self.refactors,
+            bland=self.bland,
+            certificate_error=certificate_error,
+        )
 
     def _certificate_error(self, x: np.ndarray, y: np.ndarray) -> float:
         A, b = self.A, self.b

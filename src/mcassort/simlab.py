@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import mcdlp, norepeat
+from . import lpcore, mcdlp, norepeat
 from .mcdlp import McdlpVariant, MonteCarloEstimate
 from .model import (
     AssortmentFamily,
@@ -541,7 +541,7 @@ def run_sweep(
                     inst = build_hotel_instance(template, lf, sf, pat, cap, seed=spec.seed + cell_id)
                     try:
                         lp = mcdlp.solve_variant(inst, McdlpVariant.MMCDLP_NR)
-                    except Exception as exc:  # pragma: no cover - reported, cell skipped
+                    except lpcore.LpError as exc:  # pragma: no cover - reported, cell skipped
                         warnings.warn(f"LP failed on cell lf={lf} pat={pat} cap={cap} sf={sf}: {exc}")
                         continue
                     for policy in policies:

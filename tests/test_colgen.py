@@ -116,6 +116,25 @@ class TestMnlExact:
             Sb, vb = subproblem_bruteforce(sub0)
             assert ve == pytest.approx(vb, abs=1e-10)
 
+    def test_penalty_on_nonpositive_w_is_ignored(self):
+        # items with w <= 0 are never offered, so their penalty cannot matter
+        sub = SubproblemInstance(
+            w=np.array([1.2, 0.7, -0.4, 0.0]), sigma=np.array([0.0, 0.0, 0.3, 0.1]),
+            choice=Mnl(weights=(0.8, 1.1, 0.9, 0.5), no_purchase=1.0),
+            family=AssortmentFamily.size_capped(4), n_products=4)
+        Sb, vb = subproblem_bruteforce(sub)
+        for S, v in (subproblem_mnl_repeated(sub), subproblem_mnl_fptas(sub, 0.1)):
+            assert S == Sb
+            assert v == pytest.approx(vb, abs=1e-12)
+
+    def test_rejects_penalty_on_positive_w(self):
+        sub = SubproblemInstance(
+            w=np.array([1.2, -0.4]), sigma=np.array([0.05, 0.0]),
+            choice=Mnl(weights=(0.8, 0.9), no_purchase=1.0),
+            family=AssortmentFamily.size_capped(2), n_products=2)
+        with pytest.raises(ValueError, match="sigma = 0"):
+            subproblem_mnl_repeated(sub)
+
     def test_rejects_capped_family(self):
         rng = np.random.default_rng(1)
         sub = _random_sub(rng, 4, family=AssortmentFamily.size_capped(2))

@@ -1,10 +1,18 @@
+import dataclasses
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mcassort import lpcore
-from mcassort.lpcore import LpError, LpModel, dual_of, solve, to_lp_text
+from mcassort import lpcore, mcdlp, simlab
+from mcassort.lpcore import LpError, LpModel, LpStats, dual_of, solve, to_lp_text
+from mcassort.mcdlp import McdlpVariant
 
 
 def brute_force_lp(objective, rows, upper, lower=None):
@@ -134,3 +142,316 @@ def test_lp_text_dump_roundtrip_smoke():
     m = LpModel.build([1.0, -0.5], [([(0, 1.0), (1, 2.0)], 1.5, ("row",))], [1.0, 2.0])
     txt = to_lp_text(m)
     assert "Maximize" in txt and "Subject To" in txt and "x1" in txt
+
+
+def scalar_model_error(num_vars, objective, rows, lower, upper):
+    """The per-coefficient validation loop the vectorized checks replaced:
+    the message of the first violation, or None."""
+    if len(objective) != num_vars:
+        return "objective length mismatch"
+    if len(lower) != num_vars or len(upper) != num_vars:
+        return "bound length mismatch"
+    for v in objective:
+        if not np.isfinite(v):
+            return "objective coefficients must be finite"
+    for lo, hi in zip(lower, upper):
+        if lo < 0 or not np.isfinite(lo):
+            return "lower bounds must be finite and >= 0"
+        if not np.isfinite(hi):
+            return "every variable needs a finite upper bound"
+        if hi < lo:
+            return "upper bound below lower bound"
+    for row in rows:
+        if not np.isfinite(row.rhs):
+            return "row rhs must be finite"
+        for j, a in row.coeffs:
+            if j < 0 or j >= num_vars:
+                return f"row references unknown variable {j}"
+            if not np.isfinite(a):
+                return "row coefficients must be finite"
+    return None
+
+
+class TestModelValidation:
+    def test_first_offender_matches_scalar_loop(self):
+        rng = np.random.default_rng(77)
+        bad_values = [np.inf, -np.inf, np.nan]
+        seen = set()
+        for trial in range(400):
+            n = int(rng.integers(1, 6))
+            objective = list(rng.uniform(-1, 1, n))
+            lower = list(rng.uniform(0, 0.5, n))
+            upper = [lo + 1.0 for lo in lower]
+            rows = []
+            for r in range(int(rng.integers(0, 6))):
+                coeffs = [(int(j), float(rng.uniform(-1, 1))) for j in rng.integers(0, n, size=rng.integers(0, 4))]
+                rows.append(lpcore.LpRow(tuple(coeffs), float(rng.uniform(0, 2))))
+            for _ in range(int(rng.integers(0, 4))):  # plant up to three violations anywhere
+                kind = int(rng.integers(0, 7))
+                j = int(rng.integers(0, n))
+                if kind == 0:
+                    objective[j] = bad_values[rng.integers(0, 3)]
+                elif kind == 1:
+                    lower[j] = [-0.5, np.inf, np.nan][rng.integers(0, 3)]
+                elif kind == 2:
+                    upper[j] = bad_values[rng.integers(0, 3)]
+                elif kind == 3:
+                    upper[j] = lower[j] - 0.25
+                elif rows:
+                    r = int(rng.integers(0, len(rows)))
+                    row = rows[r]
+                    if kind == 4:
+                        rows[r] = lpcore.LpRow(row.coeffs, bad_values[rng.integers(0, 3)])
+                    else:
+                        bad = (int(rng.choice([-1, n, n + 3])), 1.0) if kind == 5 else (j, bad_values[rng.integers(0, 3)])
+                        k = int(rng.integers(0, len(row.coeffs) + 1))
+                        rows[r] = lpcore.LpRow(row.coeffs[:k] + (bad,) + row.coeffs[k:], row.rhs)
+            args = (n, tuple(objective), tuple(rows), tuple(lower), tuple(upper))
+            expected = scalar_model_error(*args)
+            seen.add(expected)
+            if expected is None:
+                LpModel(*args)
+            else:
+                with pytest.raises(LpError) as err:
+                    LpModel(*args)
+                assert str(err.value) == expected
+        assert len(seen) >= 8  # every message, several unknown-variable indices, and valid models
+
+    def test_names_first_unknown_variable_in_row_order(self):
+        rows = (
+            lpcore.LpRow(((0, 1.0), (1, 2.0)), 1.0),
+            lpcore.LpRow(((1, 1.0), (5, np.inf), (7, 1.0), (6, 1.0)), 1.0),
+            lpcore.LpRow(((9, 1.0),), np.inf),
+        )
+        with pytest.raises(LpError, match="^row references unknown variable 5$"):
+            LpModel(2, (1.0, 1.0), rows, (0.0, 0.0), (1.0, 1.0))
+        rows = (rows[0], lpcore.LpRow(((1, np.nan), (5, 1.0)), 1.0), rows[2])
+        with pytest.raises(LpError, match="^row coefficients must be finite$"):
+            LpModel(2, (1.0, 1.0), rows, (0.0, 0.0), (1.0, 1.0))
+
+    def test_dense_adds_repeated_entries_in_row_order(self):
+        m = LpModel.build([1.0, 1.0], [([(1, 0.1), (0, 2.0), (1, 0.2), (1, 0.3)], 1.0, None)], [1.0, 1.0])
+        A, b = m.dense()
+        assert A[0, 1] == (0.1 + 0.2) + 0.3
+        assert A[0, 0] == 2.0 and b[0] == 1.0
+
+
+def scalar_ratio_test(step, xB, lo, hi, basis):
+    """The per-row ratio-test loop the vector form replaced."""
+    delta = np.inf
+    leave_pos = -1
+    leave_to_upper = False
+    for r in range(len(step)):
+        if step[r] > lpcore._PIVOT_TOL:
+            cap = (xB[r] - lo[r]) / step[r]
+            new_upper = False
+        elif step[r] < -lpcore._PIVOT_TOL:
+            if not np.isfinite(hi[r]):
+                continue
+            cap = (hi[r] - xB[r]) / (-step[r])
+            new_upper = True
+        else:
+            continue
+        cap = max(cap, 0.0)
+        if cap < delta - 1e-12 or (cap < delta + 1e-12 and leave_pos >= 0 and basis[r] < basis[leave_pos]):
+            delta = cap
+            leave_pos = r
+            leave_to_upper = new_upper
+    return delta, leave_pos, leave_to_upper
+
+
+def _pool(values, lo, hi):
+    return st.one_of(st.sampled_from(values), st.floats(lo, hi))
+
+
+# exact ties, near-ties about 1e-12 apart, zero and negative caps, steps at
+# the pivot tolerance, and caps that are infinite or overflow
+_ratio_rows = st.tuples(
+    _pool([1.0, -1.0, 0.5, -0.5, 2.0, -3.0, 1e-9, -1e-9, 1.5e-9, 0.0, 1e-300], -4.0, 4.0),
+    _pool([0.0, 1.0, 1.0 + 1e-12, 1.0 - 1e-12, 1.0 + 5e-13, 1.0 + 2e-12, 1.0 + 3e-9,
+           2.0, 0.5, 1e-13, -1e-12, 1e308], -1.0, 3.0),
+    st.sampled_from([0.0, 0.0, 1.0, -np.inf]),
+    st.sampled_from([np.inf, np.inf, 1.0, 2.0, 3.0, 1.0 + 1e-12, 1e308]),
+)
+
+
+@st.composite
+def _ratio_cases(draw):
+    rows = draw(st.lists(_ratio_rows, max_size=40))
+    basis = draw(st.lists(st.integers(0, 10_000), min_size=len(rows), max_size=len(rows), unique=True))
+    step, xB, lo, hi = (np.array(col, dtype=float) for col in zip(*rows)) if rows else [np.zeros(0)] * 4
+    return step, xB, lo, hi, np.array(basis, dtype=np.intp)
+
+
+class TestRatioTest:
+    @settings(max_examples=400, deadline=None)
+    @given(_ratio_cases())
+    def test_vector_form_matches_scalar_loop(self, case):
+        with np.errstate(over="ignore"):
+            delta, row, to_upper = scalar_ratio_test(*case)
+        got = lpcore._ratio_test(*case)
+        assert got[1] == row
+        assert got[0] == delta
+        if row >= 0:
+            assert got[2] == to_upper
+
+    def test_tie_chain_past_the_cluster_scans_every_cap(self):
+        # Caps 0.9e-12 apart on falling basis indices: each row ties with the
+        # last and takes over, so the scan drifts to 1.8e-9, past the rows
+        # near the smallest cap.  No clear gap follows that cluster, so every
+        # row must be scanned.
+        n = 2001
+        case = (np.ones(n), np.arange(n) * 0.9e-12, np.zeros(n), np.full(n, np.inf), np.arange(n)[::-1].copy())
+        expected = scalar_ratio_test(*case)
+        assert expected[1] == n - 1
+        assert lpcore._ratio_test(*case) == expected
+
+
+_HOTEL_CELLS = """
+import hashlib, json
+import numpy as np
+from mcassort import mcdlp, simlab
+from mcassort.lpcore import TOL_FEAS, solve
+from mcassort.mcdlp import McdlpVariant
+
+def sha(values):
+    return hashlib.sha256(np.asarray(values, dtype=float).tobytes()).hexdigest()
+
+template = simlab.gen_hotel_like(seed=0, n_types=24)
+for lf, cell_seed in ((1.0, 1), (4.0, 2), (7.0, 3)):
+    inst = simlab.build_hotel_instance(template, lf, 2.0, 2, 4, seed=cell_seed)
+    sol = solve(mcdlp.build(inst, McdlpVariant.MMCDLP_NR))
+    assert sol.stats.certificate_error <= TOL_FEAS
+    print(json.dumps([lf, cell_seed, repr(sol.objective), sha(sol.x), sha(sol.duals)]))
+"""
+
+
+class TestHotelGolden:
+    # MMCDLP-NR on the 24-type hotel template, sweep seed 0, patience 2, cap 4,
+    # scale 2: (loading factor, cell seed, repr(objective), sha256 of x, sha256
+    # of the duals), recorded from the per-row ratio test and the full
+    # nonbasic product this solver replaced
+    GOLDEN = [
+        [1.0, 1, "12126.617364881025",
+         "53f85c6cdec83696d62dbfa772481897fd309481901d88c88b1499377b0f9ed9",
+         "39af1d556a14698c3139bcf91d3cd591ffc42770eeb3f34e9bc7a254e165b1b0"],
+        [4.0, 2, "4702.550817119733",
+         "4e35e3245ed86cfd794d79a00adde2eb38969953b52b09e3b5d4eef3c824d4d3",
+         "4838a52678cb307b6afc3c475fe2224c50ffe9d77bfeee18fc192411edb61100"],
+        [7.0, 3, "2236.9174876328557",
+         "afc279180f5d0cdcf765351b43b86daaafaed5a50e9bcf485bb248e3bb436842",
+         "fd6f89cb81b12b02a881b305a8a357f9d79bd8453ca741523c9543c13b73aa40"],
+    ]
+
+    def test_hotel24_cells_bit_identical(self):
+        # A multithreaded BLAS splits matrix products across threads, which
+        # regroups their sums (the first cell's objective moves by one ulp at
+        # two threads), so the cells are solved in a child process with one
+        # BLAS thread, as the benchmark runs them.
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        src = str(Path(mcdlp.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", _HOTEL_CELLS], env=env,
+                             capture_output=True, text=True, check=True)
+        assert [json.loads(line) for line in run.stdout.splitlines()] == self.GOLDEN
+
+
+class TestStats:
+    def test_counters_for_a_two_phase_solve(self):
+        # x0 + x1 >= 1 needs an artificial, so phase 1 pivots at least once
+        rows = [([(0, -1.0), (1, -1.0)], -1.0, ("cover",)), ([(0, 1.0), (1, 2.0)], 1.5, ("cap",))]
+        s = solve(LpModel.build([1.0, 2.0], rows, [1.0, 1.0]))
+        assert s.optimal
+        stats = s.stats
+        # phase 1 flips x0 to its upper bound and pivots x1 in for the
+        # artificial, phase 2 pivots once more; refactors: the initial basis
+        # and the certificate check
+        assert (stats.phase1_pivots, stats.phase2_pivots, stats.bound_flips, stats.refactors) == (1, 1, 1, 2)
+        assert stats.bland is False
+        assert 0.0 <= stats.certificate_error <= lpcore.TOL_FEAS
+
+    def test_stats_left_out_of_equality_and_repr(self):
+        m = LpModel.build([1.0], [([(0, 1.0)], 0.7, ("cap",))], [1.0])
+        s = solve(m)
+        assert dataclasses.replace(s, stats=LpStats()) == s
+        assert "stats" not in repr(s)
+
+    def test_infeasible_has_no_certificate(self):
+        s = solve(LpModel.build([1.0], [([(0, 1.0)], -1.0, None)], [1.0]))
+        assert s.status == "infeasible"
+        assert s.stats.certificate_error is None
+
+
+def _variant_models():
+    out = []
+    for seed in (0, 1):
+        matching = simlab.random_matching_instance(seed=seed, n=5, m=4, T=6)
+        norepeat = simlab.random_norepeat_instance(seed=seed, n=5, cap=2, m=4)
+        homog = simlab.random_homog_instance(seed=seed, n=5, cap=2, m=4)
+        out += [
+            (f"single-item-{seed}", mcdlp.build(matching, McdlpVariant.SINGLE_ITEM)),
+            (f"mcdlp-r-{seed}", mcdlp.build(norepeat, McdlpVariant.MCDLP_R)),
+            (f"mcdlp-nr-{seed}", mcdlp.build(norepeat, McdlpVariant.MCDLP_NR)),
+            (f"mcdlp-nrs-{seed}", mcdlp.build(homog, McdlpVariant.MCDLP_NRS)),
+        ]
+        fam = norepeat.family.assortments(norepeat.n_products)[:6]
+        out.append((f"colgen-master-{seed}", mcdlp.build(norepeat, McdlpVariant.MCDLP_NR, fam, colgen_master=True)))
+    hotel = simlab.build_hotel_instance(simlab.gen_hotel_like(seed=2, n_types=6), 2.0, 2.0, 2, 3, seed=1)
+    out.append(("mmcdlp-nr", mcdlp.build(hotel, McdlpVariant.MMCDLP_NR)))
+    return out
+
+
+_VARIANT_MODELS = _variant_models()
+
+
+def _highs(model):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    A, b = model.dense()
+    res = linprog(-np.array(model.objective), A_ub=A if len(b) else None, b_ub=b if len(b) else None,
+                  bounds=list(zip(model.lower, model.upper)), method="highs")
+    return res
+
+
+def _cross_certify(model, home):
+    """HiGHS agrees with the home solver on status and objective, and each
+    solver's duals certify the other's primal point."""
+    res = _highs(model)
+    if home.status == "infeasible":
+        assert res.status == 2
+        return
+    assert home.optimal and res.status == 0
+    highs_obj = -res.fun
+    assert home.objective == pytest.approx(highs_obj, rel=1e-9, abs=1e-9)
+    checker = lpcore._Simplex(model)
+    A, b = model.dense()
+
+    def full(x):
+        x = np.asarray(x, dtype=float)
+        return np.concatenate([x, b - A @ x])
+
+    y_highs = -res.ineqlin.marginals if len(b) else np.zeros(0)
+    assert checker._certificate_error(full(home.x), y_highs) <= lpcore.TOL_FEAS
+    assert checker._certificate_error(full(res.x), np.array(home.duals)) <= lpcore.TOL_FEAS
+
+
+class TestAgainstHighs:
+    @pytest.mark.parametrize("model", [m for _, m in _VARIANT_MODELS], ids=[name for name, _ in _VARIANT_MODELS])
+    def test_mcdlp_variants(self, model):
+        _cross_certify(model, solve(model))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_bounded_lps(self, data):
+        pytest.importorskip("scipy")
+        n = data.draw(st.integers(1, 8))
+        k = data.draw(st.integers(0, 8))
+        half = st.integers(-4, 8).map(lambda v: v / 2)
+        objective = data.draw(st.lists(half, min_size=n, max_size=n))
+        lower = data.draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 0.5]), min_size=n, max_size=n))
+        width = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=n, max_size=n))
+        rows = []
+        for _ in range(k):
+            coeffs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), half), max_size=n))
+            rows.append((coeffs, data.draw(st.integers(-2, 12).map(lambda v: v / 2)), None))
+        model = LpModel.build(objective, rows, [lo + w for lo, w in zip(lower, width)], lower)
+        _cross_certify(model, solve(model))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mcassort import mcdlp, simlab
+from mcassort import lpcore, mcdlp, simlab
 from mcassort.mcdlp import McdlpVariant, MonteCarloEstimate, verify_policy_upper_bound
 from mcassort.model import (
     AssortmentFamily,
@@ -248,6 +248,28 @@ class TestSweep:
         assert rows
         for row in rows:
             assert row["pct_of_bound"] <= 100.0 + 3 * row["pct_se"]
+
+    def test_lp_failure_skips_cell_with_warning(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise lpcore.LpError("MCDLP solve returned status infeasible")
+
+        monkeypatch.setattr(mcdlp, "solve_variant", failing)
+        template = simlab.gen_hotel_like(seed=1, n_types=5)
+        spec = simlab.SweepSpec(loading_factors=(2.0,), patiences=(2,), caps=(3,),
+                                scale_factors=(2.0,), replicas=30, seed=4)
+        with pytest.warns(UserWarning, match="LP failed on cell lf=2.0 pat=2 cap=3 sf=2.0"):
+            assert simlab.run_sweep(template, spec) == []
+
+    def test_programming_error_is_not_swallowed(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bad argument")
+
+        monkeypatch.setattr(mcdlp, "solve_variant", broken)
+        template = simlab.gen_hotel_like(seed=1, n_types=5)
+        spec = simlab.SweepSpec(loading_factors=(2.0,), patiences=(2,), caps=(3,),
+                                scale_factors=(2.0,), replicas=30, seed=4)
+        with pytest.raises(TypeError, match="bad argument"):
+            simlab.run_sweep(template, spec)
 
     def test_replica_floor(self):
         with pytest.raises(ValueError, match="replicas"):
