@@ -30,7 +30,7 @@ from .mcdlp import (
     verify_policy_upper_bound,
 )
 from .rounding import RoundingInput, RoundingOutput, gkps_round
-from .blackbox import CoinSet, FlipOutcome, f, run_blackbox, run_blackbox_assort, w_value
+from .blackbox import CoinSet, FlipOutcome, f, run_blackbox, w_value
 from .attenuate import (
     GammaSchedule,
     estimate_probabilities,

@@ -3,28 +3,37 @@
 The schedule gamma_1 = 1, gamma_{t+1} = gamma_t - (1 - e^{-gamma_t})/T pins
 the probability that each item is available at the start of every time-step.
 The online policies run the offline black-box each step, then damp two knobs
-with Monte-Carlo-estimated attenuation factors: an edge factor per (item,
-type) (or per (item, assortment, type)) forcing the realized sale rate onto
-(1 - e^{-gamma_t}) q_j p x*, and a vertex factor retiring surviving items so
-availability lands exactly on gamma_{t+1}.
+with Monte-Carlo-estimated attenuation factors: an edge factor per coin
+forcing its realized sale rate onto (1 - e^{-gamma_t}) times its planned
+rate, and a vertex factor retiring surviving items so availability lands
+exactly on gamma_{t+1}.
+
+Both policies run on one engine.  A coin is a support set of an arriving
+type's plan; algorithm 6 (repeated-offer assortments) flips its MNL or
+tabular assortments, and algorithm 1 (matching with timeouts) is the case
+where every set is a singleton, one per item.  The engine lays the coins out
+as padded (type, set, slot) arrays, strips sold-out items from every set,
+flips all arriving types in one vectorized black-box pass per step, and
+shares one factor-estimation loop and one evaluation loop between the two.
 
 Factors are estimated by fresh nested simulation per time-step (cost grows
-with T^2 times the budget, so keep attenuated horizons at desk scale).  All
-estimation and evaluation is vectorized across replicas; a scalar path
-produces per-replica traces with inline safety assertions.  Replicas derive
-independent generator streams from the seed, so the work could be fanned out
-concurrently without changing any estimate.
+with T^2 times the budget, so keep attenuated horizons at desk scale).  A
+scalar path produces per-replica matching traces whose invariants raise on
+violation.  Replicas derive independent generator streams from the seed, so
+the work could be fanned out concurrently without changing any estimate.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import mcdlp
-from .blackbox import CASE_FULL, CASE_NONE, CASE_SMALL, batch_flip, run_blackbox
+from .blackbox import CASE_NONE, CASE_SMALL, CoinSet, batch_flip, certified_case, run_blackbox
+from .mcdlp import RevenueSamples
 from .model import Instance, Mnl, Tabular, choice_prob
 from .trace import PolicyTrace, StepRecord, draw_type
 
@@ -39,10 +48,11 @@ __all__ = [
     "estimate_probabilities",
     "run_algorithm1",
     "run_algorithm6",
-    "AssortmentFactors",
 ]
 
 _EPS = 1e-12
+_CHUNK = 100_000      # evaluation replicas simulated at once
+_MAX_ROWS = 16_000    # rows per stacked offer-estimation pass
 
 
 def h_limit(z: float) -> float:
@@ -66,9 +76,6 @@ class GammaSchedule:
         """(1/T) sum_t (1 - e^{-gamma_t}); telescopes to gamma_1 - gamma_{T+1}."""
         return sum(1.0 - math.exp(-g) for g in self.values[:-1]) / self.T
 
-    def h(self, z: float) -> float:
-        return h_limit(z)
-
 
 def gamma_schedule(T: int) -> GammaSchedule:
     if T < 1:
@@ -85,15 +92,16 @@ def gamma_schedule(T: int) -> GammaSchedule:
     return sched
 
 
-# ---------------------------------------------------------------------------
-# Single-item case (online stochastic matching with timeouts), Algorithm 1.
-
-
 @dataclass
 class AttenuationFactors:
-    """Edge and vertex damping factors plus the estimation error budget."""
+    """Edge and vertex damping factors plus the estimation error budget.
 
-    edge: np.ndarray          # (T, m, n)
+    ``edge`` is indexed (t, type, set, slot).  For matching the sets are the
+    n singletons in item order, so ``edge[t, j, i, 0]`` belongs to item i; a
+    (T, m, n) array is accepted there too.
+    """
+
+    edge: np.ndarray          # (T, m, K, L)
     vertex: np.ndarray        # (T, n)
     surv_rel_var: np.ndarray  # (T, n): per-step relative variance of survival estimates
     mc_budget: int
@@ -111,75 +119,146 @@ class ProbabilityEstimates:
     offer_se: np.ndarray
 
 
-class _MatchingKernel:
-    """Precomputed arrays for vectorized simulation of a matching instance."""
+class _Coins(NamedTuple):
+    """Each row's coins, stripped to the items still available in that row."""
 
-    def __init__(self, inst: Instance, x: np.ndarray, allow_uncertified: bool):
-        if not inst.family.is_singleton_family(inst.n_products):
-            raise ValueError("algorithm 1 needs a matching instance (|S| <= 1 assortments)")
+    types: np.ndarray   # (B,)
+    av: np.ndarray      # (B, K, L) slot item available
+    denom: np.ndarray | None  # (B, K) stripped choice denominator (1 outside MNL); None for matching
+    mass: np.ndarray    # (B, K) heads probability of each coin (read where weight > 0)
+    weight: np.ndarray  # (B, K) plan weight, 0 when no item of the set is left
+
+
+class _Kernel:
+    """Vectorized simulation of either attenuated policy.
+
+    Each type's coins are its support sets, padded into (type, set, slot)
+    arrays whose slots hold item indices; a padding slot repeats its set's
+    first item with choice weight 0.  ``family`` holds the sets the certified
+    case is judged on.
+    """
+
+    def __init__(self, inst: Instance, policy: str, sets: list[list[frozenset[int]]],
+                 weights, family, allow_uncertified: bool):
         if not inst.stationary:
-            raise ValueError("algorithm 1 assumes stationary arrival probabilities")
+            raise ValueError(f"{policy} assumes stationary arrival probabilities")
         if not inst.unit_inventory:
             raise ValueError("split_inventory() the instance first: unit stocks required")
-        n, m = inst.n_products, inst.m
-        self.inst = inst
-        self.n, self.m = n, m
-        self.T = inst.T
-        self.q = np.array([inst.q(0, j) for j in range(m)])
-        self.cum_q = np.cumsum(self.q)
-        self.p = np.zeros((m, n))
-        self.r = np.zeros((m, n))
-        for j in range(m):
-            ct = inst.types[j]
-            for i in range(n):
-                self.p[j, i] = choice_prob(ct.choice, i, frozenset({i}))
-                self.r[j, i] = ct.revenues[i]
-        self.x = np.asarray(x, dtype=float)
-        if self.x.shape != (m, n):
-            raise ValueError(f"plan must have shape {(m, n)}")
-        self.ell = np.array([int(ct.patience) if ct.patience is not None else 0 for ct in inst.types])
         if any(ct.patience is None for ct in inst.types):
-            raise ValueError("algorithm 1 needs deterministic patience levels")
-        self.case = []
-        self.certified = True
-        for j in range(m):
-            if self.ell[j] >= n:
-                self.case.append(CASE_FULL)
-            elif self.p[j].sum() <= 1 + 1e-9:
-                self.case.append(CASE_SMALL)
+            raise ValueError(f"{policy} needs deterministic patience levels")
+        n, m = inst.n_products, inst.m
+        self.n, self.m, self.T = n, m, inst.T
+        self.sets = sets
+        self.choices = [ct.choice for ct in inst.types]
+        self.cum_q = np.cumsum([inst.q(0, j) for j in range(m)])
+        self.ell = np.array([ct.patience for ct in inst.types], dtype=np.int64)
+        self.r = np.array([ct.revenues for ct in inst.types], dtype=float)
+        K = max(1, max(len(s) for s in sets))
+        L = max([1] + [len(S) for s in sets for S in s])
+        self.K, self.L = K, L
+        self.items = np.zeros((m, K, L), dtype=np.intp)
+        self.slot_ok = np.zeros((m, K, L), dtype=bool)
+        self.p_full = np.zeros((m, K, L))   # p_j(i, S) on the full set
+        self.weights = np.zeros((m, K))
+        # stripped choice probability = pw * available / denom, where MNL
+        # types use their item weights over v0 plus the stripped weight sum
+        # and the others p_j(i, S) over 1 (exact for singletons and for
+        # set-independent item probabilities); any other model with a
+        # multi-item set is evaluated row by row ("general")
+        self.pw = np.zeros((m, K, L))
+        v0 = np.zeros(m)
+        self.mnl = np.zeros(m, dtype=bool)
+        self.general = np.zeros(m, dtype=bool)
+        self.case: list[str] = []
+        for j, choice in enumerate(self.choices):
+            for k, S in enumerate(sets[j]):
+                order = sorted(S)
+                self.items[j, k] = order[0]
+                self.items[j, k, : len(order)] = order
+                self.slot_ok[j, k, : len(order)] = True
+                self.p_full[j, k, : len(order)] = [choice_prob(choice, i, S) for i in order]
+            self.weights[j, : len(sets[j])] = weights[j]
+            if isinstance(choice, Mnl):
+                self.mnl[j] = True
+                v0[j] = choice.no_purchase
+                self.pw[j] = np.where(self.slot_ok[j], np.asarray(choice.weights)[self.items[j]], 0.0)
             else:
-                self.case.append(CASE_NONE)
-                self.certified = False
-        if not self.certified and not allow_uncertified:
+                self.pw[j] = self.p_full[j]
+                self.general[j] = any(len(S) > 1 for S in sets[j]) and not (
+                    isinstance(choice, Tabular) and choice.item_probs is not None and not choice.entries
+                )
+            masses = [sum(choice_prob(choice, i, S) for i in S) for S in family if S]
+            self.case.append(certified_case(masses, int(inst.types[j].patience)))
+        self.denom0 = np.where(self.mnl, v0, 1.0)
+        self.small = np.array([c == CASE_SMALL for c in self.case])
+        uncertified = [j for j, c in enumerate(self.case) if c == CASE_NONE]
+        if uncertified and not allow_uncertified:
             raise ValueError(
-                "hypothesis violated: need sum_i p_ij <= 1 or ell_j >= n per type "
+                f"hypothesis violated for types {uncertified}: need coin masses summing to "
+                "at most 1 or patience covering every coin "
                 "(pass allow_uncertified=True to run without a guarantee)"
             )
-        self.small_case = np.array([c == CASE_SMALL for c in self.case])
+        self.identity = L == 1 and K == n and bool((self.items[:, :, 0] == np.arange(n)).all())
+        self.sells = self.slot_ok & (self.p_full > 0)
+        # p_j(i, stripped S) / p_j(i, S) = available * rel_scale / denom
+        self.rel_scale = np.divide(self.pw, self.p_full, out=np.zeros_like(self.pw), where=self.sells)
 
     def draw_types(self, B: int, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random(B)
-        return np.searchsorted(self.cum_q, u, side="right")  # == m means no arrival
+        return np.searchsorted(self.cum_q, rng.random(B), side="right")  # == m: no arrival
 
-    def offer_estimates(self, avail: np.ndarray, rng: np.random.Generator,
-                        max_rows: int = 16_000) -> np.ndarray:
-        """Pre-attenuation flip frequencies per (type, item), forcing each
-        type against the whole availability ensemble (types are stacked into
-        blocks so one vectorized pass covers many types)."""
-        B, n = avail.shape
-        out = np.zeros((self.m, n))
-        per_block = max(1, max_rows // max(B, 1))
-        for start in range(0, self.m, per_block):
-            block = np.arange(start, min(start + per_block, self.m))
-            reps = len(block)
-            p_rows = np.repeat(self.p[block], B, axis=0)
-            x_rows = (self.x[block][:, None, :] * avail[None, :, :]).reshape(reps * B, n)
-            flipped, _ = batch_flip(
-                p_rows, x_rows, np.repeat(self.ell[block], B),
-                np.repeat(self.small_case[block], B), rng,
-            )
-            out[block] = flipped.reshape(reps, B, n).mean(axis=1)
-        return out
+    def _coins(self, avail: np.ndarray, types: np.ndarray) -> _Coins:
+        if self.identity:  # set k is {k}: nothing to gather, a singleton keeps p_j(k, {k})
+            weight = self.weights[types]
+            weight *= avail
+            return _Coins(types, avail[:, :, None], None, self.p_full[types, :, 0], weight)
+        rows = np.arange(len(types))[:, None]
+        av = avail[rows, self.items[types].reshape(len(types), -1)].reshape(-1, self.K, self.L)
+        v = np.einsum("bkl,bkl->bk", self.pw[types], av)
+        denom = self.denom0[types][:, None] + self.mnl[types][:, None] * v
+        mass = np.divide(v, denom, out=np.zeros_like(v), where=denom > 0)
+        for b in np.nonzero(self.general[types])[0]:
+            mass[b] = self._general_probs(types[b], av[b]).sum(axis=1)
+        weight = self.weights[types]
+        weight *= av.any(axis=2)
+        return _Coins(types, av, denom, mass, weight)
+
+    def _slot_probs(self, c: _Coins, rows: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Stripped choice probabilities of the slots of set ``k[w]`` in row ``rows[w]``."""
+        types = c.types[rows]
+        val = self.pw[types, k] * c.av[rows, k] / c.denom[rows, k][:, None]
+        for w in np.nonzero(self.general[types])[0]:
+            val[w] = self._general_probs(types[w], c.av[rows[w]])[k[w]]
+        return val
+
+    def _general_probs(self, j: int, av: np.ndarray) -> np.ndarray:
+        val = np.zeros((self.K, self.L))
+        for k in range(len(self.sets[j])):
+            slots = np.nonzero(av[k] & self.slot_ok[j, k])[0]
+            stripped = frozenset(self.items[j, k, slots].tolist())
+            for slot in slots:
+                val[k, slot] = choice_prob(self.choices[j], int(self.items[j, k, slot]), stripped)
+        return val
+
+    def flip(self, avail: np.ndarray, types: np.ndarray, rng: np.random.Generator,
+             arrived: np.ndarray | None = None):
+        """One black-box pass over every row; rows outside ``arrived`` have no coins.
+
+        Returns (coins, flipped (B,K), winning set per row or -1).
+        """
+        c = self._coins(avail, types)
+        if arrived is not None:
+            c.weight[~arrived] = 0.0
+        flipped, winner = batch_flip(c.mass, c.weight, self.ell[types], self.small[types], rng)
+        return c, flipped, winner
+
+    def draw_slot(self, c: _Coins, rows: np.ndarray, k: np.ndarray,
+                  rng: np.random.Generator) -> np.ndarray:
+        """The bought slot of set ``k[w]`` in row ``rows[w]``, given a sale."""
+        if self.L == 1:
+            return np.zeros(len(rows), dtype=np.intp)
+        cum = self._slot_probs(c, rows, k).cumsum(axis=1)
+        u = rng.random(len(rows)) * cum[:, -1]
+        return (cum > u[:, None]).argmax(axis=1)
 
     def advance(
         self,
@@ -190,25 +269,17 @@ class _MatchingKernel:
         accept_out: np.ndarray | None = None,
         revenue_out: np.ndarray | None = None,
     ) -> None:
-        """One time-step for every replica row in ``avail`` (modified in place).
-
-        All arriving types are handled in a single vectorized black-box pass
-        (no-arrival rows get zero weights and never flip).
-        """
-        B = avail.shape[0]
-        types = self.draw_types(B, rng)
+        """One time-step for every replica row in ``avail`` (modified in place)."""
+        types = self.draw_types(avail.shape[0], rng)
         arrived = types < self.m
-        t_idx = np.where(arrived, types, 0)
-        x_eff = self.x[t_idx] * avail
-        x_eff[~arrived] = 0.0
-        _, winner = batch_flip(self.p[t_idx], x_eff, self.ell[t_idx],
-                               self.small_case[t_idx], rng)
+        c, _, winner = self.flip(avail, np.where(arrived, types, 0), rng, arrived)
         won = np.nonzero(winner >= 0)[0]
         if won.size:
-            w_items = winner[won]
-            w_types = types[won]
-            keep = rng.random(won.size) < edge_t[w_types, w_items]
-            s_rows, s_items, s_types = won[keep], w_items[keep], w_types[keep]
+            w_types, k = c.types[won], winner[won]
+            slot = self.draw_slot(c, won, k, rng)
+            keep = rng.random(won.size) < edge_t[w_types, k, slot]
+            s_rows, s_types = won[keep], w_types[keep]
+            s_items = self.items[s_types, k[keep], slot[keep]]
             avail[s_rows, s_items] = False
             if accept_out is not None:
                 np.add.at(accept_out, (s_types, s_items), 1)
@@ -217,60 +288,90 @@ class _MatchingKernel:
         # vertex attenuation retires surviving items independently
         avail &= rng.random(avail.shape) < vertex_t[None, :]
 
+    def edge_factors(self, factors: AttenuationFactors) -> np.ndarray:
+        return np.reshape(factors.edge, (self.T, self.m, self.K, self.L))
 
-def _as_plan_array(inst: Instance, plan) -> np.ndarray:
-    if isinstance(plan, mcdlp.McdlpSolution):
-        return plan.single_item_plan(inst.n_products)
-    return np.asarray(plan, dtype=float)
+    def prefix(self, edge: np.ndarray, vertex: np.ndarray, t: int, B: int,
+               rng: np.random.Generator) -> np.ndarray:
+        """A fresh ensemble of ``B`` replicas run through steps 1..t-1."""
+        avail = np.ones((B, self.n), dtype=bool)
+        for s in range(1, t):
+            self.advance(avail, edge[s - 1], vertex[s - 1], rng)
+        return avail
+
+    def offer_estimates(self, avail: np.ndarray,
+                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Pre-attenuation expected sales per (type, set, slot), relative to p_j(i, S).
+
+        Each type is forced against the whole availability ensemble (types
+        are stacked into blocks so one vectorized pass covers many types).
+        A row tallies flipped x p_j(i, stripped S) / p_j(i, S), so for
+        matching this is the flip frequency of the item.  Returns the mean
+        tally and its standard error (from the tally's second moment).
+        Types without coins are skipped.
+        """
+        B, K, L = avail.shape[0], self.K, self.L
+        mean = np.zeros((self.m, K, L))
+        sq = np.zeros((self.m, K, L))  # mean squared tally
+        active = np.array([j for j in range(self.m) if self.sets[j]], dtype=np.intp)
+        per_block = max(1, _MAX_ROWS // max(B, 1))
+        for start in range(0, len(active), per_block):
+            block = active[start : start + per_block]
+            R = len(block)
+            c, flipped, _ = self.flip(np.tile(avail, (R, 1)), np.repeat(block, B), rng)
+            if L == 1:  # a flipped singleton is available and keeps its choice probability
+                mean[block] = sq[block] = flipped.reshape(R, B, K, 1).mean(axis=1)
+            else:
+                share = np.divide(flipped, c.denom, out=np.zeros(c.denom.shape), where=c.denom > 0)
+                share = share.reshape(R, B, K)
+                av = c.av.reshape(R, B, K, L)
+                scale = self.rel_scale[block]
+                mean[block] = np.einsum("rbk,rbkl->rkl", share, av) * scale / B
+                sq[block] = np.einsum("rbk,rbkl->rkl", share * share, av) * (scale * scale) / B
+                for r in np.nonzero(self.general[block])[0]:  # no closed form: row by row
+                    j = block[r]
+                    tally = np.stack([flipped[b][:, None] * self._general_probs(j, c.av[b])
+                                      for b in range(r * B, (r + 1) * B)])
+                    tally = np.divide(tally, self.p_full[j], out=np.zeros_like(tally), where=self.sells[j])
+                    mean[j] = tally.mean(axis=0)
+                    sq[j] = (tally * tally).mean(axis=0)
+                del share, av
+            del c, flipped  # free this block's rows before the next block is drawn
+        return mean, np.sqrt(np.maximum(sq - mean * mean, 0.0) / B)
 
 
-def compute_attenuation_factors(
-    inst: Instance,
-    plan,
-    mc_budget: int = 2000,
-    seed: int = 0,
-    allow_uncertified: bool = False,
-) -> AttenuationFactors:
-    """Estimate edge and vertex factors for every step by nested simulation.
+def _estimate_factors(kern: _Kernel, mc_budget: int, streams) -> AttenuationFactors:
+    """Edge and vertex factors for every step by nested simulation.
 
     Per step t the attenuated prefix is re-simulated on a fresh ensemble of
-    ``mc_budget`` replicas; offer probabilities give the edge factors, the
+    ``mc_budget`` replicas; offer estimates give the edge factors, the
     ensemble advanced through t gives survival rates and the vertex factors.
     Targets exceeding their estimate by more than two standard errors are
     recorded as diagnostics (the factor clamps to 1 rather than aborting).
     """
-    if mc_budget < 1:
-        raise ValueError("mc_budget must be positive")
-    kern = _MatchingKernel(inst, _as_plan_array(inst, plan), allow_uncertified)
     T, m, n = kern.T, kern.m, kern.n
     sched = gamma_schedule(T)
-    edge = np.ones((T, m, n))
+    edge = np.ones((T, m, kern.K, kern.L))
     vertex = np.ones((T, n))
     surv_rel_var = np.zeros((T, n))
     diags: list[str] = []
-    streams = np.random.SeedSequence(seed).spawn(T)
     B = mc_budget
     for t in range(1, T + 1):
         rng = np.random.default_rng(streams[t - 1])
-        avail = np.ones((B, n), dtype=bool)
-        for s in range(1, t):
-            kern.advance(avail, edge[s - 1], vertex[s - 1], rng)
-        g_t = sched.gamma(t)
-        target_scale = 1.0 - math.exp(-g_t)
-        p_offer_all = kern.offer_estimates(avail, rng)
-        for j in range(m):
-            p_offer = p_offer_all[j]
-            se = np.sqrt(np.maximum(p_offer * (1 - p_offer), 0.0) / B)
-            target = kern.x[j] * target_scale
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(p_offer > 0, target / np.maximum(p_offer, _EPS), 1.0)
-            over = target > p_offer + 2 * se + _EPS
-            for i in np.nonzero(over & (kern.x[j] > 0))[0]:
-                diags.append(
-                    f"t={t} type={j} item={int(i)}: offer target {target[i]:.4f} exceeds "
-                    f"estimate {p_offer[i]:.4f} + 2se"
-                )
-            edge[t - 1, j] = np.clip(ratio, 0.0, 1.0)
+        avail = kern.prefix(edge, vertex, t, B, rng)
+        est, se = kern.offer_estimates(avail, rng)
+        scale = 1.0 - math.exp(-sched.gamma(t))
+        target = np.broadcast_to((kern.weights * scale)[:, :, None], est.shape)
+        ratio = np.where(est > 0, target / np.maximum(est, _EPS), 1.0)
+        over = (target > est + 2 * se + _EPS) & (target > 0) & kern.sells
+        for j, k, slot in zip(*np.nonzero(over)):
+            S = kern.sets[j][k]
+            coin = f"item={int(kern.items[j, k, slot])}" + (f" set={sorted(S)}" if len(S) > 1 else "")
+            diags.append(
+                f"t={t} type={j} {coin}: offer target {target[j, k, slot]:.4f} exceeds "
+                f"estimate {est[j, k, slot]:.4f} + 2se"
+            )
+        edge[t - 1] = np.clip(ratio, 0.0, 1.0)
         # survival through step t under the freshly set edge factors
         kern.advance(avail, edge[t - 1], np.ones(n), rng)
         p_surv = avail.mean(axis=0)
@@ -289,45 +390,8 @@ def compute_attenuation_factors(
     return AttenuationFactors(edge, vertex, surv_rel_var, mc_budget, diags)
 
 
-def estimate_probabilities(
-    inst: Instance,
-    plan,
-    factors: AttenuationFactors,
-    t: int,
-    mc_budget: int,
-    seed: int = 0,
-    allow_uncertified: bool = False,
-) -> ProbabilityEstimates:
-    """Re-simulate the attenuated policy up to the start of step ``t``.
-
-    Returns availability and per-(type, item) pre-attenuation offer estimates
-    with standard errors.  Items whose conditioning events never occur come
-    back with estimate 0 and are treated as factor 1 by the factor builder.
-    """
-    if mc_budget < 1:
-        raise ValueError("mc_budget must be positive")
-    if not 1 <= t <= inst.T:
-        raise ValueError(f"t must be in 1..{inst.T}")
-    kern = _MatchingKernel(inst, _as_plan_array(inst, plan), allow_uncertified)
-    n, m = kern.n, kern.m
-    B = mc_budget
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    avail = np.ones((B, n), dtype=bool)
-    for s in range(1, t):
-        kern.advance(avail, factors.edge[s - 1], factors.vertex[s - 1], rng)
-    if t == 1:
-        availability = np.ones(n)
-        availability_se = np.zeros(n)
-    else:
-        availability = avail.mean(axis=0)
-        availability_se = np.sqrt(availability * (1 - availability) / B)
-    offer = kern.offer_estimates(avail, rng)
-    offer_se = np.sqrt(np.maximum(offer * (1 - offer), 0.0) / B)
-    return ProbabilityEstimates(t, availability, availability_se, offer, offer_se)
-
-
 @dataclass
-class AttenuationRunResult:
+class AttenuationRunResult(RevenueSamples):
     """Aggregate outcome of an attenuated run over many replicas."""
 
     schedule: GammaSchedule
@@ -335,18 +399,8 @@ class AttenuationRunResult:
     replicas: int
     revenues: np.ndarray          # (replicas,)
     avail_freq: np.ndarray        # (T+1, n): availability at the start of t = 1..T+1
-    accept_freq: np.ndarray       # (T, m, n): realized sale frequency per step
+    accept_freq: np.ndarray       # (T, m, n): realized sale frequency per (type, item)
     traces: list[PolicyTrace] = field(default_factory=list)
-
-    @property
-    def revenue_mean(self) -> float:
-        return float(self.revenues.mean())
-
-    @property
-    def revenue_se(self) -> float:
-        if len(self.revenues) < 2:
-            return 0.0
-        return float(self.revenues.std(ddof=1) / math.sqrt(len(self.revenues)))
 
     def avail_sigma(self, t: int) -> np.ndarray:
         """Std budget for |avail_freq(t) - gamma_t|: eval noise plus factor noise.
@@ -362,6 +416,102 @@ class AttenuationRunResult:
         return np.sqrt(eval_var + sched_var)
 
 
+def _evaluate(kern: _Kernel, factors: AttenuationFactors, replicas: int,
+              rng: np.random.Generator) -> AttenuationRunResult:
+    """Run the attenuated policy on ``replicas`` fresh horizons."""
+    T, n, m = kern.T, kern.n, kern.m
+    edge = kern.edge_factors(factors)
+    revenues = np.zeros(replicas)
+    avail_counts = np.zeros((T + 1, n))
+    accept_counts = np.zeros((T, m, n))
+    for start in range(0, replicas, _CHUNK):
+        rev = revenues[start : start + _CHUNK]
+        avail = np.ones((len(rev), n), dtype=bool)
+        for t in range(1, T + 1):
+            avail_counts[t - 1] += avail.sum(axis=0)
+            kern.advance(
+                avail, edge[t - 1], factors.vertex[t - 1], rng,
+                accept_out=accept_counts[t - 1], revenue_out=rev,
+            )
+        avail_counts[T] += avail.sum(axis=0)
+    return AttenuationRunResult(
+        schedule=gamma_schedule(T),
+        factors=factors,
+        replicas=replicas,
+        revenues=revenues,
+        avail_freq=avail_counts / replicas,
+        accept_freq=accept_counts / replicas,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Single-item case (online stochastic matching with timeouts), Algorithm 1.
+
+
+def _as_plan_array(inst: Instance, plan) -> np.ndarray:
+    if isinstance(plan, mcdlp.McdlpSolution):
+        return plan.single_item_plan(inst.n_products)
+    return np.asarray(plan, dtype=float)
+
+
+def _matching_kernel(inst: Instance, plan, allow_uncertified: bool) -> _Kernel:
+    """The n singletons in item order, zero weights included, for every type."""
+    if not inst.family.is_singleton_family(inst.n_products):
+        raise ValueError("algorithm 1 needs a matching instance (|S| <= 1 assortments)")
+    x = _as_plan_array(inst, plan)
+    if x.shape != (inst.m, inst.n_products):
+        raise ValueError(f"plan must have shape {(inst.m, inst.n_products)}")
+    singletons = [frozenset({i}) for i in range(inst.n_products)]
+    return _Kernel(inst, "algorithm 1", [singletons] * inst.m, x, singletons, allow_uncertified)
+
+
+def compute_attenuation_factors(
+    inst: Instance,
+    plan,
+    mc_budget: int = 2000,
+    seed: int = 0,
+    allow_uncertified: bool = False,
+) -> AttenuationFactors:
+    """Estimate algorithm 1's edge and vertex factors for every step."""
+    if mc_budget < 1:
+        raise ValueError("mc_budget must be positive")
+    kern = _matching_kernel(inst, plan, allow_uncertified)
+    return _estimate_factors(kern, mc_budget, np.random.SeedSequence(seed).spawn(kern.T))
+
+
+def estimate_probabilities(
+    inst: Instance,
+    plan,
+    factors: AttenuationFactors,
+    t: int,
+    mc_budget: int,
+    seed: int = 0,
+    allow_uncertified: bool = False,
+) -> ProbabilityEstimates:
+    """Re-simulate the attenuated matching policy up to the start of step ``t``.
+
+    Returns availability and per-(type, item) pre-attenuation offer estimates
+    with standard errors.  Items whose conditioning events never occur come
+    back with estimate 0 and are treated as factor 1 by the factor builder.
+    """
+    if mc_budget < 1:
+        raise ValueError("mc_budget must be positive")
+    if not 1 <= t <= inst.T:
+        raise ValueError(f"t must be in 1..{inst.T}")
+    kern = _matching_kernel(inst, plan, allow_uncertified)
+    n, B = kern.n, mc_budget
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    avail = kern.prefix(kern.edge_factors(factors), factors.vertex, t, B, rng)
+    if t == 1:
+        availability = np.ones(n)
+        availability_se = np.zeros(n)
+    else:
+        availability = avail.mean(axis=0)
+        availability_se = np.sqrt(availability * (1 - availability) / B)
+    offer, offer_se = kern.offer_estimates(avail, rng)
+    return ProbabilityEstimates(t, availability, availability_se, offer[:, :, 0], offer_se[:, :, 0])
+
+
 def run_algorithm1(
     inst: Instance,
     plan,
@@ -371,89 +521,60 @@ def run_algorithm1(
     factors: AttenuationFactors | None = None,
     allow_uncertified: bool = False,
     record_traces: int = 0,
-    chunk: int = 100_000,
 ) -> AttenuationRunResult:
     """Attenuated online policy for matching with timeouts.
 
     Computes attenuation factors (unless supplied) and evaluates the policy on
     ``replicas`` fresh horizons, tracking availability, sales and revenue.
     """
-    x = _as_plan_array(inst, plan)
-    kern = _MatchingKernel(inst, x, allow_uncertified)
+    kern = _matching_kernel(inst, plan, allow_uncertified)
     if factors is None:
         factors = compute_attenuation_factors(
-            inst, x, mc_budget=mc_budget, seed=seed * 2_654_435_761 % (2**31) + 1,
+            inst, kern.weights, mc_budget=mc_budget, seed=seed * 2_654_435_761 % (2**31) + 1,
             allow_uncertified=allow_uncertified,
         )
-    T, n, m = kern.T, kern.n, kern.m
-    sched = gamma_schedule(T)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    revenues = np.zeros(replicas)
-    avail_counts = np.zeros((T + 1, n))
-    accept_counts = np.zeros((T, m, n))
-    done = 0
-    while done < replicas:
-        B = min(chunk, replicas - done)
-        avail = np.ones((B, n), dtype=bool)
-        rev = np.zeros(B)
-        for t in range(1, T + 1):
-            avail_counts[t - 1] += avail.sum(axis=0)
-            kern.advance(
-                avail, factors.edge[t - 1], factors.vertex[t - 1], rng,
-                accept_out=accept_counts[t - 1], revenue_out=rev,
-            )
-        avail_counts[T] += avail.sum(axis=0)
-        revenues[done : done + B] = rev
-        done += B
-    traces = [
-        _trace_algorithm1(inst, kern, factors, sched, replica_id=k, seed=seed + 7_919 * (k + 1))
+    result = _evaluate(kern, factors, replicas, np.random.default_rng(np.random.SeedSequence(seed)))
+    result.traces = [
+        _trace_algorithm1(inst, kern, factors, replica_id=k, seed=seed + 7_919 * (k + 1))
         for k in range(record_traces)
     ]
-    return AttenuationRunResult(
-        schedule=sched,
-        factors=factors,
-        replicas=replicas,
-        revenues=revenues,
-        avail_freq=avail_counts / replicas,
-        accept_freq=accept_counts / replicas,
-        traces=traces,
-    )
+    return result
 
 
 def _trace_algorithm1(
     inst: Instance,
-    kern: _MatchingKernel,
+    kern: _Kernel,
     factors: AttenuationFactors,
-    sched: GammaSchedule,
     replica_id: int,
     seed: int,
 ) -> PolicyTrace:
-    """Scalar single-horizon path with inline event recording and assertions."""
+    """Scalar single-horizon matching path with event recording and checks."""
     rng = random.Random(seed)
     n = kern.n
+    edge = kern.edge_factors(factors)
     stock = [1] * n
     retired = [False] * n
     trace = PolicyTrace(replica=replica_id, initial_inventory=tuple(stock))
-    from .blackbox import CoinSet  # local import keeps module load light
-
     for t in range(1, kern.T + 1):
         j = draw_type(inst, 0, rng)
         if j is not None:
-            avail_ids = [i for i in range(n) if stock[i] > 0 and not retired[i] and kern.x[j, i] > 0]
+            avail_ids = [i for i in range(n) if stock[i] > 0 and not retired[i] and kern.weights[j, i] > 0]
             if avail_ids:
                 coins = CoinSet(
-                    tuple(kern.p[j, i] for i in avail_ids),
-                    tuple(kern.x[j, i] for i in avail_ids),
+                    tuple(kern.p_full[j, i, 0] for i in avail_ids),
+                    tuple(kern.weights[j, i] for i in avail_ids),
                     int(kern.ell[j]),
                     kern.case[j],
                 )
                 outcome = run_blackbox(coins, rng=rng)
-                assert len(outcome.order) <= kern.ell[j], "patience exceeded"
+                if len(outcome.order) > kern.ell[j]:
+                    raise RuntimeError(f"t={t}: {len(outcome.order)} flips exceed patience {kern.ell[j]}")
                 stage = 0
                 for local in outcome.order:
                     i = avail_ids[local]
-                    assert stock[i] > 0 and not retired[i], "offered an unavailable item"
-                    displayed = rng.random() < factors.edge[t - 1, j, i]
+                    if stock[i] <= 0 or retired[i]:
+                        raise RuntimeError(f"t={t}: offered unavailable item {i}")
+                    displayed = rng.random() < edge[t - 1, j, i, 0]
                     if not displayed:
                         continue
                     stage += 1
@@ -475,186 +596,19 @@ def _trace_algorithm1(
 # Assortment case with repeated offerings allowed, Algorithm 6.
 
 
-@dataclass
-class AssortmentFactors:
-    """Per-(item, assortment, type) edge factors plus vertex factors."""
-
-    edge: list[np.ndarray]    # per type: (T, K_j, n)
-    vertex: np.ndarray        # (T, n)
-    surv_rel_var: np.ndarray  # (T, n)
-    mc_budget: int
-    diagnostics: list[str] = field(default_factory=list)
-
-
-class _AssortmentKernel:
-    """Vectorized simulation of the repeated-offerings assortment policy."""
-
-    def __init__(self, inst: Instance, solution: mcdlp.McdlpSolution, allow_uncertified: bool):
-        if not inst.repeated_offers_allowed:
-            raise ValueError("algorithm 6 needs repeated_offers_allowed")
-        if not inst.stationary:
-            raise ValueError("algorithm 6 assumes stationary arrivals")
-        if not inst.unit_inventory:
-            raise ValueError("split_inventory() the instance first: unit stocks required")
-        if inst.price_levels != 1:
-            raise ValueError("algorithm 6 runs on single-price instances")
-        self.inst = inst
-        n, m = inst.n_products, inst.m
-        self.n, self.m, self.T = n, m, inst.T
-        self.q = np.array([inst.q(0, j) for j in range(m)])
-        self.cum_q = np.cumsum(self.q)
-        self.ell = np.array([int(ct.patience) for ct in inst.types])
-        self.sets: list[list[frozenset[int]]] = []
-        self.masks: list[np.ndarray] = []
-        self.weights: list[np.ndarray] = []
-        self.p_orig: list[np.ndarray] = []   # per type: (K_j, n) original p_j(i, S)
-        self.case: list[str] = []
-        family = solution.assortments
-        self.certified = True
-        for j in range(m):
-            ct = inst.types[j]
-            support = [(S, v) for S, v in sorted(solution.plan[j].items(), key=lambda kv: tuple(sorted(kv[0])))
-                       if v > 1e-12 and len(S) > 0]
-            sets = [S for S, _ in support]
-            self.sets.append(sets)
-            K = len(sets)
-            mask = np.zeros((K, n), dtype=bool)
-            porig = np.zeros((K, n))
-            for k, S in enumerate(sets):
-                for i in S:
-                    mask[k, i] = True
-                    porig[k, i] = choice_prob(ct.choice, i, S)
-            self.masks.append(mask)
-            self.p_orig.append(porig)
-            self.weights.append(np.array([v for _, v in support]))
-            total_mass = 0.0
-            nonempty = 0
-            for S in family:
-                total_mass += sum(choice_prob(ct.choice, i, S) for i in S)
-                nonempty += bool(S)
-            # the empty assortment is never a coin, so it does not count
-            # against the patience side of the hypothesis
-            if self.ell[j] >= nonempty:
-                self.case.append(CASE_FULL)
-            elif total_mass <= 1 + 1e-9:
-                self.case.append(CASE_SMALL)
-            else:
-                self.case.append(CASE_NONE)
-                self.certified = False
-        if not self.certified and not allow_uncertified:
-            raise ValueError(
-                "hypothesis violated: need sum_S sum_i p_j(i,S) <= 1 or ell_j >= |family| per type"
-            )
-        self.r = np.array([ct.revenues for ct in inst.types])
-        self._mnl_w = []
-        self._item_c = []
-        for ct in inst.types:
-            if isinstance(ct.choice, Mnl):
-                self._mnl_w.append((np.array(ct.choice.weights), ct.choice.no_purchase))
-                self._item_c.append(None)
-            elif isinstance(ct.choice, Tabular) and ct.choice.item_probs is not None:
-                self._mnl_w.append(None)
-                self._item_c.append(np.array(ct.choice.item_probs))
-            else:
-                self._mnl_w.append(None)
-                self._item_c.append(None)
-
-    def draw_types(self, B: int, rng: np.random.Generator) -> np.ndarray:
-        return np.searchsorted(self.cum_q, rng.random(B), side="right")
-
-    def _masses_and_vals(self, j: int, avail_rows: np.ndarray):
-        """Stripped per-row assortment masses and per-item selection values.
-
-        Returns (mass (B,K), val (B,K,n)) where val is proportional to the
-        conditional item-selection probabilities within each stripped set.
-        """
-        mask = self.masks[j]
-        if self._mnl_w[j] is not None:
-            w, v0 = self._mnl_w[j]
-            masked = mask[None, :, :] * (w[None, None, :] * avail_rows[:, None, :])
-            V = masked.sum(axis=2)
-            mass = V / (v0 + V)
-            return mass, masked
-        if self._item_c[j] is not None:
-            c = self._item_c[j]
-            masked = mask[None, :, :] * (c[None, None, :] * avail_rows[:, None, :])
-            mass = masked.sum(axis=2)
-            return mass, masked
-        # general tabular: row-by-row evaluation on stripped sets
-        ct = self.inst.types[j]
-        B = avail_rows.shape[0]
-        K = mask.shape[0]
-        mass = np.zeros((B, K))
-        val = np.zeros((B, K, self.n))
-        for b in range(B):
-            av = avail_rows[b]
-            for k, S in enumerate(self.sets[j]):
-                stripped = frozenset(i for i in S if av[i])
-                for i in stripped:
-                    p = choice_prob(ct.choice, i, stripped)
-                    val[b, k, i] = p
-                    mass[b, k] += p
-        return mass, val
-
-    def advance(
-        self,
-        avail: np.ndarray,
-        edge_t: list[np.ndarray] | None,
-        vertex_t: np.ndarray,
-        rng: np.random.Generator,
-        sell_out: list[np.ndarray] | None = None,
-        revenue_out: np.ndarray | None = None,
-    ) -> None:
-        B = avail.shape[0]
-        types = self.draw_types(B, rng)
-        for j in range(self.m):
-            rows = np.nonzero(types == j)[0]
-            if rows.size == 0 or len(self.sets[j]) == 0:
-                continue
-            mass, val = self._masses_and_vals(j, avail[rows].astype(float))
-            x_rows = np.broadcast_to(self.weights[j], mass.shape).copy()
-            x_rows[mass <= 0.0] = 0.0  # fully sold-out assortments are not offered
-            flipped, winner = batch_flip(mass, x_rows, int(self.ell[j]), self.case[j], rng)
-            won = np.nonzero(winner >= 0)[0]
-            if won.size == 0:
-                continue
-            k_win = winner[won]
-            vals = val[won, k_win, :]
-            totals = vals.sum(axis=1)
-            u = rng.random(won.size) * totals
-            items = (vals.cumsum(axis=1) > u[:, None]).argmax(axis=1)
-            if edge_t is not None:
-                keep = rng.random(won.size) < edge_t[j][k_win, items]
-            else:
-                keep = np.ones(won.size, dtype=bool)
-            sel = won[keep]
-            s_rows = rows[sel]
-            s_items = items[keep]
-            avail[s_rows, s_items] = False
-            if sell_out is not None:
-                np.add.at(sell_out[j], (k_win[keep], s_items), 1)
-            if revenue_out is not None:
-                revenue_out[s_rows] += self.r[j, s_items]
-        avail &= rng.random(avail.shape) < vertex_t[None, :]
-
-    def presell_tally(self, j: int, avail: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Pre-attenuation sale frequencies Pr[winner = (S_k, i) | Type j]."""
-        B = avail.shape[0]
-        mass, val = self._masses_and_vals(j, avail.astype(float))
-        x_rows = np.broadcast_to(self.weights[j], mass.shape).copy()
-        x_rows[mass <= 0.0] = 0.0
-        flipped, winner = batch_flip(mass, x_rows, int(self.ell[j]), self.case[j], rng)
-        K = len(self.sets[j])
-        counts = np.zeros((K, self.n))
-        won = np.nonzero(winner >= 0)[0]
-        if won.size:
-            k_win = winner[won]
-            vals = val[won, k_win, :]
-            totals = vals.sum(axis=1)
-            u = rng.random(won.size) * totals
-            items = (vals.cumsum(axis=1) > u[:, None]).argmax(axis=1)
-            np.add.at(counts, (k_win, items), 1)
-        return counts / B
+def _assortment_kernel(inst: Instance, solution: mcdlp.McdlpSolution, allow_uncertified: bool) -> _Kernel:
+    """Each type's positive-weight non-empty assortments, in sorted order."""
+    if not inst.repeated_offers_allowed:
+        raise ValueError("algorithm 6 needs repeated_offers_allowed")
+    if inst.price_levels != 1:
+        raise ValueError("algorithm 6 runs on single-price instances")
+    support = [
+        [(S, v) for S, v in sorted(plan.items(), key=lambda kv: tuple(sorted(kv[0])))
+         if v > 1e-12 and len(S) > 0]
+        for plan in solution.plan
+    ]
+    return _Kernel(inst, "algorithm 6", [[S for S, _ in s] for s in support],
+                   [[v for _, v in s] for s in support], solution.assortments, allow_uncertified)
 
 
 def run_algorithm6(
@@ -664,89 +618,21 @@ def run_algorithm6(
     replicas: int = 10_000,
     seed: int = 0,
     allow_uncertified: bool = False,
-) -> tuple[AttenuationRunResult, AssortmentFactors]:
+) -> tuple[AttenuationRunResult, AttenuationFactors]:
     """Attenuated online policy offering assortments with repeats allowed.
 
     Sold-out items are stripped from every positive-weight assortment before
-    the black-box runs; edge attenuation acts per (item, assortment, type).
-    Returns the aggregate run result plus the factors; ``accept_freq`` in the
-    result is indexed (t, type, item) with sales summed over assortments.
+    the black-box runs; edge attenuation acts per (type, assortment, item).
+    Returns the aggregate run result plus its factors (``result.factors``);
+    ``accept_freq`` is indexed (t, type, item) with sales summed over
+    assortments.
     """
     if solution.variant not in (mcdlp.McdlpVariant.MCDLP_R, mcdlp.McdlpVariant.SINGLE_ITEM):
         raise ValueError("algorithm 6 rounds an MCDLP-R (or single-item) plan")
     if mc_budget < 1:
         raise ValueError("mc_budget must be positive")
-    kern = _AssortmentKernel(inst, solution, allow_uncertified)
-    T, n, m = kern.T, kern.n, kern.m
-    sched = gamma_schedule(T)
-    edge = [np.ones((T, len(kern.sets[j]), n)) for j in range(m)]
-    vertex = np.ones((T, n))
-    surv_rel_var = np.zeros((T, n))
-    diags: list[str] = []
-    streams = np.random.SeedSequence(seed).spawn(T + 1)
-    B = mc_budget
-    for t in range(1, T + 1):
-        rng = np.random.default_rng(streams[t - 1])
-        avail = np.ones((B, n), dtype=bool)
-        for s in range(1, t):
-            kern.advance(avail, [e[s - 1] for e in edge], vertex[s - 1], rng)
-        g_t = sched.gamma(t)
-        scale = 1.0 - math.exp(-g_t)
-        for j in range(m):
-            if len(kern.sets[j]) == 0:
-                continue
-            presell = kern.presell_tally(j, avail, rng)
-            target = scale * kern.p_orig[j] * kern.weights[j][:, None]
-            se = np.sqrt(np.maximum(presell * (1 - presell), 0.0) / B)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(presell > 0, target / np.maximum(presell, _EPS), 1.0)
-            over = (target > presell + 2 * se + _EPS) & (target > 0)
-            for k, i in zip(*np.nonzero(over)):
-                diags.append(
-                    f"t={t} type={j} set={sorted(kern.sets[j][k])} item={int(i)}: "
-                    f"sale target {target[k, i]:.4f} exceeds estimate {presell[k, i]:.4f} + 2se"
-                )
-            edge[j][t - 1] = np.clip(ratio, 0.0, 1.0)
-        kern.advance(avail, [e[t - 1] for e in edge], np.ones(n), rng)
-        p_surv = avail.mean(axis=0)
-        g_next = sched.gamma(t + 1)
-        vertex[t - 1] = np.clip(g_next / np.maximum(p_surv, _EPS), 0.0, 1.0)
-        surv_rel_var[t - 1] = np.where(p_surv > 0, (1 - p_surv) / np.maximum(p_surv * B, _EPS), 0.0)
-    factors = AssortmentFactors(
-        edge=[e for e in edge], vertex=vertex, surv_rel_var=surv_rel_var,
-        mc_budget=mc_budget, diagnostics=diags,
-    )
-    # evaluation
-    rng = np.random.default_rng(streams[T])
-    revenues = np.zeros(replicas)
-    avail_counts = np.zeros((T + 1, n))
-    accept_counts = np.zeros((T, m, n))
-    done = 0
-    while done < replicas:
-        Bc = min(100_000, replicas - done)
-        avail = np.ones((Bc, n), dtype=bool)
-        rev = np.zeros(Bc)
-        for t in range(1, T + 1):
-            avail_counts[t - 1] += avail.sum(axis=0)
-            sell_out = [np.zeros((len(kern.sets[j]), n)) for j in range(m)]
-            kern.advance(avail, [e[t - 1] for e in edge], vertex[t - 1], rng,
-                         sell_out=sell_out, revenue_out=rev)
-            for j in range(m):
-                if len(kern.sets[j]):
-                    accept_counts[t - 1, j] += sell_out[j].sum(axis=0)
-        avail_counts[T] += avail.sum(axis=0)
-        revenues[done : done + Bc] = rev
-        done += Bc
-    mfactors = AttenuationFactors(
-        edge=np.ones((T, m, n)), vertex=vertex, surv_rel_var=surv_rel_var,
-        mc_budget=mc_budget, diagnostics=diags,
-    )
-    result = AttenuationRunResult(
-        schedule=sched,
-        factors=mfactors,
-        replicas=replicas,
-        revenues=revenues,
-        avail_freq=avail_counts / replicas,
-        accept_freq=accept_counts / replicas,
-    )
+    kern = _assortment_kernel(inst, solution, allow_uncertified)
+    streams = np.random.SeedSequence(seed).spawn(kern.T + 1)
+    factors = _estimate_factors(kern, mc_budget, streams)
+    result = _evaluate(kern, factors, replicas, np.random.default_rng(streams[kern.T]))
     return result, factors

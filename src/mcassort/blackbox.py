@@ -9,14 +9,14 @@ coin is flipped with probability at least x_i * (1 - e^{-w_i}) / w_i.
 
 Outside the two certified cases the procedure still runs (with the
 full-patience ordering) but carries no guarantee; callers see the case tag
-``"none"`` on such sets.
+``"none"`` on such sets.  :func:`certified_case` picks the tag.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,11 +33,11 @@ F_DERIV_AT_1 = -1.0 + 2.0 / math.e
 
 __all__ = [
     "CoinSet",
+    "certified_case",
     "FlipOutcome",
     "f",
     "w_value",
     "run_blackbox",
-    "run_blackbox_assort",
     "batch_flip",
     "CASE_SMALL",
     "CASE_FULL",
@@ -55,6 +55,20 @@ def f(z: float) -> float:
     if z <= _TOL:
         return 1.0
     return (1.0 - math.exp(-z)) / z
+
+
+def certified_case(masses: Sequence[float], patience: int) -> str:
+    """The guarantee a coin set with these heads masses and patience carries.
+
+    ``CASE_FULL`` when the patience covers every coin (preferred: its bound
+    is tighter), else ``CASE_SMALL`` when the masses sum to at most one, else
+    ``CASE_NONE``.
+    """
+    if patience >= len(masses):
+        return CASE_FULL
+    if math.fsum(masses) <= 1 + _TOL:
+        return CASE_SMALL
+    return CASE_NONE
 
 
 @dataclass(frozen=True)
@@ -88,19 +102,6 @@ class CoinSet:
         if self.case not in (CASE_SMALL, CASE_FULL, CASE_NONE):
             raise ValueError(f"unknown case {self.case}")
 
-    @staticmethod
-    def make(probs: Sequence[float], weights: Sequence[float], patience: int) -> "CoinSet":
-        """Pick the case tag automatically, preferring the tighter full-patience bound."""
-        probs = tuple(float(p) for p in probs)
-        weights = tuple(float(x) for x in weights)
-        if patience >= len(probs):
-            case = CASE_FULL
-        elif sum(probs) <= 1 + _TOL:
-            case = CASE_SMALL
-        else:
-            case = CASE_NONE
-        return CoinSet(probs, weights, patience, case)
-
 
 @dataclass(frozen=True)
 class FlipOutcome:
@@ -115,7 +116,8 @@ class FlipOutcome:
         # flipping must stop right after a heads
         seen_heads = False
         for i in self.order:
-            assert not seen_heads, "coin flipped after a heads"
+            if seen_heads:
+                raise ValueError(f"coin {i} flipped after a heads")
             seen_heads = self.heads[i]
 
 
@@ -132,7 +134,8 @@ def w_value(coin: int, coins: CoinSet, case: str | None = None) -> float:
     if denom <= _TOL:
         return 1.0
     w = rest / denom
-    assert w <= 1 + 1e-7, f"w_i = {w} exceeds 1; coin-set preconditions violated"
+    if w > 1 + 1e-7:
+        raise ValueError(f"w_i = {w} exceeds 1; coin-set preconditions violated")
     return min(w, 1.0)
 
 
@@ -183,72 +186,6 @@ def run_blackbox(coins: CoinSet, seed: int | None = None, rng: random.Random | N
             winner = i
             break
     return FlipOutcome(tuple(order), tuple(flipped), tuple(heads), winner)
-
-
-def run_blackbox_assort(
-    assortments: Sequence[frozenset[int]],
-    weights: Sequence[float],
-    patience: int,
-    choice_prob: Callable[[int, frozenset[int]], float],
-    seed: int | None = None,
-    rng: random.Random | None = None,
-    case: str | None = None,
-) -> tuple[FlipOutcome, int | None]:
-    """Assortment version: a flip shows a whole set; heads means any item chosen.
-
-    The per-assortment mass is sum_{i in S} p(i, S).  Returns the flip outcome
-    over assortment indices plus the chosen item when some assortment won.
-    """
-    if rng is None:
-        rng = random.Random(seed)
-    masses = []
-    for S in assortments:
-        mass = sum(choice_prob(i, S) for i in S)
-        if mass > 1 + 1e-7:
-            raise ValueError(f"choice probabilities sum to {mass} > 1 on {sorted(S)}")
-        masses.append(mass)
-    x = tuple(float(v) for v in weights)
-    if case is None:
-        total = sum(m for m in masses)
-        if patience >= len(assortments):
-            case = CASE_FULL
-        elif total <= 1 + _TOL:
-            case = CASE_SMALL
-        else:
-            case = CASE_NONE
-    coins = CoinSet(tuple(masses), x, patience, case)
-    rounded = gkps_round(x, rng=rng)
-    keyed = []
-    for k in range(len(assortments)):
-        if not rounded.values[k]:
-            continue
-        y = rng.random()
-        denom = 1.0 - (masses[k] if coins.case == CASE_SMALL else masses[k] * x[k])
-        keyed.append((y / denom if denom > _TOL else math.inf, k))
-    keyed.sort()
-    order: list[int] = []
-    flipped = [False] * len(assortments)
-    heads = [False] * len(assortments)
-    winner = None
-    item = None
-    for key, k in keyed:
-        if len(order) >= patience:
-            break
-        order.append(k)
-        flipped[k] = True
-        # one categorical draw over the displayed items plus no-purchase
-        u = rng.random()
-        acc = 0.0
-        for i in sorted(assortments[k]):
-            acc += choice_prob(i, assortments[k])
-            if u < acc:
-                heads[k] = True
-                winner = k
-                item = i
-                break
-        if winner is not None:
-            break
-    return FlipOutcome(tuple(order), tuple(flipped), tuple(heads), winner), item
 
 
 def batch_flip(

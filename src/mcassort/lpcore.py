@@ -13,9 +13,12 @@ at a nonzero bound only (most sit at a zero lower bound), and runs the ratio
 test in vector form: every row's step cap in one pass, then the sequential
 tie rule over the rows near the smallest cap (see ``_ratio_test``).
 
-``solve`` is a pure function of its input (fixed pivot rules, no randomness),
-so identical models produce identical solutions and concurrent solves on
-distinct models are safe.
+``solve`` uses fixed pivot rules and no randomness, and concurrent solves on
+distinct models are safe.  Its last bits are not a function of the model
+alone: the matrix products go through the BLAS, whose thread count can move
+the objective, x and the duals by an ulp (seen on a hotel LP with one
+against two OpenBLAS threads).  With the thread count fixed, identical
+models produce identical solutions.
 """
 from __future__ import annotations
 

@@ -27,6 +27,7 @@ __all__ = [
     "McdlpVariant",
     "McdlpSolution",
     "MonteCarloEstimate",
+    "RevenueSamples",
     "Verdict",
     "build",
     "solve_variant",
@@ -253,6 +254,21 @@ class MonteCarloEstimate:
         arr = np.asarray(samples, dtype=float)
         se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
         return MonteCarloEstimate(float(arr.mean()), se, len(arr))
+
+
+class RevenueSamples:
+    """Mean revenue and its standard error for a result with per-replica ``revenues``."""
+
+    def estimate(self) -> MonteCarloEstimate:
+        return MonteCarloEstimate.from_samples(self.revenues)
+
+    @property
+    def revenue_mean(self) -> float:
+        return self.estimate().mean
+
+    @property
+    def revenue_se(self) -> float:
+        return self.estimate().std_error
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mcdlp import McdlpSolution
+from .mcdlp import McdlpSolution, RevenueSamples
 from .model import Instance, choice_prob
 from .trace import PolicyTrace, StepRecord, draw_type
 
@@ -37,7 +37,7 @@ ALPHA_STAR = (3.0 + math.sqrt(17.0)) / 2.0  # maximizer of the gated policy's bo
 
 
 @dataclass
-class NoRepeatResult:
+class NoRepeatResult(RevenueSamples):
     """Aggregate statistics over replicas, including conditional event counts.
 
     Conditioning for the event counters is on a type arriving at all
@@ -59,16 +59,6 @@ class NoRepeatResult:
     offers_made: np.ndarray                # (replicas,) displayed stages
     traces: list[PolicyTrace] = field(default_factory=list)
     min_condition_count: int = 200
-
-    @property
-    def revenue_mean(self) -> float:
-        return float(self.revenues.mean())
-
-    @property
-    def revenue_se(self) -> float:
-        if len(self.revenues) < 2:
-            return 0.0
-        return float(self.revenues.std(ddof=1) / math.sqrt(len(self.revenues)))
 
 
 def _support(solution: McdlpSolution, j: int) -> list[tuple[frozenset[int], float]]:
@@ -137,7 +127,9 @@ def _walk_customer(
         choice = None
         for i in sorted(stripped):
             p_str = choice_prob(ct.choice, i, stripped)
-            assert p_str >= choice_prob(ct.choice, i, S) - 1e-9, "substitutability broken"
+            if p_str < choice_prob(ct.choice, i, S) - 1e-9:
+                raise RuntimeError(f"substitutability broken: p({i}, {sorted(stripped)}) = {p_str} "
+                                   f"< p({i}, {sorted(S)})")
             acc += p_str
             if u < acc:
                 choice = i
@@ -148,7 +140,8 @@ def _walk_customer(
         if choice is not None:
             item = inst.products[choice].item
             stock[item] -= 1
-            assert stock[item] >= 0, "negative stock"
+            if stock[item] < 0:
+                raise RuntimeError(f"negative stock of item {item}")
             revenue += ct.revenues[choice]
             purchased = choice
         elif leave_prob is not None and rng.random() < leave_prob:

@@ -26,14 +26,11 @@ __all__ = ["RoundingInput", "RoundingOutput", "gkps_round", "gkps_round_batch"]
 @dataclass(frozen=True)
 class RoundingInput:
     weights: tuple[float, ...]
-    cap: int
     seed: int | None = None
 
     def __post_init__(self):
         if len(self.weights) < 1:
             raise ValueError("need at least one weight")
-        if self.cap < 1:
-            raise ValueError("cap must be a positive integer")
         for z in self.weights:
             if z < -SNAP_TOL or z > 1 + SNAP_TOL:
                 raise ValueError(f"weight {z} outside [0,1]")
@@ -99,7 +96,8 @@ def gkps_round(weights, rng: random.Random | None = None, seed: int | None = Non
         out[carry_idx] = 1 if rng.random() < z[carry_idx] else 0
     result = RoundingOutput(tuple(out))
     ceil_sum = int(np.ceil(sum(_snap(float(w)) for w in weights) - SNAP_TOL))
-    assert result.total <= max(ceil_sum, 0), "degree preservation violated"
+    if result.total > max(ceil_sum, 0):
+        raise RuntimeError(f"degree preservation violated: {result.total} ones, cap {ceil_sum}")
     return result
 
 
@@ -160,5 +158,8 @@ def gkps_round_batch(z_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray
         out[rows[left], carry_idx[left]] = u < carry_val[left]
     totals = out.sum(axis=1)
     caps = np.ceil(z_rows.sum(axis=1) - SNAP_TOL)
-    assert np.all(totals <= np.maximum(caps, 0)), "degree preservation violated"
+    bad = np.nonzero(totals > np.maximum(caps, 0))[0]
+    if bad.size:
+        raise RuntimeError(f"degree preservation violated in row {bad[0]}: "
+                           f"{totals[bad[0]]} ones, cap {caps[bad[0]]}")
     return out

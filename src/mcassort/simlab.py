@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lpcore, mcdlp, norepeat
-from .mcdlp import McdlpVariant, MonteCarloEstimate
+from .mcdlp import McdlpVariant, MonteCarloEstimate, RevenueSamples
 from .model import (
     AssortmentFamily,
     CustomerType,
@@ -60,24 +60,11 @@ __all__ = [
 
 
 @dataclass
-class BenchmarkResult:
+class BenchmarkResult(RevenueSamples):
     replicas: int
     revenues: np.ndarray
     item_sales: np.ndarray
     traces: list[PolicyTrace] = field(default_factory=list)
-
-    @property
-    def revenue_mean(self) -> float:
-        return float(self.revenues.mean())
-
-    @property
-    def revenue_se(self) -> float:
-        if len(self.revenues) < 2:
-            return 0.0
-        return float(self.revenues.std(ddof=1) / math.sqrt(len(self.revenues)))
-
-    def estimate(self) -> MonteCarloEstimate:
-        return MonteCarloEstimate.from_samples(self.revenues)
 
 
 class _GreedyChooser:
@@ -182,7 +169,8 @@ def run_benchmark(
                 if not S:
                     break
                 if chooser.high_only:
-                    assert all(inst.products[i].level == high for i in S), "low-fare display"
+                    if any(inst.products[i].level != high for i in S):
+                        raise RuntimeError(f"conservative greedy displayed low fares in {S}")
                 stage += 1
                 fs = frozenset(S)
                 choice = draw_choice(ct.choice, fs, rng)
@@ -190,7 +178,8 @@ def run_benchmark(
                 rev_here = 0.0
                 if choice is not None:
                     stock[inst.products[choice].item] -= 1
-                    assert stock[inst.products[choice].item] >= 0
+                    if stock[inst.products[choice].item] < 0:
+                        raise RuntimeError(f"negative stock of item {inst.products[choice].item}")
                     rev_here = ct.revenues[choice]
                     revenue += rev_here
                     result.item_sales[inst.products[choice].item] += 1

@@ -39,8 +39,13 @@ class PolicyTrace:
             if s.purchased is not None:
                 sold[inst.products[s.purchased].item] += 1
         remaining = tuple(b - c for b, c in zip(self.initial_inventory, sold))
-        assert remaining == self.final_inventory, "inventory conservation violated"
-        assert all(v >= 0 for v in remaining), "negative stock"
+        if remaining != self.final_inventory:
+            raise RuntimeError(
+                f"inventory conservation violated: initial minus sold is {remaining}, "
+                f"final stock is {self.final_inventory}"
+            )
+        if any(v < 0 for v in remaining):
+            raise RuntimeError(f"negative stock {remaining}")
 
 
 def draw_type(inst: Instance, t: int, rng: random.Random) -> int | None:

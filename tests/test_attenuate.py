@@ -1,4 +1,9 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,13 +231,166 @@ class TestAlgorithm6:
             repeated_offers_allowed=True,
         )
         sol = mcdlp.solve_variant(inst, McdlpVariant.MCDLP_R)
-        kern = attenuate._AssortmentKernel(inst, sol, allow_uncertified=True)
+        kern = attenuate._assortment_kernel(inst, sol, allow_uncertified=True)
         rng = np.random.default_rng(0)
         avail = np.ones((2000, 3), dtype=bool)
+        types = np.zeros(2000, dtype=np.int64)
+        edge = np.ones((kern.m, kern.K, kern.L))
         for t in range(3):
-            mass0, _ = kern._masses_and_vals(0, avail.astype(float))
-            # an unavailable item contributes nothing to any assortment mass
+            coins = kern._coins(avail, types)
+            # an unavailable item contributes nothing to any assortment mass,
+            # and a set with nothing left to show is never flipped
             for k, S in enumerate(kern.sets[0]):
+                val = kern._slot_probs(coins, np.arange(2000), np.full(2000, k))
+                assert (val[~avail[:, kern.items[0, k]]] == 0).all()
                 dead = ~avail[:, sorted(S)].any(axis=1)
-                assert (mass0[dead, k] == 0).all()
-            kern.advance(avail, None, np.ones(3), rng)
+                assert (coins.mass[dead, k] == 0).all()
+                assert (coins.weight[dead, k] == 0).all()
+            kern.advance(avail, edge, np.ones(3), rng)
+
+    def test_alg6_result_carries_its_factors(self):
+        ct = CustomerType(id=0, arrival=0.8, revenues=(1.0, 2.0, 1.5),
+                          choice=Mnl(weights=(1.0, 0.5, 0.8), no_purchase=1.0), patience=3)
+        inst = Instance.single_level(
+            T=3, inventories=[1, 1, 1], types=(ct,),
+            family=AssortmentFamily.explicit([[0, 1], [1, 2], [0, 2]]),
+            repeated_offers_allowed=True,
+        )
+        sol = mcdlp.solve_variant(inst, McdlpVariant.MCDLP_R)
+        res, factors = attenuate.run_algorithm6(inst, sol, mc_budget=200, replicas=300, seed=1)
+        assert res.factors is factors
+        assert factors.edge.shape[:2] == (inst.T, inst.m) and factors.edge.shape[3] == 2
+        assert res.accept_freq.shape == (inst.T, inst.m, inst.n_products)
+
+    def test_general_tabular_path_reproduces_mnl(self):
+        # a table holding an MNL's probabilities on every set and stripped
+        # subset is evaluated row by row (coin masses, within-set draws and
+        # offer estimates); it must reproduce the closed-form MNL run
+        mnl = Mnl(weights=(1.0, 0.5, 0.8), no_purchase=1.0)
+        subsets = [frozenset(S) for S in ([0], [1], [2], [0, 1], [1, 2], [0, 2])]
+        table = Tabular(entries={(i, S): mnl.prob(i, S) for S in subsets for i in S})
+        runs = []
+        for choice in (mnl, table):
+            ct = CustomerType(id=0, arrival=0.8, revenues=(1.0, 2.0, 1.5), choice=choice, patience=3)
+            inst = Instance.single_level(
+                T=3, inventories=[1, 1, 1], types=(ct,),
+                family=AssortmentFamily.explicit([[0, 1], [1, 2], [0, 2]]),
+                repeated_offers_allowed=True,
+            )
+            if choice is mnl:
+                sol = mcdlp.solve_variant(inst, McdlpVariant.MCDLP_R)
+            kern = attenuate._assortment_kernel(inst, sol, allow_uncertified=False)
+            assert kern.general.tolist() == [choice is table]
+            runs.append(attenuate.run_algorithm6(inst, sol, mc_budget=300, replicas=400, seed=3))
+        (res_m, fac_m), (res_t, fac_t) = runs
+        assert 0 < fac_m.edge.min() < 1  # the offer estimates are exercised
+        np.testing.assert_allclose(fac_t.edge, fac_m.edge, rtol=1e-9)
+        np.testing.assert_allclose(fac_t.vertex, fac_m.vertex, rtol=1e-9)
+        assert fac_t.diagnostics == fac_m.diagnostics
+        np.testing.assert_array_equal(res_t.accept_freq, res_m.accept_freq)
+        np.testing.assert_array_equal(res_t.revenues, res_m.revenues)
+        assert res_m.accept_freq.sum() > 0
+
+
+GOLDEN = Path(__file__).parent / "data" / "attenuation_golden.npz"
+
+
+def _handset_factors(T, m, n):
+    t, j, i = np.meshgrid(np.arange(T), np.arange(m), np.arange(n), indexing="ij")
+    edge = 0.55 + 0.45 * ((3 * t + 5 * j + 7 * i) % 11) / 10
+    vertex = 0.8 + 0.2 * ((2 * t[:, 0, :] + i[:, 0, :]) % 5) / 4
+    return attenuate.AttenuationFactors(edge=edge, vertex=vertex,
+                                        surv_rel_var=np.zeros((T, n)), mc_budget=1)
+
+
+def _sha(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+class TestMatchingGoldens:
+    """Algorithm 1 on the shared engine reproduces the separate matching
+    kernel it replaced draw for draw.
+
+    The plans, factors and digests were recorded from that kernel: hand-set
+    factors (``_handset_factors``) evaluated with ``replicas=3000, seed=7,
+    record_traces=3``; ``estimate_probabilities`` at t=3 with budget 300 and
+    seed 2; and ``compute_attenuation_factors`` with budget 400 and seed 9.
+    """
+
+    CASES = {
+        "hardness": (lambda: simlab.gen_hardness_instance(14), {
+            "revenues": "0d72710c6d6723257113b95cf112b1fdd52376709d05a090ad2a85beea36c426",
+            "avail_freq": "653c1dbae6eb13baefed5a6e9caf75267ecaa25c8812fb5841b16490180622ce",
+            "accept_freq": "cb0d88bde218a410f3deb4ed2d8091fe97735b4e2e374de6b0d439d266ddc463",
+            "availability": "6f53de3012e0b92aa397fc4b8b4813b075597443490188f7bd3cf601e636c023",
+            "offer": "ff4437328d8f3b8c4d0be8b3b3f3d23a41701fcc03f73fa375ec2b9cb8902c37",
+            "traces": [(41, 2.0), (53, 4.0), (34, 5.0)],
+        }),
+        "random": (lambda: simlab.random_matching_instance(seed=4, n=5, m=3, T=6), {
+            "revenues": "441b09c68216bba3709b20048a30c3618971bb304796163a47c11ee672ce6e08",
+            "avail_freq": "be933108a8fc8f8844f5f148c89b3f88b7873a632c2a682abb4dca929e54239c",
+            "accept_freq": "e222356736e98de41f2da6f6bf9fdfb180651e7464ef29441586ee5e51adecbd",
+            "availability": "4c4136f12fd33bd9c28408f12e7d2fbcea6e1adf6a8db18ae9bd36be0acffe38",
+            "offer": "acf34384a2a8f41ce1271d0615e5d9685fd5e045505d26e727e596d144c508bc",
+            "traces": [(2, 4.5012932309379945), (3, 2.0922424218138724), (5, 2.0922424218138724)],
+        }),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_handset_factors_bit_identical(self, name):
+        make, want = self.CASES[name]
+        inst = make()
+        plan = np.load(GOLDEN)[f"{name}_plan"]
+        fac = _handset_factors(inst.T, inst.m, inst.n_products)
+        res = attenuate.run_algorithm1(inst, plan, replicas=3000, seed=7, factors=fac,
+                                       record_traces=3)
+        for key in ("revenues", "avail_freq", "accept_freq"):
+            assert _sha(getattr(res, key)) == want[key], key
+        assert [(len(tr.steps), tr.revenue) for tr in res.traces] == want["traces"]
+        est = attenuate.estimate_probabilities(inst, plan, fac, 3, 300, seed=2)
+        assert est.offer.shape == (inst.m, inst.n_products)
+        assert _sha(est.availability) == want["availability"]
+        assert _sha(est.offer) == want["offer"]
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_factors_match_recorded(self, name):
+        make, _ = self.CASES[name]
+        inst = make()
+        golden = np.load(GOLDEN)
+        f = attenuate.compute_attenuation_factors(inst, golden[f"{name}_plan"], mc_budget=400, seed=9)
+        edge = f.edge.reshape(golden[f"{name}_edge"].shape)
+        for got, key in ((edge, "edge"), (f.vertex, "vertex"), (f.surv_rel_var, "surv_rel_var")):
+            np.testing.assert_allclose(got, golden[f"{name}_{key}"], rtol=1e-12, atol=0)
+        assert f.diagnostics == golden[f"{name}_diagnostics"].tolist()
+
+
+class TestInvariantsRaise:
+    def _trace(self):
+        inst = simlab.random_matching_instance(seed=4, n=5, m=3, T=6)
+        sol = mcdlp.solve_variant(inst, McdlpVariant.SINGLE_ITEM)
+        res = attenuate.run_algorithm1(inst, sol, mc_budget=100, replicas=10, seed=1,
+                                       record_traces=5)
+        return inst, next(tr for tr in res.traces if any(s.purchased is not None for s in tr.steps))
+
+    def test_doctored_trace_fails_conservation(self):
+        inst, tr = self._trace()
+        tr.check_conservation(inst)
+        tr.final_inventory = tuple(1 for _ in tr.final_inventory)  # hide a sale
+        with pytest.raises(RuntimeError, match="conservation"):
+            tr.check_conservation(inst)
+
+    def test_conservation_check_survives_optimize_flag(self):
+        code = (
+            "from mcassort import simlab\n"
+            "from mcassort.trace import PolicyTrace, StepRecord\n"
+            "inst = simlab.random_matching_instance(seed=4, n=5, m=3, T=6)\n"
+            "tr = PolicyTrace(0, (1,) * 5, [StepRecord(1, 0, 1, (2,), 2, 1.0)], (1,) * 5)\n"
+            "try:\n"
+            "    tr.check_conservation(inst)\n"
+            "except RuntimeError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120, check=True)
+        assert "raised: inventory conservation violated" in done.stdout

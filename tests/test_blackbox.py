@@ -1,21 +1,76 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
+from mcassort import attenuate, mcdlp
 from mcassort.blackbox import (
     CASE_FULL,
     CASE_NONE,
     CASE_SMALL,
     CoinSet,
+    FlipOutcome,
     batch_flip,
+    certified_case,
     f,
     flip_bound,
     run_blackbox,
-    run_blackbox_assort,
     w_value,
 )
-from mcassort.model import Mnl
+from mcassort.model import AssortmentFamily, CustomerType, Instance, Mnl, Tabular
+from mcassort.rounding import gkps_round
+
+
+def run_blackbox_assort(assortments, weights, patience, choice_prob, seed=None, rng=None, case=None):
+    """Scalar oracle for the assortment black-box: a flip shows a whole set;
+    heads means any item is chosen.
+
+    The per-assortment mass is sum_{i in S} p(i, S).  Returns the flip outcome
+    over assortment indices plus the chosen item when some assortment won.
+    """
+    if rng is None:
+        rng = random.Random(seed)
+    masses = []
+    for S in assortments:
+        mass = sum(choice_prob(i, S) for i in S)
+        if mass > 1 + 1e-7:
+            raise ValueError(f"choice probabilities sum to {mass} > 1 on {sorted(S)}")
+        masses.append(mass)
+    x = tuple(float(v) for v in weights)
+    coins = CoinSet(tuple(masses), x, patience, case or certified_case(masses, patience))
+    rounded = gkps_round(x, rng=rng)
+    keyed = []
+    for k in range(len(assortments)):
+        if not rounded.values[k]:
+            continue
+        y = rng.random()
+        denom = 1.0 - (masses[k] if coins.case == CASE_SMALL else masses[k] * x[k])
+        keyed.append((y / denom if denom > 1e-9 else math.inf, k))
+    keyed.sort()
+    order = []
+    flipped = [False] * len(assortments)
+    heads = [False] * len(assortments)
+    winner = None
+    item = None
+    for key, k in keyed:
+        if len(order) >= patience:
+            break
+        order.append(k)
+        flipped[k] = True
+        # one categorical draw over the displayed items plus no-purchase
+        u = rng.random()
+        acc = 0.0
+        for i in sorted(assortments[k]):
+            acc += choice_prob(i, assortments[k])
+            if u < acc:
+                heads[k] = True
+                winner = k
+                item = i
+                break
+        if winner is not None:
+            break
+    return FlipOutcome(tuple(order), tuple(flipped), tuple(heads), winner), item
 
 
 class TestF:
@@ -198,3 +253,106 @@ class TestAssortmentBlackbox:
             out, _ = run_blackbox_assort(
                 [frozenset({0}), frozenset({1})], [1.0, 0.0], 2, prob, seed=k)
             assert not out.flipped[1]
+
+
+class TestCertifiedCase:
+    def test_full_patience_preferred(self):
+        assert certified_case([0.9, 0.9], 2) == CASE_FULL
+
+    def test_small_probs_with_tolerance(self):
+        assert certified_case([0.5, 0.5 + 5e-10, 0.0], 1) == CASE_SMALL
+        assert certified_case([0.5, 0.5 + 2e-9, 0.0], 1) == CASE_NONE
+
+    def test_flip_after_heads_rejected(self):
+        FlipOutcome((0, 1), (True, True), (False, True), 1)
+        with pytest.raises(ValueError, match="after a heads"):
+            FlipOutcome((0, 1), (True, True), (True, False), 0)
+
+    def test_w_value_above_one_rejected(self):
+        # bypass CoinSet validation to reach w_value's own precondition check
+        cs = object.__new__(CoinSet)
+        for name, value in (("probs", (0.5, 0.9)), ("weights", (1.0, 1.0)),
+                            ("patience", 2), ("case", CASE_SMALL)):
+            object.__setattr__(cs, name, value)
+        with pytest.raises(ValueError, match="exceeds 1"):
+            w_value(0, cs)
+
+
+def _table(probs):
+    """A tabular model from {set: {item: probability}}."""
+    return Tabular(entries={(i, frozenset(S)): p for S, row in probs.items() for i, p in row.items()})
+
+
+class TestAssortmentKernelVsOracle:
+    """The engine's one-step (set, item) sales at t=1 with unit factors match
+    the scalar assortment oracle in every certified case, on MNL and on a
+    general tabular model, with every item available and with one sold out."""
+
+    SETS = [frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})]
+    TABLE_SETS = [frozenset({0, 1, 2}), frozenset({0, 2}), frozenset({1, 2})]
+    WEIGHTS = (0.5, 0.45, 0.4)
+    # not MNL: the within-set odds change when an item is stripped
+    TABLE = _table({
+        (0, 1, 2): {0: 0.1, 1: 0.2, 2: 0.3},
+        (0, 1): {0: 0.3, 1: 0.1}, (0, 2): {0: 0.25, 2: 0.3}, (1, 2): {1: 0.35, 2: 0.15},
+        (0,): {0: 0.45}, (1,): {1: 0.4}, (2,): {2: 0.5},
+    })
+
+    @pytest.mark.parametrize("choice, sets, case, patience, sold_out", [
+        # masses 0.60, 0.71, 0.67; patience covers the family
+        (Mnl(weights=(1.0, 0.5, 1.5), no_purchase=1.0), SETS, CASE_FULL, 3, ()),
+        # masses 0.23, 0.33, 0.29; sum 0.85 <= 1
+        (Mnl(weights=(1.0, 0.5, 1.5), no_purchase=5.0), SETS, CASE_SMALL, 2, ()),
+        # masses 0.43, 0.56, 0.50; sum 1.48 > 1
+        (Mnl(weights=(1.0, 0.5, 1.5), no_purchase=2.0), SETS, CASE_NONE, 2, ()),
+        # stripped sets {0, 1}, {0}, {1}
+        (Mnl(weights=(1.0, 0.5, 1.5), no_purchase=1.0), SETS, CASE_FULL, 3, (2,)),
+        # masses 0.60, 0.55, 0.50; evaluated set by set, not in closed form
+        (TABLE, TABLE_SETS, CASE_FULL, 3, ()),
+        (TABLE, TABLE_SETS, CASE_NONE, 2, ()),
+        # stripped sets {0, 1}, {0}, {1}
+        (TABLE, TABLE_SETS, CASE_FULL, 3, (2,)),
+        # stripped sets {1, 2}, {2}, {1, 2}
+        (TABLE, TABLE_SETS, CASE_NONE, 2, (0,)),
+    ], ids=["mnl-full", "mnl-small", "mnl-none", "mnl-full-stripped",
+            "table-full", "table-none", "table-full-stripped", "table-none-stripped"])
+    def test_sale_frequencies_agree(self, choice, sets, case, patience, sold_out):
+        ct = CustomerType(id=0, arrival=1.0, revenues=(1.0, 1.0, 1.0), choice=choice,
+                          patience=patience)
+        inst = Instance.single_level(T=1, inventories=[1, 1, 1], types=(ct,),
+                                     family=AssortmentFamily.explicit([sorted(S) for S in sets]),
+                                     repeated_offers_allowed=True)
+        sol = mcdlp.McdlpSolution(mcdlp.McdlpVariant.MCDLP_R, 0.0, tuple(sets),
+                                  (dict(zip(sets, self.WEIGHTS)),), None)
+        kern = attenuate._assortment_kernel(inst, sol, allow_uncertified=True)
+        assert kern.case == [case] and kern.small.tolist() == [case == CASE_SMALL]
+        assert kern.general.tolist() == [isinstance(choice, Tabular)]
+        assert [kern.sets[0][k] for k in range(3)] == sets
+        stripped = [S - set(sold_out) for S in sets]
+        B = 60_000
+        avail = np.ones((B, 3), dtype=bool)
+        avail[:, list(sold_out)] = False
+        rng = np.random.default_rng(17)
+        coins, _, winner = kern.flip(avail, np.zeros(B, dtype=np.int64), rng)
+        won = np.nonzero(winner >= 0)[0]
+        slot = kern.draw_slot(coins, won, winner[won], rng)
+        fast = np.zeros((3, 3))
+        np.add.at(fast, (winner[won], kern.items[0, winner[won], slot]), 1)
+        fast /= B
+        R = 20_000
+        oracle = np.zeros((3, 3))
+        for k in range(R):
+            out, item = run_blackbox_assort(stripped, self.WEIGHTS, patience, choice.prob,
+                                            seed=k, case=case)
+            if out.winner is not None:
+                oracle[out.winner, item] += 1
+        oracle /= R
+        assert oracle.sum() > 0.3
+        for k, S in enumerate(stripped):
+            for i in range(3):
+                if i not in S:
+                    assert fast[k, i] == 0 and oracle[k, i] == 0
+                    continue
+                p = (fast[k, i] + oracle[k, i]) / 2
+                sigma = math.sqrt(p * (1 - p) * (1 / B + 1 / R))
+                assert abs(fast[k, i] - oracle[k, i]) <= 4 * sigma, (k, i, fast[k, i], oracle[k, i])

@@ -32,7 +32,7 @@ class TestDeterministicProperties:
         with pytest.raises(ValueError):
             gkps_round((1.2, 0.5), seed=0)
         with pytest.raises(ValueError):
-            RoundingInput(weights=(-0.1,), cap=1)
+            RoundingInput(weights=(-0.1,))
 
 
 class TestStatisticalProperties:
