@@ -19,7 +19,7 @@ from .model import (
     split_inventory,
     validate,
 )
-from .lpcore import LpModel, LpSolution, dual_of, solve
+from .lpcore import LpModel, LpSolution, solve
 from .mcdlp import (
     McdlpSolution,
     McdlpVariant,

@@ -35,7 +35,7 @@ from . import mcdlp
 from .blackbox import CASE_NONE, CASE_SMALL, CoinSet, batch_flip, certified_case, run_blackbox
 from .mcdlp import RevenueSamples
 from .model import Instance, Mnl, Tabular, choice_prob
-from .trace import PolicyTrace, StepRecord, draw_type
+from .trace import PolicyTrace, RunSampler, StepRecord
 
 __all__ = [
     "GammaSchedule",
@@ -550,13 +550,14 @@ def _trace_algorithm1(
 ) -> PolicyTrace:
     """Scalar single-horizon matching path with event recording and checks."""
     rng = random.Random(seed)
+    sampler = RunSampler(inst)
     n = kern.n
     edge = kern.edge_factors(factors)
     stock = [1] * n
     retired = [False] * n
     trace = PolicyTrace(replica=replica_id, initial_inventory=tuple(stock))
     for t in range(1, kern.T + 1):
-        j = draw_type(inst, 0, rng)
+        j = sampler.draw_type(0, rng)
         if j is not None:
             avail_ids = [i for i in range(n) if stock[i] > 0 and not retired[i] and kern.weights[j, i] > 0]
             if avail_ids:

@@ -144,12 +144,6 @@ def flip_bound(coin: int, coins: CoinSet) -> float:
     return coins.weights[coin] * f(w_value(coin, coins))
 
 
-def _sort_keys(p_times_x: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    denom = 1.0 - p_times_x
-    keys = np.where(denom > _TOL, Y / np.maximum(denom, _TOL), np.inf)
-    return keys
-
-
 def run_blackbox(coins: CoinSet, seed: int | None = None, rng: random.Random | None = None,
                  wrong_key: bool = False) -> FlipOutcome:
     """Round the weights, order the survivors and flip until heads or patience.

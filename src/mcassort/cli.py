@@ -2,17 +2,20 @@
 
 Subcommands: gen-instance, solve-lp, simulate, sweep, colgen, verify-gamma,
 fit-mnl.  Stochastic commands require --seed; results go to stdout or --out.
+An instance that fails validation exits with status 2 and its violations on
+stderr.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 
 import numpy as np
 
 from . import attenuate, colgen, mcdlp, norepeat, simlab
 from .mcdlp import McdlpVariant
-from .model import load_instance, save_instance
+from .model import InvalidInstanceError, load_instance, save_instance
 
 _VARIANTS = {v.value: v for v in McdlpVariant}
 
@@ -171,16 +174,15 @@ def _cmd_verify_gamma(args) -> int:
 
 def _cmd_fit_mnl(args) -> int:
     records = []
-    with open(args.data) as fh:
-        header = fh.readline().strip().split(",")
-        n_feat = len(header) - 2
-        for line in fh:
-            cells = line.strip().split(",")
-            if not line.strip():
+    with open(args.data, newline="") as fh:
+        rows = csv.reader(fh)
+        n_feat = len(next(rows)) - 2
+        for cells in rows:
+            if not "".join(cells).strip():
                 continue
             features = tuple(cells[:n_feat])
             offered = frozenset(int(x) for x in cells[n_feat].split(";") if x != "")
-            chosen = int(cells[n_feat + 1]) if cells[n_feat + 1] != "" else None
+            chosen = int(cells[n_feat + 1]) if cells[n_feat + 1].strip() else None
             records.append(simlab.TransactionRecord(features, offered, chosen))
     fitted = simlab.fit_mnl(records, n_products=args.products)
     lines = ["type,no_purchase,weights"]
@@ -253,7 +255,7 @@ def main(argv=None) -> int:
     f.add_argument("--out")
 
     args = ap.parse_args(argv)
-    return {
+    command = {
         "gen-instance": _cmd_gen_instance,
         "solve-lp": _cmd_solve_lp,
         "simulate": _cmd_simulate,
@@ -261,7 +263,12 @@ def main(argv=None) -> int:
         "colgen": _cmd_colgen,
         "verify-gamma": _cmd_verify_gamma,
         "fit-mnl": _cmd_fit_mnl,
-    }[args.cmd](args)
+    }[args.cmd]
+    try:
+        return command(args)
+    except InvalidInstanceError as exc:
+        sys.stderr.write(f"mcassort {args.cmd}: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -41,7 +41,6 @@ __all__ = [
     "LpError",
     "LpNumericalError",
     "solve",
-    "dual_of",
     "to_lp_text",
 ]
 
@@ -184,21 +183,17 @@ class LpSolution:
         return self.status == "optimal"
 
     def dual(self, row: int | RowTag) -> float:
-        return dual_of(self, row)
-
-
-def dual_of(solution: LpSolution, row: int | RowTag) -> float:
-    """Dual multiplier of a constraint row, addressed by index or builder tag."""
-    if not solution.optimal:
-        raise LpError("duals are only available for optimal solutions")
-    if isinstance(row, int) and not isinstance(row, bool):
-        if row < 0 or row >= len(solution.duals):
-            raise LpError(f"unknown row index {row}")
-        return solution.duals[row]
-    try:
-        return solution.duals[solution._tag_index[row]]
-    except KeyError:
-        raise LpError(f"unknown row tag {row!r}") from None
+        """Dual multiplier of a constraint row, addressed by index or builder tag."""
+        if not self.optimal:
+            raise LpError("duals are only available for optimal solutions")
+        if isinstance(row, int) and not isinstance(row, bool):
+            if row < 0 or row >= len(self.duals):
+                raise LpError(f"unknown row index {row}")
+            return self.duals[row]
+        try:
+            return self.duals[self._tag_index[row]]
+        except KeyError:
+            raise LpError(f"unknown row tag {row!r}") from None
 
 
 def _ratio_test(

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import lpcore
-from .model import CustomerType, Instance, choice_prob
+from .model import CustomerType, Instance, choice_prob, validate
 
 INT_TOL = 1e-9
 
@@ -193,6 +193,9 @@ def solve_variant(
     assortments: Sequence[frozenset[int]] | None = None,
     colgen_master: bool = False,
 ) -> McdlpSolution:
+    """Build and solve ``variant``; raises ``InvalidInstanceError`` on an
+    instance that fails ``validate``."""
+    validate(inst).require()
     fam = tuple(assortments) if assortments is not None else inst.family.assortments(inst.n_products)
     model = build(inst, variant, fam, colgen_master=colgen_master)
     sol = lpcore.solve(model)

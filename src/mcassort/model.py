@@ -25,6 +25,7 @@ __all__ = [
     "AssortmentFamily",
     "Instance",
     "ValidationReport",
+    "InvalidInstanceError",
     "choice_prob",
     "no_purchase_prob",
     "validate",
@@ -141,11 +142,6 @@ class CustomerType:
     def stationary(self) -> bool:
         return not isinstance(self.arrival, tuple)
 
-    def mean_patience(self) -> float:
-        if self.patience is not None:
-            return float(self.patience)
-        return 1.0 / self.leave_prob
-
 
 @dataclass(frozen=True)
 class AssortmentFamily:
@@ -227,6 +223,19 @@ class ValidationReport:
     def __bool__(self) -> bool:
         return self.ok
 
+    def require(self) -> None:
+        """Raise ``InvalidInstanceError`` listing every violation, if any."""
+        if self.violations:
+            raise InvalidInstanceError(self.violations)
+
+
+class InvalidInstanceError(ValueError):
+    """An instance broke its structural invariants; ``violations`` lists how."""
+
+    def __init__(self, violations: tuple[str, ...]):
+        self.violations = tuple(violations)
+        super().__init__("invalid instance:\n" + "\n".join(f"  - {v}" for v in self.violations))
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -268,9 +277,6 @@ class Instance:
 
     def q(self, t: int, j: int) -> float:
         return self.types[j].q(t, self.T)
-
-    def arrival_row(self, t: int) -> tuple[float, ...]:
-        return tuple(self.q(t, j) for j in range(self.m))
 
     def products_of_item(self, item: int) -> tuple[int, ...]:
         return tuple(p.id for p in self.products if p.item == item)
@@ -559,5 +565,8 @@ def save_instance(inst: Instance, path: str) -> None:
 
 
 def load_instance(path: str) -> Instance:
+    """Read an instance file; raises ``InvalidInstanceError`` if it fails ``validate``."""
     with open(path) as fh:
-        return instance_from_dict(json.load(fh))
+        inst = instance_from_dict(json.load(fh))
+    validate(inst).require()
+    return inst

@@ -23,7 +23,7 @@ import numpy as np
 
 from .mcdlp import McdlpSolution, RevenueSamples
 from .model import Instance, choice_prob
-from .trace import PolicyTrace, StepRecord, draw_type
+from .trace import PolicyTrace, RunSampler, StepRecord
 
 __all__ = [
     "NoRepeatResult",
@@ -61,11 +61,12 @@ class NoRepeatResult(RevenueSamples):
     min_condition_count: int = 200
 
 
-def _support(solution: McdlpSolution, j: int) -> list[tuple[frozenset[int], float]]:
-    """Positive-weight assortments in deterministic order; the empty set can
-    never be displayed so it is excluded from the permutation."""
+def _support(solution: McdlpSolution, j: int, alpha: float) -> list[tuple[frozenset[int], float, int]]:
+    """Positive-weight assortments in deterministic order, each with its
+    inclusion probability and product bitmask; the empty set can never be
+    displayed so it is excluded from the permutation."""
     return [
-        (S, v)
+        (S, _inclusion_prob(v, alpha), sum(1 << i for i in S))
         for S, v in sorted(solution.plan[j].items(), key=lambda kv: tuple(sorted(kv[0])))
         if v > 1e-12 and len(S) > 0
     ]
@@ -82,61 +83,63 @@ def _inclusion_prob(x: float, alpha: float) -> float:
 def _walk_customer(
     inst: Instance,
     j: int,
-    support: list[tuple[frozenset[int], float]],
-    alpha: float,
+    support: list[tuple[frozenset[int], float, int]],
     stock: list[int],
+    avail: int,
     rng: random.Random,
     leave_prob: float | None,
     result: NoRepeatResult | None,
     trace: PolicyTrace | None,
     t: int,
+    sampler: RunSampler,
+    checked: set[tuple[int, int, int]],
 ) -> tuple[float, int, int | None]:
-    """Serve one customer; returns (revenue, displayed stages, item bought)."""
+    """Serve one customer; returns (revenue, displayed stages, item bought).
+
+    ``avail`` has the bits of the products whose item is in stock; ``checked``
+    holds the (type, support index, stripped bitmask) triples whose
+    substitutability this run has checked, over every product left."""
     ct = inst.types[j]
     patience = ct.patience if leave_prob is None else None
     order = list(range(len(support)))
     rng.shuffle(order)
-    seen: set[int] = set()
+    seen = 0
     offers = 0
     purchased: int | None = None
     left = False
     revenue = 0.0
     for k in order:
-        S, xv = support[k]
+        S, incl, bits = support[k]
         stopped = (purchased is not None) or left or (patience is not None and offers >= patience)
         if result is not None:
             key = (j, k)
             result.timeout_cmatch[key] = result.timeout_cmatch.get(key, 0) + int(stopped)
             for i in S:
-                if i in seen:
+                if seen >> i & 1:
                     skey = (j, k, i)
                     result.seen[skey] = result.seen.get(skey, 0) + 1
         if stopped:
             continue
-        if rng.random() >= _inclusion_prob(xv, alpha):
+        if rng.random() >= incl:
             continue
-        stripped = frozenset(
-            i for i in S if stock[inst.products[i].item] > 0 and i not in seen
-        )
+        stripped = bits & avail & ~seen
         if not stripped:
             continue  # nothing displayable: no stage is consumed
         offers += 1
         seen |= stripped
-        u = rng.random()
-        acc = 0.0
-        choice = None
-        for i in sorted(stripped):
-            p_str = choice_prob(ct.choice, i, stripped)
-            if p_str < choice_prob(ct.choice, i, S) - 1e-9:
-                raise RuntimeError(f"substitutability broken: p({i}, {sorted(stripped)}) = {p_str} "
-                                   f"< p({i}, {sorted(S)})")
-            acc += p_str
-            if u < acc:
-                choice = i
-                break
+        if (j, k, stripped) not in checked:
+            shown = sampler.purchase_row(j, stripped)[0]
+            fs = frozenset(shown)
+            for i in shown:
+                p_str = choice_prob(ct.choice, i, fs)
+                if p_str < choice_prob(ct.choice, i, S) - 1e-9:
+                    raise RuntimeError(f"substitutability broken: p({i}, {list(shown)}) = {p_str} "
+                                       f"< p({i}, {sorted(S)})")
+            checked.add((j, k, stripped))
+        choice = sampler.draw_choice(j, stripped, rng)
         if trace is not None:
             rev_here = ct.revenues[choice] if choice is not None else 0.0
-            trace.steps.append(StepRecord(t, j, offers, tuple(sorted(stripped)), choice, rev_here))
+            trace.steps.append(StepRecord(t, j, offers, sampler.purchase_row(j, stripped)[0], choice, rev_here))
         if choice is not None:
             item = inst.products[choice].item
             stock[item] -= 1
@@ -162,7 +165,9 @@ def _run(
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     m = inst.m
-    support = [_support(solution, j) for j in range(m)]
+    support = [_support(solution, j, alpha) for j in range(m)]
+    sampler = RunSampler(inst)
+    checked: set[tuple[int, int, int]] = set()
     result = NoRepeatResult(
         replicas=replicas,
         revenues=np.zeros(replicas),
@@ -170,19 +175,21 @@ def _run(
         imatch=np.zeros((m, inst.n_products)),
         seen={},
         timeout_cmatch={},
-        support=[[S for S, _ in sup] for sup in support],
+        support=[[S for S, _, _ in sup] for sup in support],
         item_sales=np.zeros(inst.n_items),
         offers_made=np.zeros(replicas),
     )
     for rep in range(replicas):
         rng = random.Random(seed * (2**33) + rep)
         stock = [it.inventory for it in inst.items]
+        avail = sum(1 << p.id for p in inst.products if stock[p.item] > 0)
+        sold_out = [p.id for p in inst.products if stock[p.item] == 0]
         arrived: set[int] = set()
         revenue = 0.0
         offers_total = 0
         trace = PolicyTrace(rep, tuple(stock)) if rep < record_traces else None
         for t in range(inst.T):
-            j = draw_type(inst, t, rng)
+            j = sampler.draw_type(t, rng)
             if j is None:
                 continue
             first = j not in arrived
@@ -192,18 +199,22 @@ def _run(
             count_events = gate_first_arrival and first
             if count_events:
                 result.type_arrivals[j] += 1
-                for i in range(inst.n_products):
-                    if stock[inst.products[i].item] == 0:
-                        result.imatch[j, i] += 1
+                for i in sold_out:
+                    result.imatch[j, i] += 1
             rev, offers, choice = _walk_customer(
-                inst, j, support[j], alpha, stock, rng,
+                inst, j, support[j], stock, avail, rng,
                 inst.types[j].leave_prob if leave_prob_mode else None,
-                result if count_events else None, trace, t,
+                result if count_events else None, trace, t, sampler, checked,
             )
             revenue += rev
             offers_total += offers
             if choice is not None:
-                result.item_sales[inst.products[choice].item] += 1
+                item = inst.products[choice].item
+                result.item_sales[item] += 1
+                if stock[item] == 0:
+                    gone = inst.products_of_item(item)
+                    avail &= ~sum(1 << i for i in gone)
+                    sold_out += gone
         result.revenues[rep] = revenue
         result.offers_made[rep] = offers_total
         if trace is not None:

@@ -27,7 +27,7 @@ from .model import (
     Tabular,
     choice_prob,
 )
-from .trace import PolicyTrace, StepRecord, draw_choice, draw_type
+from .trace import PolicyTrace, RunSampler, StepRecord
 
 __all__ = [
     "BenchmarkResult",
@@ -73,7 +73,8 @@ class _GreedyChooser:
     The cache key is (type, candidate-product bitmask); candidates are the
     in-stock products the customer has not seen (restricted to the highest
     price level in conservative mode).  Ties break to the lexicographically
-    smallest set, the empty set losing to any positive-value set.
+    smallest set, the empty set losing to any positive-value set.  Each
+    set's expected revenue is computed once per type.
     """
 
     def __init__(self, inst: Instance, high_only: bool):
@@ -82,7 +83,8 @@ class _GreedyChooser:
         self.inst = inst
         self.high_only = high_only
         self.cap = inst.family.max_size(inst.n_products)
-        self.cache: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.cache: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
+        self.values: dict[tuple[int, tuple[int, ...]], float] = {}
 
     def _candidates(self, cand: tuple[int, ...]):
         fam = self.inst.family
@@ -96,23 +98,32 @@ class _GreedyChooser:
                     yield tuple(sorted(S))
 
     def best(self, j: int, cand: tuple[int, ...]) -> tuple[int, ...]:
-        mask = 0
-        for i in cand:
-            mask |= 1 << i
+        """Best display for type ``j`` among the products ``cand``."""
+        return self.choose(j, sum(1 << i for i in set(cand)))[0]
+
+    def choose(self, j: int, mask: int) -> tuple[tuple[int, ...], int]:
+        """Best display for type ``j`` among the products whose bits are set
+        in ``mask``, with its own bitmask."""
         key = (j, mask)
         hit = self.cache.get(key)
         if hit is not None:
             return hit
+        cand = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
         ct = self.inst.types[j]
         best_set: tuple[int, ...] = ()
         best_val = 0.0
         for S in sorted(self._candidates(cand)):
-            fs = frozenset(S)
-            val = sum(ct.revenues[i] * choice_prob(ct.choice, i, fs) for i in S)
+            val = self.values.get((j, S))
+            if val is None:
+                fs = frozenset(S)
+                val = self.values[(j, S)] = sum(ct.revenues[i] * choice_prob(ct.choice, i, fs) for i in S)
             if val > best_val + 1e-12:
                 best_set, best_val = S, val
-        self.cache[key] = best_set
-        return best_set
+        high = self.inst.price_levels - 1
+        if self.high_only and any(self.inst.products[i].level != high for i in best_set):
+            raise RuntimeError(f"conservative greedy displayed low fares in {best_set}")
+        hit = self.cache[key] = (best_set, sum(1 << i for i in best_set))
+        return hit
 
 
 def policy_greedy(inst: Instance) -> _GreedyChooser:
@@ -138,6 +149,8 @@ def run_benchmark(
         raise ValueError(f"unknown benchmark policy {policy!r}")
     chooser = _GreedyChooser(inst, high_only=(policy == "conservative"))
     high = inst.price_levels - 1
+    displayable = [p for p in inst.products if not chooser.high_only or p.level == high]
+    sampler = RunSampler(inst)
     result = BenchmarkResult(
         replicas=replicas,
         revenues=np.zeros(replicas),
@@ -146,43 +159,36 @@ def run_benchmark(
     for rep in range(replicas):
         rng = random.Random(seed * (2**33) + rep)
         stock = [it.inventory for it in inst.items]
+        avail = sum(1 << p.id for p in displayable if stock[p.item] > 0)
         revenue = 0.0
         trace = PolicyTrace(rep, tuple(stock)) if rep < record_traces else None
         for t in range(inst.T):
-            j = draw_type(inst, t, rng)
+            j = sampler.draw_type(t, rng)
             if j is None:
                 continue
             ct = inst.types[j]
-            seen: set[int] = set()
+            seen = 0
             stage = 0
             while True:
                 if ct.patience is not None and stage >= ct.patience:
                     break
-                cand = tuple(
-                    p.id
-                    for p in inst.products
-                    if stock[p.item] > 0
-                    and p.id not in seen
-                    and (not chooser.high_only or p.level == high)
-                )
-                S = chooser.best(j, cand)
+                S, bits = chooser.choose(j, avail & ~seen)
                 if not S:
                     break
-                if chooser.high_only:
-                    if any(inst.products[i].level != high for i in S):
-                        raise RuntimeError(f"conservative greedy displayed low fares in {S}")
                 stage += 1
-                fs = frozenset(S)
-                choice = draw_choice(ct.choice, fs, rng)
-                seen |= fs
+                choice = sampler.draw_choice(j, bits, rng)
+                seen |= bits
                 rev_here = 0.0
                 if choice is not None:
-                    stock[inst.products[choice].item] -= 1
-                    if stock[inst.products[choice].item] < 0:
-                        raise RuntimeError(f"negative stock of item {inst.products[choice].item}")
+                    item = inst.products[choice].item
+                    stock[item] -= 1
+                    if stock[item] < 0:
+                        raise RuntimeError(f"negative stock of item {item}")
+                    if stock[item] == 0:
+                        avail &= ~sum(1 << i for i in inst.products_of_item(item))
                     rev_here = ct.revenues[choice]
                     revenue += rev_here
-                    result.item_sales[inst.products[choice].item] += 1
+                    result.item_sales[item] += 1
                 if trace is not None:
                     trace.steps.append(StepRecord(t, j, stage, S, choice, rev_here))
                 if choice is not None:

@@ -1,12 +1,14 @@
-"""Per-replica trace records and shared sampling primitives."""
+"""Per-replica trace records and the per-run sampler the simulators share."""
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
-from .model import ChoiceModel, Instance, choice_prob
+from .model import Instance, choice_prob
 
-__all__ = ["StepRecord", "PolicyTrace", "draw_type", "draw_choice"]
+__all__ = ["StepRecord", "PolicyTrace", "RunSampler"]
 
 
 @dataclass(frozen=True)
@@ -48,23 +50,49 @@ class PolicyTrace:
             raise RuntimeError(f"negative stock {remaining}")
 
 
-def draw_type(inst: Instance, t: int, rng: random.Random) -> int | None:
-    """Sample which customer type arrives at step ``t`` (None for no arrival)."""
-    u = rng.random()
-    acc = 0.0
-    for j in range(inst.m):
-        acc += inst.q(t, j)
-        if u < acc:
-            return j
-    return None
+class RunSampler:
+    """Arrival and purchase draws of one simulator run, from tables built once.
 
+    Every draw takes one ``rng.random()`` and finds it in a running sum,
+    accumulated in the order a draw-by-draw loop would add it up: types in
+    index order, displayed products in id order.  The partial sums are the
+    same floats and, with non-negative probabilities, never decrease, so a
+    draw returns the same outcome from the same generator state; an index
+    past the end means no arrival or no purchase.
 
-def draw_choice(model: ChoiceModel, assortment: frozenset[int], rng: random.Random) -> int | None:
-    """Sample the purchase from a displayed assortment (None for no purchase)."""
-    u = rng.random()
-    acc = 0.0
-    for i in sorted(assortment):
-        acc += choice_prob(model, i, assortment)
-        if u < acc:
-            return i
-    return None
+    Arrival rows are built up front: one for stationary instances, one per
+    time-step otherwise.  Purchase rows are built on first use per (type
+    index, displayed-product bitmask).  The cache is keyed on the type index,
+    so a sampler serves one instance; build one per simulator call.
+    """
+
+    def __init__(self, inst: Instance):
+        rows = [list(accumulate(inst.q(t, j) for j in range(inst.m)))
+                for t in range(1 if inst.stationary else inst.T)]
+        self._arrivals = rows * inst.T if inst.stationary else rows
+        self._models = [ct.choice for ct in inst.types]
+        self._purchases: dict[tuple[int, int], tuple[tuple[int, ...], list[float]]] = {}
+
+    def draw_type(self, t: int, rng: random.Random) -> int | None:
+        """Sample which customer type arrives at step ``t`` (None for no arrival)."""
+        cdf = self._arrivals[t]
+        j = bisect_right(cdf, rng.random())
+        return j if j < len(cdf) else None
+
+    def purchase_row(self, j: int, displayed: int) -> tuple[tuple[int, ...], list[float]]:
+        """(displayed products in id order, their running purchase probability)."""
+        key = (j, displayed)
+        row = self._purchases.get(key)
+        if row is None:
+            items = tuple(i for i in range(displayed.bit_length()) if displayed >> i & 1)
+            shown = frozenset(items)
+            model = self._models[j]
+            row = self._purchases[key] = (items, list(accumulate(choice_prob(model, i, shown) for i in items)))
+        return row
+
+    def draw_choice(self, j: int, displayed: int, rng: random.Random) -> int | None:
+        """Sample type ``j``'s purchase from the products whose bits are set in
+        ``displayed`` (None for no purchase)."""
+        items, cdf = self.purchase_row(j, displayed)
+        k = bisect_right(cdf, rng.random())
+        return items[k] if k < len(items) else None

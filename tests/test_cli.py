@@ -4,7 +4,7 @@ import os
 import pytest
 
 from mcassort import cli, simlab
-from mcassort.model import load_instance, save_instance
+from mcassort.model import instance_to_dict, load_instance, save_instance
 
 
 def _run(args):
@@ -84,3 +84,30 @@ class TestCli:
         save_instance(inst, p1)
         save_instance(load_instance(p1), p2)
         assert json.load(open(p1)) == json.load(open(p2))
+
+    def test_invalid_instance_exits_with_violations(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        d = instance_to_dict(simlab.gen_hardness_instance(3))
+        d["items"][0]["inventory"] = -1
+        for td, q in zip(d["types"], (0.52, 0.52, 0.53)):
+            td["arrival"] = q
+        path.write_text(json.dumps(d))
+        for argv in (["solve-lp", "--variant", "single-item", "--instance", str(path)],
+                     ["simulate", "--policy", "greedy", "--instance", str(path), "--seed", "1"]):
+            assert _run(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "item 0: negative inventory" in captured.err
+            assert "arrival mass exceeds 1 at time-step 0 (got 1.57)" in captured.err
+            assert "Traceback" not in captured.err
+
+    def test_fit_mnl_quoted_feature_with_comma(self, tmp_path, capsys):
+        data = tmp_path / "tx.csv"
+        lines = ["segment,offered,chosen"]
+        for _ in range(30):
+            lines += ['"Paris, FR",0;1,0', '"Paris, FR",0;1,1', '"Paris, FR",0;1,', 'b,0;1,0', 'b,0;1,1', 'b,0;1,']
+        data.write_text("\n".join(lines) + "\n")
+        assert _run(["fit-mnl", "--data", str(data), "--products", "2"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0] == "type,no_purchase,weights"
+        assert [r.split('",')[0] + '"' for r in rows[1:]] == ['"(\'Paris, FR\',)"', '"(\'b\',)"']

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcassort import lpcore, mcdlp, simlab
-from mcassort.lpcore import LpError, LpModel, LpStats, dual_of, solve, to_lp_text
+from mcassort.lpcore import LpError, LpModel, LpStats, solve, to_lp_text
 from mcassort.mcdlp import McdlpVariant
 
 
@@ -99,7 +99,7 @@ class TestSolve:
         m = LpModel.build([1.0], [([(0, 1.0)], 0.7, ("cap",))], [1.0])
         s = solve(m)
         with pytest.raises(LpError):
-            dual_of(s, ("nope",))
+            s.dual(("nope",))
 
     def test_requires_finite_upper_bound(self):
         with pytest.raises(LpError):

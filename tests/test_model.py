@@ -9,12 +9,15 @@ from mcassort.model import (
     AssortmentFamily,
     CustomerType,
     Instance,
+    InvalidInstanceError,
     Mnl,
     Tabular,
     choice_prob,
     instance_from_dict,
     instance_to_dict,
+    load_instance,
     no_purchase_prob,
+    save_instance,
     split_inventory,
 )
 
@@ -80,6 +83,29 @@ class TestValidate:
                                      family=AssortmentFamily.size_capped(2),
                                      matching_with_timeouts=True)
         assert any("matching" in v for v in inst.validate().violations)
+
+
+class TestValidateAtEntry:
+    def _bad(self):
+        # arrival mass 1.2 at every step and a negative inventory
+        return Instance.single_level(T=2, inventories=[1, -1], types=(
+            CustomerType(id=0, arrival=0.6, revenues=(1.0, 1.0), choice=Mnl((1.0, 1.0), 1.0), patience=1),
+            CustomerType(id=1, arrival=0.6, revenues=(1.0, 1.0), choice=Mnl((1.0, 1.0), 1.0), patience=1),
+        ), family=AssortmentFamily.size_capped(1))
+
+    def test_load_instance_rejects(self, tmp_path):
+        path = str(tmp_path / "bad.json")
+        save_instance(self._bad(), path)
+        with pytest.raises(InvalidInstanceError) as info:
+            load_instance(path)
+        assert "item 1: negative inventory" in info.value.violations
+        assert sum("arrival mass exceeds 1" in v for v in info.value.violations) == 2
+        assert isinstance(info.value, ValueError)
+        assert "negative inventory" in str(info.value)
+
+    def test_solve_variant_rejects(self):
+        with pytest.raises(InvalidInstanceError, match="negative inventory"):
+            mcdlp.solve_variant(self._bad(), McdlpVariant.SINGLE_ITEM)
 
 
 class TestChoiceProb:

@@ -1,12 +1,14 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 from mcassort import mcdlp, norepeat, simlab
 from mcassort.mcdlp import McdlpVariant, MonteCarloEstimate, verify_policy_upper_bound
-from mcassort.model import AssortmentFamily, CustomerType, Instance, Mnl
+from mcassort.model import AssortmentFamily, CustomerType, Instance, Mnl, Tabular
 from mcassort.norepeat import ALPHA_STAR
+from mcassort.trace import RunSampler
 
 
 def _solved_nr(seed, n=5, cap=2, m=4):
@@ -178,3 +180,32 @@ class TestRandomPatience:
         inst, sol = _solved_nr(0)
         with pytest.raises(ValueError, match="leave_prob"):
             norepeat.run_algorithm3_random_patience(inst, sol, replicas=10, seed=0)
+
+
+class TestInvariantsRaise:
+    PAIR = frozenset({0, 1})
+
+    def _instance(self, entries, inventories):
+        ct = CustomerType(id=0, arrival=1.0, revenues=(1.0, 1.0), choice=Tabular(entries=entries),
+                          patience=1)
+        return Instance.single_level(T=1, inventories=inventories, types=(ct,),
+                                     family=AssortmentFamily.explicit([self.PAIR]))
+
+    def _plan(self, S):
+        return mcdlp.McdlpSolution(McdlpVariant.MCDLP_NR, 1.0, (S,), ({S: 1.0},), lp=None)
+
+    def test_substitutability_violation_raises(self):
+        # a doctored table: stripping product 1 lowers product 0's probability
+        entries = {(0, self.PAIR): 0.5, (1, self.PAIR): 0.3,
+                   (0, frozenset({0})): 0.2, (1, frozenset({1})): 0.4}
+        inst = self._instance(entries, inventories=[1, 0])
+        with pytest.raises(RuntimeError, match="substitutability broken"):
+            norepeat.run_algorithm3(inst, self._plan(self.PAIR), alpha=1.0, replicas=3, seed=0)
+
+    def test_negative_stock_raises(self):
+        # a doctored stock: item 0 is marked available but has no unit left
+        S = frozenset({0})
+        inst = self._instance({(0, S): 1.0, (0, self.PAIR): 0.5, (1, self.PAIR): 0.5}, [1, 1])
+        with pytest.raises(RuntimeError, match="negative stock of item 0"):
+            norepeat._walk_customer(inst, 0, [(S, 1.0, 0b1)], [0, 1], 0b11, random.Random(0),
+                                    None, None, None, 0, RunSampler(inst), set())

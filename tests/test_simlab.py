@@ -10,6 +10,7 @@ from mcassort.model import (
     CustomerType,
     Instance,
     Mnl,
+    Tabular,
     choice_prob,
 )
 
@@ -41,6 +42,19 @@ class TestGreedy:
         exp1 = 2.0 * choice_prob(ct.choice, 1, {1})
         assert exp1 > exp0
         assert best == (1,)
+
+    def test_values_within_margin_tie_to_the_first_set(self):
+        # product 1 is better by 1e-13, inside the 1e-12 margin, so (0,) stays
+        ct = CustomerType(id=0, arrival=1.0, revenues=(1.0, 1.0),
+                          choice=Tabular(entries={}, item_probs=(0.5, 0.5 + 1e-13)), patience=1)
+        inst = Instance.single_level(T=1, inventories=[1, 1], types=(ct,),
+                                     family=AssortmentFamily.size_capped(1))
+        assert simlab._GreedyChooser(inst, high_only=False).best(0, (0, 1)) == (0,)
+        ct2 = CustomerType(id=0, arrival=1.0, revenues=(1.0, 1.0),
+                           choice=Tabular(entries={}, item_probs=(0.5, 0.5 + 1e-11)), patience=1)
+        inst2 = Instance.single_level(T=1, inventories=[1, 1], types=(ct2,),
+                                      family=AssortmentFamily.size_capped(1))
+        assert simlab._GreedyChooser(inst2, high_only=False).best(0, (0, 1)) == (1,)
 
     def test_empty_inventory_offers_nothing(self):
         ct = CustomerType(id=0, arrival=1.0, revenues=(1.0,),
