@@ -29,7 +29,7 @@ from .mcdlp import (
     solve_variant,
     verify_policy_upper_bound,
 )
-from .rounding import RoundingInput, RoundingOutput, gkps_round
+from .rounding import RoundingOutput, gkps_round
 from .blackbox import CoinSet, FlipOutcome, f, run_blackbox, w_value
 from .attenuate import (
     GammaSchedule,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 
 import numpy as np
@@ -185,11 +186,12 @@ def _cmd_fit_mnl(args) -> int:
             chosen = int(cells[n_feat + 1]) if cells[n_feat + 1].strip() else None
             records.append(simlab.TransactionRecord(features, offered, chosen))
     fitted = simlab.fit_mnl(records, n_products=args.products)
-    lines = ["type,no_purchase,weights"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["type", "no_purchase", "weights"])
     for key, model in fitted.items():
-        wtxt = ";".join(f"{w:.8g}" for w in model.weights)
-        lines.append(f"\"{key}\",{model.no_purchase:.8g},{wtxt}")
-    _out(args, "\n".join(lines) + "\n")
+        writer.writerow([key, f"{model.no_purchase:.8g}", ";".join(f"{w:.8g}" for w in model.weights)])
+    _out(args, buf.getvalue())
     return 0
 
 

@@ -22,7 +22,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from . import lpcore, mcdlp
-from .model import Instance, Mnl, choice_prob
+from .model import MAX_TABULAR_FAMILY, Instance, Mnl, choice_prob
 
 TOL_RC = 1e-7
 
@@ -472,7 +472,7 @@ def column_generate(
     history: list[float] = []
     warns: list[str] = []
     no_repeat = variant.no_repeat
-    enumerable = family_size <= 1 << 16
+    enumerable = family_size <= MAX_TABULAR_FAMILY
     for it in range(1, cap + 1):
         sol = mcdlp.solve_variant(inst, variant, assortments=restricted, colgen_master=True)
         if history and not sol.objective >= history[-1] - 1e-7:

@@ -410,9 +410,10 @@ def split_inventory(inst: Instance) -> Instance:
     """Split multi-unit items into unit copies, duplicating weights and revenues.
 
     The parent map lives on ``Item.parent`` so simulation reports can aggregate
-    per original item.  Supported for singleton and size-capped families with
-    MNL models (copies become distinct products with identical weights); an
-    all-unit instance is returned unchanged.
+    per original item.  Supported for MNL models and set-independent tables
+    (``item_probs`` with no ``entries``), whose copies become distinct
+    products with identical weights, and for any table on a singleton family;
+    an all-unit instance is returned unchanged.
     """
     if inst.unit_inventory:
         return inst
@@ -436,7 +437,7 @@ def split_inventory(inst: Instance) -> Instance:
         if isinstance(ct.choice, Mnl):
             w = tuple(ct.choice.weights[old_prod(p.item, p.level)] for p in products)
             model: ChoiceModel = Mnl(weights=w, no_purchase=ct.choice.no_purchase)
-        elif ct.choice.item_probs is not None:
+        elif ct.choice.item_probs is not None and not ct.choice.entries:
             probs = tuple(ct.choice.item_probs[old_prod(p.item, p.level)] for p in products)
             model = Tabular(entries={}, item_probs=probs)
         elif inst.family.is_singleton_family(inst.n_products):

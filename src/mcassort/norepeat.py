@@ -15,7 +15,6 @@ concurrently.
 from __future__ import annotations
 
 import math
-import random
 import warnings
 from dataclasses import dataclass, field
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .mcdlp import McdlpSolution, RevenueSamples
 from .model import Instance, choice_prob
-from .trace import PolicyTrace, RunSampler, StepRecord
+from .trace import PolicyTrace, RunSampler, StepRecord, serve_replicas
 
 __all__ = [
     "NoRepeatResult",
@@ -80,78 +79,6 @@ def _inclusion_prob(x: float, alpha: float) -> float:
     return p
 
 
-def _walk_customer(
-    inst: Instance,
-    j: int,
-    support: list[tuple[frozenset[int], float, int]],
-    stock: list[int],
-    avail: int,
-    rng: random.Random,
-    leave_prob: float | None,
-    result: NoRepeatResult | None,
-    trace: PolicyTrace | None,
-    t: int,
-    sampler: RunSampler,
-    checked: set[tuple[int, int, int]],
-) -> tuple[float, int, int | None]:
-    """Serve one customer; returns (revenue, displayed stages, item bought).
-
-    ``avail`` has the bits of the products whose item is in stock; ``checked``
-    holds the (type, support index, stripped bitmask) triples whose
-    substitutability this run has checked, over every product left."""
-    ct = inst.types[j]
-    patience = ct.patience if leave_prob is None else None
-    order = list(range(len(support)))
-    rng.shuffle(order)
-    seen = 0
-    offers = 0
-    purchased: int | None = None
-    left = False
-    revenue = 0.0
-    for k in order:
-        S, incl, bits = support[k]
-        stopped = (purchased is not None) or left or (patience is not None and offers >= patience)
-        if result is not None:
-            key = (j, k)
-            result.timeout_cmatch[key] = result.timeout_cmatch.get(key, 0) + int(stopped)
-            for i in S:
-                if seen >> i & 1:
-                    skey = (j, k, i)
-                    result.seen[skey] = result.seen.get(skey, 0) + 1
-        if stopped:
-            continue
-        if rng.random() >= incl:
-            continue
-        stripped = bits & avail & ~seen
-        if not stripped:
-            continue  # nothing displayable: no stage is consumed
-        offers += 1
-        seen |= stripped
-        if (j, k, stripped) not in checked:
-            shown = sampler.purchase_row(j, stripped)[0]
-            fs = frozenset(shown)
-            for i in shown:
-                p_str = choice_prob(ct.choice, i, fs)
-                if p_str < choice_prob(ct.choice, i, S) - 1e-9:
-                    raise RuntimeError(f"substitutability broken: p({i}, {list(shown)}) = {p_str} "
-                                       f"< p({i}, {sorted(S)})")
-            checked.add((j, k, stripped))
-        choice = sampler.draw_choice(j, stripped, rng)
-        if trace is not None:
-            rev_here = ct.revenues[choice] if choice is not None else 0.0
-            trace.steps.append(StepRecord(t, j, offers, sampler.purchase_row(j, stripped)[0], choice, rev_here))
-        if choice is not None:
-            item = inst.products[choice].item
-            stock[item] -= 1
-            if stock[item] < 0:
-                raise RuntimeError(f"negative stock of item {item}")
-            revenue += ct.revenues[choice]
-            purchased = choice
-        elif leave_prob is not None and rng.random() < leave_prob:
-            left = True
-    return revenue, offers, purchased
-
-
 def _run(
     inst: Instance,
     solution: McdlpSolution,
@@ -167,7 +94,10 @@ def _run(
     m = inst.m
     support = [_support(solution, j, alpha) for j in range(m)]
     sampler = RunSampler(inst)
+    # (type, support index, stripped bitmask) triples whose substitutability
+    # this run has checked, over every product left
     checked: set[tuple[int, int, int]] = set()
+    all_products = (1 << inst.n_products) - 1
     result = NoRepeatResult(
         replicas=replicas,
         revenues=np.zeros(replicas),
@@ -179,48 +109,65 @@ def _run(
         item_sales=np.zeros(inst.n_items),
         offers_made=np.zeros(replicas),
     )
-    for rep in range(replicas):
-        rng = random.Random(seed * (2**33) + rep)
-        stock = [it.inventory for it in inst.items]
-        avail = sum(1 << p.id for p in inst.products if stock[p.item] > 0)
-        sold_out = [p.id for p in inst.products if stock[p.item] == 0]
-        arrived: set[int] = set()
-        revenue = 0.0
-        offers_total = 0
-        trace = PolicyTrace(rep, tuple(stock)) if rep < record_traces else None
-        for t in range(inst.T):
-            j = sampler.draw_type(t, rng)
-            if j is None:
+
+    def walk(rng, t, j, first, avail, trace):
+        if gate_first_arrival and not first:
+            return None, 0
+        if gate_first_arrival:
+            result.type_arrivals[j] += 1
+            gone = all_products & ~avail
+            while gone:  # one pass per sold-out product, lowest id first
+                result.imatch[j, (gone & -gone).bit_length() - 1] += 1
+                gone &= gone - 1
+        ct = inst.types[j]
+        patience = None if leave_prob_mode else ct.patience
+        leave_prob = ct.leave_prob if leave_prob_mode else None
+        sup = support[j]
+        order = list(range(len(sup)))
+        rng.shuffle(order)
+        seen = 0
+        offers = 0
+        purchased: int | None = None
+        left = False
+        for k in order:
+            S, incl, bits = sup[k]
+            stopped = (purchased is not None) or left or (patience is not None and offers >= patience)
+            if gate_first_arrival:
+                key = (j, k)
+                result.timeout_cmatch[key] = result.timeout_cmatch.get(key, 0) + int(stopped)
+                for i in S:
+                    if seen >> i & 1:
+                        skey = (j, k, i)
+                        result.seen[skey] = result.seen.get(skey, 0) + 1
+            if stopped:
                 continue
-            first = j not in arrived
-            arrived.add(j)
-            if gate_first_arrival and not first:
+            if rng.random() >= incl:
                 continue
-            count_events = gate_first_arrival and first
-            if count_events:
-                result.type_arrivals[j] += 1
-                for i in sold_out:
-                    result.imatch[j, i] += 1
-            rev, offers, choice = _walk_customer(
-                inst, j, support[j], stock, avail, rng,
-                inst.types[j].leave_prob if leave_prob_mode else None,
-                result if count_events else None, trace, t, sampler, checked,
-            )
-            revenue += rev
-            offers_total += offers
+            stripped = bits & avail & ~seen
+            if not stripped:
+                continue  # nothing displayable: no stage is consumed
+            offers += 1
+            seen |= stripped
+            if (j, k, stripped) not in checked:
+                shown = sampler.purchase_row(j, stripped)[0]
+                fs = frozenset(shown)
+                for i in shown:
+                    p_str = choice_prob(ct.choice, i, fs)
+                    if p_str < choice_prob(ct.choice, i, S) - 1e-9:
+                        raise RuntimeError(f"substitutability broken: p({i}, {list(shown)}) = {p_str} "
+                                           f"< p({i}, {sorted(S)})")
+                checked.add((j, k, stripped))
+            choice = sampler.draw_choice(j, stripped, rng)
+            if trace is not None:
+                rev_here = ct.revenues[choice] if choice is not None else 0.0
+                trace.steps.append(StepRecord(t, j, offers, sampler.purchase_row(j, stripped)[0], choice, rev_here))
             if choice is not None:
-                item = inst.products[choice].item
-                result.item_sales[item] += 1
-                if stock[item] == 0:
-                    gone = inst.products_of_item(item)
-                    avail &= ~sum(1 << i for i in gone)
-                    sold_out += gone
-        result.revenues[rep] = revenue
-        result.offers_made[rep] = offers_total
-        if trace is not None:
-            trace.final_inventory = tuple(stock)
-            trace.check_conservation(inst)
-            result.traces.append(trace)
+                purchased = choice
+            elif leave_prob is not None and rng.random() < leave_prob:
+                left = True
+        return purchased, offers
+
+    serve_replicas(inst, result, seed, record_traces, sampler, walk)
     return result
 
 

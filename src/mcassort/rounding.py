@@ -20,20 +20,7 @@ import numpy as np
 
 SNAP_TOL = 1e-12
 
-__all__ = ["RoundingInput", "RoundingOutput", "gkps_round", "gkps_round_batch"]
-
-
-@dataclass(frozen=True)
-class RoundingInput:
-    weights: tuple[float, ...]
-    seed: int | None = None
-
-    def __post_init__(self):
-        if len(self.weights) < 1:
-            raise ValueError("need at least one weight")
-        for z in self.weights:
-            if z < -SNAP_TOL or z > 1 + SNAP_TOL:
-                raise ValueError(f"weight {z} outside [0,1]")
+__all__ = ["RoundingOutput", "gkps_round", "gkps_round_batch"]
 
 
 @dataclass(frozen=True)
@@ -55,11 +42,6 @@ def _snap(z: float) -> float:
 
 def gkps_round(weights, rng: random.Random | None = None, seed: int | None = None) -> RoundingOutput:
     """Round a weight vector in [0,1]^N to 0/1 with the dependent-rounding guarantees."""
-    if isinstance(weights, RoundingInput):
-        inp = weights
-        weights = inp.weights
-        if seed is None:
-            seed = inp.seed
     if rng is None:
         rng = random.Random(seed)
     for w in weights:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 import warnings
 from dataclasses import dataclass, field
 
@@ -27,12 +26,10 @@ from .model import (
     Tabular,
     choice_prob,
 )
-from .trace import PolicyTrace, RunSampler, StepRecord
+from .trace import PolicyTrace, RunSampler, StepRecord, serve_replicas
 
 __all__ = [
     "BenchmarkResult",
-    "policy_greedy",
-    "policy_conservative",
     "run_benchmark",
     "gen_hardness_instance",
     "hardness_sold_fraction",
@@ -64,6 +61,7 @@ class BenchmarkResult(RevenueSamples):
     replicas: int
     revenues: np.ndarray
     item_sales: np.ndarray
+    offers_made: np.ndarray                # (replicas,) displayed stages
     traces: list[PolicyTrace] = field(default_factory=list)
 
 
@@ -97,10 +95,6 @@ class _GreedyChooser:
                 if S and S <= cset:
                     yield tuple(sorted(S))
 
-    def best(self, j: int, cand: tuple[int, ...]) -> tuple[int, ...]:
-        """Best display for type ``j`` among the products ``cand``."""
-        return self.choose(j, sum(1 << i for i in set(cand)))[0]
-
     def choose(self, j: int, mask: int) -> tuple[tuple[int, ...], int]:
         """Best display for type ``j`` among the products whose bits are set
         in ``mask``, with its own bitmask."""
@@ -126,17 +120,6 @@ class _GreedyChooser:
         return hit
 
 
-def policy_greedy(inst: Instance) -> _GreedyChooser:
-    """Myopic policy: per stage, the feasible display maximizing immediate
-    expected revenue over in-stock unseen products (ties lexicographic)."""
-    return _GreedyChooser(inst, high_only=False)
-
-
-def policy_conservative(inst: Instance) -> _GreedyChooser:
-    """Greedy restricted to the highest price level of every item."""
-    return _GreedyChooser(inst, high_only=True)
-
-
 def run_benchmark(
     inst: Instance,
     policy: str,
@@ -149,57 +132,36 @@ def run_benchmark(
         raise ValueError(f"unknown benchmark policy {policy!r}")
     chooser = _GreedyChooser(inst, high_only=(policy == "conservative"))
     high = inst.price_levels - 1
-    displayable = [p for p in inst.products if not chooser.high_only or p.level == high]
+    displayable = sum(1 << p.id for p in inst.products if not chooser.high_only or p.level == high)
     sampler = RunSampler(inst)
     result = BenchmarkResult(
         replicas=replicas,
         revenues=np.zeros(replicas),
         item_sales=np.zeros(inst.n_items),
+        offers_made=np.zeros(replicas),
     )
-    for rep in range(replicas):
-        rng = random.Random(seed * (2**33) + rep)
-        stock = [it.inventory for it in inst.items]
-        avail = sum(1 << p.id for p in displayable if stock[p.item] > 0)
-        revenue = 0.0
-        trace = PolicyTrace(rep, tuple(stock)) if rep < record_traces else None
-        for t in range(inst.T):
-            j = sampler.draw_type(t, rng)
-            if j is None:
-                continue
-            ct = inst.types[j]
-            seen = 0
-            stage = 0
-            while True:
-                if ct.patience is not None and stage >= ct.patience:
-                    break
-                S, bits = chooser.choose(j, avail & ~seen)
-                if not S:
-                    break
-                stage += 1
-                choice = sampler.draw_choice(j, bits, rng)
-                seen |= bits
-                rev_here = 0.0
-                if choice is not None:
-                    item = inst.products[choice].item
-                    stock[item] -= 1
-                    if stock[item] < 0:
-                        raise RuntimeError(f"negative stock of item {item}")
-                    if stock[item] == 0:
-                        avail &= ~sum(1 << i for i in inst.products_of_item(item))
-                    rev_here = ct.revenues[choice]
-                    revenue += rev_here
-                    result.item_sales[item] += 1
-                if trace is not None:
-                    trace.steps.append(StepRecord(t, j, stage, S, choice, rev_here))
-                if choice is not None:
-                    break
-                if ct.leave_prob is not None and rng.random() < ct.leave_prob:
-                    break
-        result.revenues[rep] = revenue
-        if trace is not None:
-            trace.final_inventory = tuple(stock)
-            trace.check_conservation(inst)
-            result.traces.append(trace)
+
+    def walk(rng, t, j, first, avail, trace):
+        ct = inst.types[j]
+        cand = avail & displayable
+        stage = 0
+        while ct.patience is None or stage < ct.patience:
+            S, bits = chooser.choose(j, cand)
+            if not S:
+                break
+            stage += 1
+            choice = sampler.draw_choice(j, bits, rng)
+            cand &= ~bits
+            if trace is not None:
+                rev_here = ct.revenues[choice] if choice is not None else 0.0
+                trace.steps.append(StepRecord(t, j, stage, S, choice, rev_here))
+            if choice is not None:
+                return choice, stage
+            if ct.leave_prob is not None and rng.random() < ct.leave_prob:
+                break
+        return None, stage
+
+    serve_replicas(inst, result, seed, record_traces, sampler, walk)
     return result
 
 
@@ -367,15 +329,13 @@ def _fit_group(records, n_products, ridge, tol, max_iter):
 def fit_mnl(
     records: list[TransactionRecord],
     n_products: int,
-    type_partition=None,
-    no_purchase_rule: str = "max-weight",
     scale_factor: float = 1.0,
     tol: float = 1e-6,
     max_iter: int = 5000,
 ) -> dict:
     """Per-type MNL weights by gradient ascent on the concave log-likelihood.
 
-    Groups records by ``type_partition`` (default: the feature tuple).  Data
+    Groups records by their feature tuple, one MNL per group.  Data
     that fails to converge (separable or degenerate) is refit with a small
     ridge and flagged with a warning.  The no-purchase weight is then pinned
     by the shift rule: equal to the largest product weight, multiplied by the
@@ -384,10 +344,9 @@ def fit_mnl(
     """
     if not records:
         raise ValueError("need at least one transaction record")
-    key_fn = type_partition if type_partition is not None else (lambda r: r.features)
     groups: dict = {}
     for rec in records:
-        groups.setdefault(key_fn(rec), []).append(rec)
+        groups.setdefault(rec.features, []).append(rec)
     out = {}
     for key in sorted(groups, key=repr):
         recs = groups[key]
@@ -397,10 +356,7 @@ def fit_mnl(
             warnings.warn(f"MNL fit for type {key!r} is degenerate; refitting with ridge 1e-4")
             theta, _ = _fit_group(recs, n_products, 1e-4, tol, max_iter)
         weights = np.exp(theta)
-        if no_purchase_rule == "max-weight":
-            v0 = float(weights.max()) * scale_factor
-        else:
-            raise ValueError(f"unknown no-purchase rule {no_purchase_rule!r}")
+        v0 = float(weights.max()) * scale_factor
         out[key] = Mnl(weights=tuple(float(w) for w in weights), no_purchase=v0)
     return out
 

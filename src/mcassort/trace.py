@@ -1,14 +1,16 @@
-"""Per-replica trace records and the per-run sampler the simulators share."""
+"""Per-replica trace records, the per-run sampler and the replica loop the
+scalar simulators share."""
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import Callable
 
 from .model import Instance, choice_prob
 
-__all__ = ["StepRecord", "PolicyTrace", "RunSampler"]
+__all__ = ["StepRecord", "PolicyTrace", "RunSampler", "serve_replicas"]
 
 
 @dataclass(frozen=True)
@@ -96,3 +98,66 @@ class RunSampler:
         items, cdf = self.purchase_row(j, displayed)
         k = bisect_right(cdf, rng.random())
         return items[k] if k < len(items) else None
+
+
+# walk(rng, t, j, first, avail, trace) -> (product bought or None, stages displayed)
+Walk = Callable[[random.Random, int, int, bool, int, "PolicyTrace | None"], tuple["int | None", int]]
+
+
+def serve_replicas(inst: Instance, result, seed: int, record_traces: int,
+                   sampler: RunSampler, walk: Walk) -> None:
+    """Serve ``result.replicas`` horizons of at most one arrival per step.
+
+    Replica ``rep`` draws from ``random.Random(seed * 2**33 + rep)``.  The loop
+    draws only the arriving type ``j`` at step ``t``; ``walk`` serves that
+    customer with every other draw and returns the product bought (or None)
+    and the number of stages displayed.  ``first`` says whether this is the
+    type's first arrival in the replica, ``avail`` has the bits of the
+    products whose item is in stock, and ``trace`` (the first
+    ``record_traces`` replicas, else None) collects the walk's step records.
+
+    The loop books each sale: the item's stock drops by one (negative stock
+    raises), its products' bits clear when it sells out, and the revenue and
+    the sale go to ``result.revenues`` and ``result.item_sales``; the stages
+    go to ``result.offers_made``.  Recorded traces are checked for inventory
+    conservation and appended to ``result.traces``.
+    """
+    products = inst.products
+    revenues = [ct.revenues for ct in inst.types]
+    item_bits = [sum(1 << i for i in inst.products_of_item(it.id)) for it in inst.items]
+    initial = [it.inventory for it in inst.items]
+    in_stock = sum(1 << p.id for p in products if initial[p.item] > 0)
+    draw_type = sampler.draw_type
+    item_sales = result.item_sales
+    for rep in range(result.replicas):
+        rng = random.Random(seed * 2**33 + rep)
+        stock = initial.copy()
+        avail = in_stock
+        arrived = 0
+        revenue = 0.0
+        stages = 0
+        trace = PolicyTrace(rep, tuple(stock)) if rep < record_traces else None
+        for t in range(inst.T):
+            j = draw_type(t, rng)
+            if j is None:
+                continue
+            first = not arrived >> j & 1
+            arrived |= 1 << j
+            bought, shown = walk(rng, t, j, first, avail, trace)
+            stages += shown
+            if bought is None:
+                continue
+            item = products[bought].item
+            stock[item] -= 1
+            if stock[item] < 0:
+                raise RuntimeError(f"negative stock of item {item}")
+            if stock[item] == 0:
+                avail &= ~item_bits[item]
+            revenue += revenues[j][bought]
+            item_sales[item] += 1
+        result.revenues[rep] = revenue
+        result.offers_made[rep] = stages
+        if trace is not None:
+            trace.final_inventory = tuple(stock)
+            trace.check_conservation(inst)
+            result.traces.append(trace)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 
@@ -111,3 +113,15 @@ class TestCli:
         rows = capsys.readouterr().out.splitlines()
         assert rows[0] == "type,no_purchase,weights"
         assert [r.split('",')[0] + '"' for r in rows[1:]] == ['"(\'Paris, FR\',)"', '"(\'b\',)"']
+
+    def test_fit_mnl_output_quotes_double_quotes(self, tmp_path, capsys):
+        data = tmp_path / "tx.csv"
+        lines = ["segment,offered,chosen"]
+        for _ in range(30):
+            lines += ['"a""b",0;1,0', '"a""b",0;1,1', '"a""b",0;1,']
+        data.write_text("\n".join(lines) + "\n")
+        assert _run(["fit-mnl", "--data", str(data), "--products", "2"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0] == ["type", "no_purchase", "weights"]
+        assert len(rows) == 2 and len(rows[1]) == 3
+        assert rows[1][0] == "('a\"b',)"

@@ -179,6 +179,19 @@ class TestSplitInventory:
         assert out.n_items == 3
         assert [it.parent for it in out.items] == [0, 0, 1]
 
+    def test_table_entries_survive_next_to_item_probs(self):
+        # entries take precedence over the set-independent fallback, so every
+        # copy of item 0 keeps p(0, {0}) = 0.9
+        ct = CustomerType(id=0, arrival=1.0, revenues=(1.0, 1.0),
+                          choice=Tabular(entries={(0, frozenset({0})): 0.9}, item_probs=(0.5, 0.5)),
+                          patience=1)
+        inst = Instance.single_level(T=1, inventories=[2, 1], types=(ct,),
+                                     family=AssortmentFamily.size_capped(1))
+        assert inst.validate().ok
+        out = split_inventory(inst)
+        probs = [choice_prob(out.types[0].choice, p.id, frozenset({p.id})) for p in out.products]
+        assert probs == [0.9, 0.9, 0.5]
+
     def test_preserves_total_inventory_and_lp_optimum(self):
         rng = np.random.default_rng(7)
         for trial in range(5):

@@ -1,5 +1,4 @@
 import math
-import random
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from mcassort import mcdlp, norepeat, simlab
 from mcassort.mcdlp import McdlpVariant, MonteCarloEstimate, verify_policy_upper_bound
 from mcassort.model import AssortmentFamily, CustomerType, Instance, Mnl, Tabular
 from mcassort.norepeat import ALPHA_STAR
-from mcassort.trace import RunSampler
+from mcassort.trace import RunSampler, serve_replicas
 
 
 def _solved_nr(seed, n=5, cap=2, m=4):
@@ -203,9 +202,12 @@ class TestInvariantsRaise:
             norepeat.run_algorithm3(inst, self._plan(self.PAIR), alpha=1.0, replicas=3, seed=0)
 
     def test_negative_stock_raises(self):
-        # a doctored stock: item 0 is marked available but has no unit left
+        # a walk that sells product 0 although its item has no unit left; the
+        # replica loop books every policy's sales, so the check fires there
         S = frozenset({0})
-        inst = self._instance({(0, S): 1.0, (0, self.PAIR): 0.5, (1, self.PAIR): 0.5}, [1, 1])
+        inst = self._instance({(0, S): 1.0, (0, self.PAIR): 0.5, (1, self.PAIR): 0.5}, [0, 1])
+        result = simlab.BenchmarkResult(replicas=1, revenues=np.zeros(1), item_sales=np.zeros(2),
+                                        offers_made=np.zeros(1))
+        walk = lambda rng, t, j, first, avail, trace: (0, 1)
         with pytest.raises(RuntimeError, match="negative stock of item 0"):
-            norepeat._walk_customer(inst, 0, [(S, 1.0, 0b1)], [0, 1], 0b11, random.Random(0),
-                                    None, None, None, 0, RunSampler(inst), set())
+            serve_replicas(inst, result, 0, 0, RunSampler(inst), walk)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mcassort.rounding import RoundingInput, gkps_round, gkps_round_batch
+from mcassort.rounding import gkps_round, gkps_round_batch
 
 
 class TestDeterministicProperties:
@@ -32,7 +32,7 @@ class TestDeterministicProperties:
         with pytest.raises(ValueError):
             gkps_round((1.2, 0.5), seed=0)
         with pytest.raises(ValueError):
-            RoundingInput(weights=(-0.1,))
+            gkps_round((-0.1,), seed=0)
 
 
 class TestStatisticalProperties:

@@ -37,7 +37,7 @@ class TestGreedy:
         inst = Instance.single_level(T=1, inventories=[1, 1], types=(ct,),
                                      family=AssortmentFamily.size_capped(1))
         chooser = simlab._GreedyChooser(inst, high_only=False)
-        best = chooser.best(0, (0, 1))
+        best = chooser.choose(0, 0b11)[0]
         exp0 = 1.0 * choice_prob(ct.choice, 0, {0})
         exp1 = 2.0 * choice_prob(ct.choice, 1, {1})
         assert exp1 > exp0
@@ -49,12 +49,12 @@ class TestGreedy:
                           choice=Tabular(entries={}, item_probs=(0.5, 0.5 + 1e-13)), patience=1)
         inst = Instance.single_level(T=1, inventories=[1, 1], types=(ct,),
                                      family=AssortmentFamily.size_capped(1))
-        assert simlab._GreedyChooser(inst, high_only=False).best(0, (0, 1)) == (0,)
+        assert simlab._GreedyChooser(inst, high_only=False).choose(0, 0b11)[0] == (0,)
         ct2 = CustomerType(id=0, arrival=1.0, revenues=(1.0, 1.0),
                            choice=Tabular(entries={}, item_probs=(0.5, 0.5 + 1e-11)), patience=1)
         inst2 = Instance.single_level(T=1, inventories=[1, 1], types=(ct2,),
                                       family=AssortmentFamily.size_capped(1))
-        assert simlab._GreedyChooser(inst2, high_only=False).best(0, (0, 1)) == (1,)
+        assert simlab._GreedyChooser(inst2, high_only=False).choose(0, 0b11)[0] == (1,)
 
     def test_empty_inventory_offers_nothing(self):
         ct = CustomerType(id=0, arrival=1.0, revenues=(1.0,),
@@ -161,15 +161,15 @@ class TestGenerators:
         expect = simlab.gap_policy_sale_probability(M)
         assert est == pytest.approx(expect, abs=4 * math.sqrt(0.25 / R))
 
-    def test_policy_factories(self):
+    def test_greedy_and_conservative_choosers(self):
         template = simlab.gen_hotel_like(seed=0, n_types=4)
         inst = simlab.build_hotel_instance(template, 2.0, seed=0)
-        g = simlab.policy_greedy(inst)
-        c = simlab.policy_conservative(inst)
-        cand = tuple(range(inst.n_products))
-        assert g.best(0, cand)  # something offered when everything is in stock
+        g = simlab._GreedyChooser(inst, high_only=False)
+        c = simlab._GreedyChooser(inst, high_only=True)
+        everything = (1 << inst.n_products) - 1
+        assert g.choose(0, everything)[0]  # something offered when everything is in stock
         high = inst.price_levels - 1
-        assert all(inst.products[i].level == high for i in c.best(0, cand))
+        assert all(inst.products[i].level == high for i in c.choose(0, everything)[0])
 
     def test_hotel_instance_json_roundtrip(self, tmp_path):
         from mcassort.model import load_instance, save_instance
