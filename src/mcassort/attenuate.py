@@ -85,11 +85,13 @@ def gamma_schedule(T: int) -> GammaSchedule:
     for _ in range(T):
         g = g - (1.0 - math.exp(-g)) / T
         vals.append(g)
-    sched = GammaSchedule(T, tuple(vals))
-    assert vals[0] == 1.0
-    assert all(b < a for a, b in zip(vals, vals[1:])), "gamma must be strictly decreasing"
-    assert 0.0 < vals[-1] <= h_limit(1.0) + 1e-12, "gamma_{T+1} must not exceed h(1)"
-    return sched
+    if vals[0] != 1.0:
+        raise RuntimeError(f"gamma_1 must be 1, got {vals[0]!r}")
+    if not all(b < a for a, b in zip(vals, vals[1:])):
+        raise RuntimeError("gamma must be strictly decreasing")
+    if not 0.0 < vals[-1] <= h_limit(1.0) + 1e-12:
+        raise RuntimeError(f"gamma_{{T+1}} = {vals[-1]!r} must be positive and must not exceed h(1)")
+    return GammaSchedule(T, tuple(vals))
 
 
 @dataclass

@@ -144,13 +144,8 @@ def flip_bound(coin: int, coins: CoinSet) -> float:
     return coins.weights[coin] * f(w_value(coin, coins))
 
 
-def run_blackbox(coins: CoinSet, seed: int | None = None, rng: random.Random | None = None,
-                 wrong_key: bool = False) -> FlipOutcome:
-    """Round the weights, order the survivors and flip until heads or patience.
-
-    ``wrong_key`` forces the small-probs ordering key Y/(1-p) regardless of the
-    case, which reproduces the known failure mode when sum p_i > 1.
-    """
+def run_blackbox(coins: CoinSet, seed: int | None = None, rng: random.Random | None = None) -> FlipOutcome:
+    """Round the weights, order the survivors and flip until heads or patience."""
     if rng is None:
         rng = random.Random(seed)
     n = len(coins.probs)
@@ -159,7 +154,7 @@ def run_blackbox(coins: CoinSet, seed: int | None = None, rng: random.Random | N
     keyed = []
     for i in survivors:
         y = rng.random()
-        if coins.case == CASE_SMALL or wrong_key:
+        if coins.case == CASE_SMALL:
             denom = 1.0 - coins.probs[i]
         else:
             denom = 1.0 - coins.probs[i] * coins.weights[i]

@@ -73,15 +73,14 @@ def _cmd_simulate(args) -> int:
     elif args.policy in ("norepeat", "norepeat-homog", "norepeat-randpatience"):
         variant = McdlpVariant.MCDLP_NRS if args.policy == "norepeat-homog" else McdlpVariant.MCDLP_NR
         lp = mcdlp.solve_variant(inst, variant)
-        alpha = args.alpha if args.alpha is not None else (
-            3.0 if args.policy == "norepeat-homog" else norepeat.ALPHA_STAR
-        )
         runner = {
             "norepeat": norepeat.run_algorithm3,
             "norepeat-homog": norepeat.run_modified_algorithm3,
             "norepeat-randpatience": norepeat.run_algorithm3_random_patience,
         }[args.policy]
-        res = runner(inst, lp, alpha=alpha, replicas=args.replicas, seed=args.seed)
+        # each runner keeps its own default alpha
+        alpha = {} if args.alpha is None else {"alpha": args.alpha}
+        res = runner(inst, lp, replicas=args.replicas, seed=args.seed, **alpha)
         revenues = res.revenues
         opt = lp.objective
     elif args.policy == "attenuated":

@@ -110,8 +110,6 @@ class SubproblemInstance:
 
 
 class PricingOracle(Protocol):
-    factor: float | None  # certified approximation factor, None when uncertified
-
     def solve(self, sub: SubproblemInstance) -> tuple[frozenset[int], float]: ...
 
 
@@ -172,7 +170,6 @@ class FptasConfig:
     even when the last power overshoots it.
     """
 
-    eps: float
     phi_grid: tuple[float, ...]
     gamma_grid: tuple[float, ...]
     delta_grid: tuple[float, ...]
@@ -206,7 +203,6 @@ class FptasConfig:
         v_lo = min(v[i] for i in keep) if keep else 1.0
         v_hi = max(v[i] for i in keep) if keep else 1.0
         return FptasConfig(
-            eps=eps,
             phi_grid=FptasConfig._grid(sig_lo, n * sig_hi, eps),
             gamma_grid=FptasConfig._grid(wv_lo, n * wv_hi, eps),
             delta_grid=FptasConfig._grid(v_lo, n * v_hi, eps),
@@ -215,21 +211,16 @@ class FptasConfig:
         )
 
 
-def _fptas_dp(wt: np.ndarray, vt: np.ndarray, sigma: np.ndarray, I: int, J: int) -> np.ndarray:
-    """Minimum-mass DP over (target a, budget b, prefix c).
-
-    V[a, b, c] is the least total sigma over subsets of the first c items with
-    discretized weight sum >= a and discretized volume sum <= b; index a = 0
-    collapses every non-positive target.  Returns the (I+1, J+1, c+1) table.
-    """
-    return _fptas_dp_stack(np.asarray(wt)[None, :], vt, sigma, I, J)[0]
-
-
 def _fptas_dp_stack(wt: np.ndarray, vt: np.ndarray, sigma: np.ndarray, I: int, J: int) -> np.ndarray:
-    """``_fptas_dp`` for a stack of weight discretizations sharing one volume
-    discretization: row k of the (L, n) array ``wt`` gives table k of the
-    returned (L, I+1, J+1, n+1) array.  Each cell sees the same min and add
-    as in a single-table run, so every table is bit-identical to one.
+    """Minimum-mass DP over (target a, budget b, prefix c), for a stack of
+    weight discretizations sharing one volume discretization.
+
+    Table k, V[k, a, b, c], is the least total sigma over subsets of the
+    first c items whose weights ``wt[k]`` sum to >= a and whose volumes
+    ``vt`` sum to <= b; index a = 0 collapses every non-positive target.
+    Returns the (L, I+1, J+1, n+1) array for the (L, n) array ``wt``.  Each
+    cell sees the same min and add as in a single-table run, so every table
+    is bit-identical to one.
     """
     wt = np.asarray(wt).astype(np.int64)
     L, n = wt.shape
@@ -251,24 +242,10 @@ def _fptas_dp_stack(wt: np.ndarray, vt: np.ndarray, sigma: np.ndarray, I: int, J
     return W.transpose(1, 2, 3, 0)
 
 
-def _dp_backtrack(V: np.ndarray, wt, vt, sigma, a: int, b: int) -> list[int]:
-    """Recover one subset achieving V[a, b, n] (exclusion preferred on ties)."""
-    n = V.shape[2] - 1
-    chosen = []
-    for c in range(n, 0, -1):
-        prev = V[:, :, c - 1]
-        here = V[a, b, c]
-        if here == prev[a, b]:
-            continue
-        chosen.append(c - 1)
-        a = max(0, a - int(wt[c - 1]))
-        b = b - int(vt[c - 1])
-    return chosen[::-1]
-
-
 def _dp_backtrack_stack(V: np.ndarray, wt: np.ndarray, vt, k, a, b) -> np.ndarray:
-    """``_dp_backtrack`` for many cells of a stacked DP at once: cell i is
-    (a[i], b[i]) of table k[i].  Returns the (cells, n) mask of chosen items."""
+    """Recover one subset achieving each of many cells of a stacked DP at
+    once, preferring exclusion on ties: cell i is (a[i], b[i]) of table k[i].
+    Returns the (cells, n) mask of chosen items."""
     n = V.shape[-1] - 1
     chosen = np.zeros((len(k), n), dtype=bool)
     for c in range(n, 0, -1):
@@ -279,9 +256,7 @@ def _dp_backtrack_stack(V: np.ndarray, wt: np.ndarray, vt, k, a, b) -> np.ndarra
     return chosen
 
 
-def subproblem_mnl_fptas(
-    sub: SubproblemInstance, eps: float = 0.1, config: FptasConfig | None = None
-) -> tuple[frozenset[int], float]:
+def subproblem_mnl_fptas(sub: SubproblemInstance, eps: float = 0.1) -> tuple[frozenset[int], float]:
     """Knapsack-style approximation of the MNL pricing problem with penalties.
 
     Guesses the optimal penalty total phi, weighted-value total gamma and
@@ -320,9 +295,7 @@ def subproblem_mnl_fptas(
         return frozenset(), 0.0
     if all(sub.sigma[i] <= 0 for i in ids):
         return subproblem_mnl_repeated(sub)
-    cfg = config if config is not None else FptasConfig.from_subproblem(sub, eps)
-    if not (cfg.phi_grid and cfg.gamma_grid and cfg.delta_grid):
-        return frozenset(), 0.0  # no guess to try
+    cfg = FptasConfig.from_subproblem(sub, eps)
     n = len(ids)
     w = np.array([sub.w[i] for i in ids])
     v = np.array([sub.choice.weights[i] for i in ids])
@@ -331,13 +304,10 @@ def subproblem_mnl_fptas(
     I, J = cfg.I, cfg.J
     best_set, best_val = frozenset(), 0.0
     b_idx = np.arange(J + 1)
-    # budgets phi + 1e-12 in ascending order; rank_of[p] is grid point p's rank
+    # budgets phi + 1e-12, ascending as searchsorted needs: ``_grid`` builds
+    # every guess grid strictly ascending and never empty
     budget = np.array(cfg.phi_grid, dtype=float) + 1e-12
-    order = np.argsort(budget, kind="stable")
-    sorted_budget = budget[order]
-    rank_of = np.empty_like(order)
-    rank_of[order] = np.arange(len(order))
-    n_phi = len(order)
+    n_phi = len(budget)
     # gamma guesses share a delta's volume discretization: stack them per DP
     gammas = np.array(cfg.gamma_grid, dtype=float)
     stack = max(1, _DP_STACK_BYTES // (8 * (I + 1) * (J + 1) * (n + 1)))
@@ -354,11 +324,11 @@ def subproblem_mnl_fptas(
             # first budget rank admitting each cell, histogrammed per (table,
             # column): the cumulative count is the number of targets within
             # budget, one more than the largest feasible target
-            first = np.searchsorted(sorted_budget, V[..., n], side="left")
+            first = np.searchsorted(budget, V[..., n], side="left")
             first += (np.arange(L * (J + 1)) * (n_phi + 1)).reshape(L, 1, J + 1)
             hist = np.bincount(first.ravel(), minlength=L * (J + 1) * (n_phi + 1))
             counts = hist.reshape(L, J + 1, n_phi + 1)[:, :, :n_phi].cumsum(axis=2)
-            amax = counts.transpose(0, 2, 1)[:, rank_of] - 1    # (L, phi, b)
+            amax = counts.transpose(0, 2, 1) - 1    # (L, phi, b)
             est = np.where(
                 amax >= 0,
                 (amax * eps * g[:, None, None] / n) / (b_idx * eps * d / n + 1.0),
@@ -401,25 +371,19 @@ def subproblem_mnl_fptas(
 
 
 class BruteForceOracle:
-    factor: float | None = 1.0
-
     def solve(self, sub: SubproblemInstance) -> tuple[frozenset[int], float]:
         return subproblem_bruteforce(sub)
 
 
 class MnlExactOracle:
-    factor: float | None = 1.0
-
     def solve(self, sub: SubproblemInstance) -> tuple[frozenset[int], float]:
         return subproblem_mnl_repeated(sub)
 
 
 class MnlFptasOracle:
     """FPTAS-backed pricing.  The certified factor depends on an instance
-    condition (f* large against the penalty total), so no factor is claimed
-    up front; tests measure the realized factor against brute force."""
-
-    factor: float | None = None
+    condition (f* large against the penalty total), so tests measure the
+    realized factor against brute force."""
 
     def __init__(self, eps: float = 0.1):
         self.eps = eps
@@ -447,8 +411,6 @@ def column_generate(
     inst: Instance,
     variant: mcdlp.McdlpVariant,
     oracle: PricingOracle,
-    tol_rc: float = TOL_RC,
-    max_iterations: int | None = None,
 ) -> ColgenResult:
     """Master loop: restricted solves plus per-type pricing until no column
     has reduced cost above beta_j + tol.  Starts from the empty set and all
@@ -467,13 +429,12 @@ def column_generate(
     restricted: list[frozenset[int]] = [frozenset()] + singles
     have = set(restricted)
     family_size = inst.family.count(inst.n_products)
-    cap = max_iterations if max_iterations is not None else family_size + 1
     added: list[frozenset[int]] = []
     history: list[float] = []
     warns: list[str] = []
     no_repeat = variant.no_repeat
     enumerable = family_size <= MAX_TABULAR_FAMILY
-    for it in range(1, cap + 1):
+    for it in range(1, family_size + 2):
         sol = mcdlp.solve_variant(inst, variant, assortments=restricted, colgen_master=True)
         if history and not sol.objective >= history[-1] - 1e-7:
             raise RuntimeError(
@@ -486,7 +447,7 @@ def column_generate(
         for j in range(inst.m):
             sub = SubproblemInstance.from_duals(inst, j, duals)
             S, value = oracle.solve(sub)
-            if value <= duals.beta[j] + tol_rc or not S:
+            if value <= duals.beta[j] + TOL_RC or not S:
                 continue
             if S not in have:
                 new_cols.append(S)
@@ -494,7 +455,7 @@ def column_generate(
             # an included at-cap column shadows the oracle's view
             if enumerable:
                 S2, v2 = subproblem_bruteforce(sub, exclude=have)
-                if v2 > duals.beta[j] + tol_rc and S2:
+                if v2 > duals.beta[j] + TOL_RC and S2:
                     new_cols.append(S2)
             else:
                 warns.append(

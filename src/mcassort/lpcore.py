@@ -41,7 +41,6 @@ __all__ = [
     "LpError",
     "LpNumericalError",
     "solve",
-    "to_lp_text",
 ]
 
 
@@ -436,31 +435,3 @@ class _Simplex:
 def solve(model: LpModel) -> LpSolution:
     """Solve to optimality with primal and dual certificates, or report status."""
     return _Simplex(model).run()
-
-
-def to_lp_text(model: LpModel, name: str = "model") -> str:
-    """Debug dump in LP text interchange layout for cross-checking elsewhere."""
-    lines = [f"\\ {name}", "Maximize", " obj: " + _expr(enumerate(model.objective))]
-    lines.append("Subject To")
-    for r, row in enumerate(model.rows):
-        tag = row.tag if row.tag is not None else f"r{r}"
-        lines.append(f" c{r}: " + _expr(row.coeffs) + f" <= {row.rhs:.12g}  \\ {tag}")
-    lines.append("Bounds")
-    for j in range(model.num_vars):
-        lines.append(f" {model.lower[j]:.12g} <= x{j} <= {model.upper[j]:.12g}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
-
-
-def _expr(coeffs) -> str:
-    parts = []
-    for j, a in coeffs:
-        if a == 0:
-            continue
-        sign = "+" if a >= 0 else "-"
-        parts.append(f"{sign} {abs(a):.12g} x{j}")
-    if not parts:
-        return "0"
-    if parts[0].startswith("+ "):
-        parts[0] = parts[0][2:]
-    return " ".join(parts)

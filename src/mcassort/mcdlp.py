@@ -58,9 +58,6 @@ class McdlpSolution:
     plan: tuple[dict, ...]              # per type: {assortment: weight > 0}
     lp: lpcore.LpSolution
 
-    def weight(self, j: int, S: frozenset[int]) -> float:
-        return self.plan[j].get(S, 0.0)
-
     def single_item_plan(self, n_products: int) -> np.ndarray:
         """x[j, i] for matching instances (singleton assortments)."""
         m = len(self.plan)

@@ -126,7 +126,7 @@ class CustomerType:
     patience: int | None = None
     leave_prob: float | None = None
 
-    def q(self, t: int, T: int) -> float:
+    def q(self, t: int) -> float:
         """Arrival probability at time-step ``t`` (0-based)."""
         if isinstance(self.arrival, tuple):
             return self.arrival[t]
@@ -276,7 +276,7 @@ class Instance:
         return all(it.inventory == 1 for it in self.items)
 
     def q(self, t: int, j: int) -> float:
-        return self.types[j].q(t, self.T)
+        return self.types[j].q(t)
 
     def products_of_item(self, item: int) -> tuple[int, ...]:
         return tuple(p.id for p in self.products if p.item == item)

@@ -86,11 +86,13 @@ def _run(
     replicas: int,
     seed: int,
     gate_first_arrival: bool,
-    leave_prob_mode: bool,
     record_traces: int = 0,
 ) -> NoRepeatResult:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    for j, ct in enumerate(inst.types):
+        if (ct.patience is None) == (ct.leave_prob is None):
+            raise ValueError(f"type {j}: exactly one of patience and leave_prob must be set")
     m = inst.m
     support = [_support(solution, j, alpha) for j in range(m)]
     sampler = RunSampler(inst)
@@ -120,8 +122,8 @@ def _run(
                 result.imatch[j, (gone & -gone).bit_length() - 1] += 1
                 gone &= gone - 1
         ct = inst.types[j]
-        patience = None if leave_prob_mode else ct.patience
-        leave_prob = ct.leave_prob if leave_prob_mode else None
+        patience = ct.patience
+        leave_prob = ct.leave_prob
         sup = support[j]
         order = list(range(len(sup)))
         rng.shuffle(order)
@@ -186,7 +188,7 @@ def run_algorithm3(
     if any(ct.patience is None for ct in inst.types):
         raise ValueError("run_algorithm3 needs deterministic patience levels")
     return _run(inst, solution, alpha, replicas, seed,
-                gate_first_arrival=True, leave_prob_mode=False, record_traces=record_traces)
+                gate_first_arrival=True, record_traces=record_traces)
 
 
 def run_modified_algorithm3(
@@ -205,7 +207,7 @@ def run_modified_algorithm3(
     if any(ct.patience is None for ct in inst.types):
         raise ValueError("run_modified_algorithm3 needs deterministic patience levels")
     return _run(inst, solution, alpha, replicas, seed,
-                gate_first_arrival=False, leave_prob_mode=False, record_traces=record_traces)
+                gate_first_arrival=False, record_traces=record_traces)
 
 
 def run_algorithm3_random_patience(
@@ -223,4 +225,4 @@ def run_algorithm3_random_patience(
     if any(abs(r - 1.0) > 1e-6 for r in rates):
         raise ValueError("expects an integralized instance (T q_j = 1 per type)")
     return _run(inst, solution, alpha, replicas, seed,
-                gate_first_arrival=True, leave_prob_mode=True, record_traces=record_traces)
+                gate_first_arrival=True, record_traces=record_traces)

@@ -382,7 +382,7 @@ def test_criterion_11_fptas_vs_bruteforce():
         d = cfg.delta_grid[len(cfg.delta_grid) // 3]
         wt = np.floor(n * sub.w * v / (eps * g)).astype(np.int64)
         vt = np.ceil(n * v / (eps * d)).astype(np.int64)
-        V = colgen._fptas_dp(wt, vt, sub.sigma, cfg.I, cfg.J)
+        V = colgen._fptas_dp_stack(wt[None], vt, sub.sigma, cfg.I, cfg.J)[0]
         for a in range(0, cfg.I + 1, max(cfg.I // 5, 1)):
             for b in range(0, cfg.J + 1, max(cfg.J // 5, 1)):
                 best = math.inf

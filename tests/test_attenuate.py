@@ -394,3 +394,18 @@ class TestInvariantsRaise:
         done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                               text=True, env=env, timeout=120, check=True)
         assert "raised: inventory conservation violated" in done.stdout
+
+    def test_gamma_schedule_check_survives_optimize_flag(self):
+        # with h(1) patched to 0 every schedule breaks gamma_{T+1} <= h(1)
+        code = (
+            "from mcassort import attenuate\n"
+            "attenuate.h_limit = lambda z: 0.0\n"
+            "try:\n"
+            "    attenuate.gamma_schedule(10)\n"
+            "except RuntimeError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120, check=True)
+        assert "raised:" in done.stdout and "must not exceed h(1)" in done.stdout

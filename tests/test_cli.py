@@ -3,9 +3,11 @@ import io
 import json
 import os
 
+import numpy as np
 import pytest
 
-from mcassort import cli, simlab
+from mcassort import cli, mcdlp, norepeat, simlab
+from mcassort.mcdlp import McdlpVariant
 from mcassort.model import instance_to_dict, load_instance, save_instance
 
 
@@ -32,6 +34,26 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("replica,revenue")
         assert "ratio_to_opt," in out
+
+    @pytest.mark.parametrize("policy, variant, runner, make", [
+        ("norepeat", McdlpVariant.MCDLP_NR, norepeat.run_algorithm3,
+         lambda: simlab.random_norepeat_instance(seed=2, n=4, cap=2, m=3)),
+        ("norepeat-homog", McdlpVariant.MCDLP_NRS, norepeat.run_modified_algorithm3,
+         lambda: simlab.random_homog_instance(seed=3, n=4, cap=2, m=3)),
+    ])
+    def test_simulate_norepeat_default_alpha(self, tmp_path, capsys, policy, variant, runner, make):
+        # without --alpha the command runs the policy at the library's default
+        path = str(tmp_path / "nr.json")
+        inst = make()
+        save_instance(inst, path)
+        assert _run(["simulate", "--policy", policy, "--instance", path,
+                     "--replicas", "200", "--seed", "3"]) == 0
+        lp = mcdlp.solve_variant(inst, variant)
+        revenues = runner(inst, lp, replicas=200, seed=3).revenues
+        mean = float(np.mean(revenues))
+        expected = ["replica,revenue", *(f"{k},{v:.10g}" for k, v in enumerate(revenues)),
+                    f"mean,{mean:.10g}", f"ratio_to_opt,{mean / lp.objective:.10g}"]
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
     def test_simulate_attenuated(self, tmp_path, capsys):
         path = str(tmp_path / "m.json")

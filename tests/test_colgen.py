@@ -197,7 +197,7 @@ class TestFptas:
         d = cfg.delta_grid[len(cfg.delta_grid) // 2]
         wt = np.floor(n * wv / (eps * g)).astype(np.int64)
         vt = np.ceil(n * v / (eps * d)).astype(np.int64)
-        V = colgen._fptas_dp(wt, vt, sub.sigma, cfg.I, cfg.J)
+        V = colgen._fptas_dp_stack(wt[None], vt, sub.sigma, cfg.I, cfg.J)[0]
         # exhaustive oracle over all subsets and a grid of cells
         for a in range(0, cfg.I + 1, max(cfg.I // 6, 1)):
             for b in range(0, cfg.J + 1, max(cfg.J // 6, 1)):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcassort import lpcore, mcdlp, simlab
-from mcassort.lpcore import LpError, LpModel, LpStats, solve, to_lp_text
+from mcassort.lpcore import LpError, LpModel, LpStats, solve
 from mcassort.mcdlp import McdlpVariant
 
 
@@ -136,12 +136,6 @@ class TestRandomAgainstOracle:
         s1, s2 = solve(m), solve(m)
         assert s1.x == s2.x
         assert s1.duals == s2.duals
-
-
-def test_lp_text_dump_roundtrip_smoke():
-    m = LpModel.build([1.0, -0.5], [([(0, 1.0), (1, 2.0)], 1.5, ("row",))], [1.0, 2.0])
-    txt = to_lp_text(m)
-    assert "Maximize" in txt and "Subject To" in txt and "x1" in txt
 
 
 def scalar_model_error(num_vars, objective, rows, lower, upper):

@@ -1,7 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcassort import mcdlp
 from mcassort.mcdlp import McdlpVariant
@@ -10,7 +12,9 @@ from mcassort.model import (
     CustomerType,
     Instance,
     InvalidInstanceError,
+    Item,
     Mnl,
+    Product,
     Tabular,
     choice_prob,
     instance_from_dict,
@@ -19,6 +23,7 @@ from mcassort.model import (
     no_purchase_prob,
     save_instance,
     split_inventory,
+    validate,
 )
 
 
@@ -236,7 +241,63 @@ class TestFamily:
             fam.assortments(30)
 
 
+@st.composite
+def _valid_instances(draw):
+    """Valid instances: stationary or tabulated arrivals, deterministic or
+    geometric patience, MNL or set-independent tables (some with singleton
+    entries), size-capped or explicit families, one or two price levels,
+    and split into unit items when the instance allows it."""
+    n = draw(st.integers(1, 3))
+    K = draw(st.integers(1, 2))
+    P = n * K
+    T = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        family = AssortmentFamily.size_capped(draw(st.integers(0, P)))
+    else:
+        family = AssortmentFamily.explicit(
+            draw(st.lists(st.frozensets(st.integers(0, P - 1)), max_size=4)))
+    q = st.floats(0.0, 1.0 / m)
+    types = []
+    for j in range(m):
+        arrival = draw(st.one_of(q, st.tuples(*[q] * T)))
+        if draw(st.booleans()):
+            patience, leave_prob = draw(st.integers(1, 3)), None
+        else:
+            patience, leave_prob = None, draw(st.floats(0.0, 1.0, exclude_min=True))
+        if draw(st.booleans()):
+            weight = st.floats(1e-3, 10.0)
+            choice = Mnl(weights=tuple(draw(weight) for _ in range(P)), no_purchase=draw(weight))
+        else:
+            probs = tuple(draw(st.floats(0.0, 1.0 / P)) for _ in range(P))
+            pinned = draw(st.frozensets(st.integers(0, P - 1)))
+            choice = Tabular(entries={(i, frozenset({i})): probs[i] for i in pinned},
+                             item_probs=probs)
+        types.append(CustomerType(id=j, arrival=arrival,
+                                  revenues=tuple(draw(st.floats(0.0, 100.0)) for _ in range(P)),
+                                  choice=choice, patience=patience, leave_prob=leave_prob))
+    items = tuple(Item(i, draw(st.integers(0, 3))) for i in range(n))
+    inst = Instance(
+        T=T, items=items, products=tuple(Product(i * K + lv, i, lv) for i in range(n) for lv in range(K)),
+        types=tuple(types), family=family, price_levels=K,
+        repeated_offers_allowed=draw(st.booleans()),
+        matching_with_timeouts=family.is_singleton_family(P) and draw(st.booleans()),
+    )
+    splittable = family.mode == "size_capped" and (family.is_singleton_family(P) or all(
+        isinstance(ct.choice, Mnl) or not ct.choice.entries for ct in types))
+    if splittable and draw(st.booleans()):
+        inst = split_inventory(inst)
+    return inst
+
+
 class TestRoundTrip:
+    @settings(max_examples=80, deadline=None)
+    @given(_valid_instances())
+    def test_json_roundtrip_of_valid_instances(self, inst):
+        assert validate(inst).ok, validate(inst).violations
+        back = instance_from_dict(json.loads(json.dumps(instance_to_dict(inst))))
+        assert back == inst
+
     def test_json_roundtrip_lossless(self):
         from mcassort.simlab import random_norepeat_instance
         inst = random_norepeat_instance(seed=2, n=4, cap=2, m=3)

@@ -180,6 +180,19 @@ class TestRandomPatience:
         with pytest.raises(ValueError, match="leave_prob"):
             norepeat.run_algorithm3_random_patience(inst, sol, replicas=10, seed=0)
 
+    @pytest.mark.parametrize("patience, leave_prob", [(2, 0.5), (None, None)])
+    def test_rejects_type_without_exactly_one_patience_rule(self, patience, leave_prob):
+        # the walk reads both fields, so a type with both or neither is refused
+        inst, sol = _solved_nr(0)
+        types = list(inst.types)
+        ct = types[1]
+        types[1] = CustomerType(id=ct.id, arrival=ct.arrival, revenues=ct.revenues,
+                                choice=ct.choice, patience=patience, leave_prob=leave_prob)
+        bad = Instance(T=inst.T, items=inst.items, products=inst.products,
+                       types=tuple(types), family=inst.family)
+        with pytest.raises(ValueError, match="^type 1: exactly one of patience and leave_prob"):
+            norepeat._run(bad, sol, ALPHA_STAR, 10, 0, gate_first_arrival=True)
+
 
 class TestInvariantsRaise:
     PAIR = frozenset({0, 1})

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcassort.rounding import gkps_round, gkps_round_batch
 
@@ -93,3 +94,34 @@ class TestStatisticalProperties:
         rng = np.random.default_rng(5)
         batch = gkps_round_batch(np.tile(z, (R, 1)), rng).mean(axis=0)
         assert np.abs(scalar / R - batch).max() < 5 * math.sqrt(0.25 / R) * 2
+
+
+# arbitrary weights in [0,1], with exact 0s and 1s and values next to the snap
+# tolerance mixed in
+_weights = st.lists(
+    st.one_of(st.sampled_from([0.0, 1.0, 0.5, 1e-13, 1.0 - 1e-13]), st.floats(0.0, 1.0)),
+    max_size=8,
+)
+
+
+def _check_rounding(z, Z):
+    assert set(np.unique(Z)) <= {0, 1}
+    for i, w in enumerate(z):
+        if w in (0.0, 1.0):
+            assert (Z[..., i] == w).all()
+    assert Z.sum(axis=-1).max(initial=0) <= math.ceil(math.fsum(z))
+
+
+class TestArbitraryWeights:
+    @settings(max_examples=60, deadline=None)
+    @given(_weights, st.integers(0, 2**32 - 1))
+    def test_gkps_round(self, z, seed):
+        _check_rounding(z, np.array(gkps_round(z, seed=seed).values, dtype=int))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_weights, st.integers(0, 2**32 - 1))
+    def test_gkps_round_batch(self, z, seed):
+        rows = np.tile(np.array(z, dtype=float), (50, 1)).reshape(50, len(z))
+        Z = gkps_round_batch(rows, np.random.default_rng(seed))
+        assert Z.shape == rows.shape
+        _check_rounding(z, Z.astype(int))

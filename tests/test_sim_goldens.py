@@ -79,7 +79,7 @@ def _digests() -> dict:
         "hotel-algorithm3": lambda: nr(norepeat.run_algorithm3, hotel, "hotel", 15, alpha=1.0),
         "hotel-modified3": lambda: norepeat._run(
             hotel, lp["hotel"], alpha=1.0, replicas=400, seed=16, gate_first_arrival=False,
-            leave_prob_mode=False, record_traces=20),
+            record_traces=20),
     }
     return {name: _sha_text(repr(_outputs(run()))) for name, run in cases.items()}
 
