@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 
@@ -190,8 +190,8 @@ class FptasConfig:
 
     @staticmethod
     def from_subproblem(sub: SubproblemInstance, eps: float) -> "FptasConfig":
-        if not 0 < eps < 1:
-            raise ValueError("eps must lie in (0,1)")
+        """Grids for ``sub`` at accuracy ``eps``, which the caller has checked
+        lies in (0, 1)."""
         keep = [i for i in range(sub.n_products) if sub.w[i] > 0]
         n = max(len(keep), 1)
         v = np.array(sub.choice.weights)

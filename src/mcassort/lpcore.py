@@ -6,19 +6,27 @@ two-phase revised simplex over bounded variables: Dantzig pricing with ties
 broken by lowest variable index, falling back to Bland's rule after a long
 degenerate streak.  Every optimal solve returns row duals and is checked for
 primal feasibility and strong duality before being handed back, with its
-pivot, bound-flip and refactor counts on ``LpSolution.stats``.
+pivot, bound-flip, refactor and pricing counts on ``LpSolution.stats``.
 
-Each pivot refreshes the basic solution from the nonbasic variables that sit
-at a nonzero bound only (most sit at a zero lower bound), and runs the ratio
-test in vector form: every row's step cap in one pass, then the sequential
-tie rule over the rows near the smallest cap (see ``_ratio_test``).
+Pricing works on sparse columns: the solver keeps the constraint matrix's
+nonzeros sorted by column and forms the reduced costs with one ``bincount``
+over them (Maros, *Computational Techniques of the Simplex Method*, 2003,
+ch. 9), only when the basis has changed; a bound flip keeps them.  Each pivot
+refreshes the basic solution from the nonbasic variables that sit at a
+nonzero bound only (most sit at a zero lower bound), runs the ratio test in
+vector form (every row's step cap in one pass, then the sequential tie rule
+over the rows near the smallest cap, see ``_ratio_test``), and updates the
+basis inverse on the rows that the entering column touches.
 
 ``solve`` uses fixed pivot rules and no randomness, and concurrent solves on
 distinct models are safe.  Its last bits are not a function of the model
-alone: the matrix products go through the BLAS, whose thread count can move
-the objective, x and the duals by an ulp (seen on a hotel LP with one
-against two OpenBLAS threads).  With the thread count fixed, identical
-models produce identical solutions.
+alone: the basis inverse (``np.linalg.inv``) and the matrix-vector products
+with it go through the BLAS and LAPACK, whose thread count can move the
+objective, x and the duals by an ulp.  On a hotel LP the x of one cell
+differs between one and two OpenBLAS threads even with every matrix-vector
+product computed outside the BLAS, so the inverse alone carries the
+dependence.  With the thread count fixed, identical models produce identical
+solutions.
 """
 from __future__ import annotations
 
@@ -152,7 +160,9 @@ class LpStats:
     ``phase1_pivots`` and ``phase2_pivots`` count basis changes (phase 2
     includes any refinement pass after a failed certificate check),
     ``bound_flips`` entering variables that ran to their opposite bound
-    instead, ``refactors`` explicit basis inversions, ``bland`` whether a
+    instead, ``refactors`` explicit basis inversions, ``pricings``
+    reduced-cost passes (one per basis the pivot loop prices, plus one per
+    certificate check: bound flips reuse them), ``bland`` whether a
     degenerate streak switched pricing to Bland's rule, and
     ``certificate_error`` the scaled certificate error of the returned optimum
     (None when none was checked: the solve ended infeasible or unbounded, or
@@ -163,6 +173,7 @@ class LpStats:
     phase2_pivots: int = 0
     bound_flips: int = 0
     refactors: int = 0
+    pricings: int = 0
     bland: bool = False
     certificate_error: float | None = None
 
@@ -244,35 +255,42 @@ class _Simplex:
         self.A = np.zeros((m, cols))
         self.A[:, :n] = A
         self.A[:, n : n + m] = np.eye(m)
+        # the same columns as flat nonzeros sorted by column, rows ascending
+        # within a column: the structural coefficients, then one 1 per slack
+        row_of, col_of, coefs = model._triplets
+        order = np.argsort(col_of, kind="stable")
+        self.nz_rows = np.concatenate([row_of[order], np.arange(m)])
+        self.nz_cols = np.concatenate([col_of[order].astype(np.intp), np.arange(n, n + m)])
+        self.nz_vals = np.concatenate([coefs[order], np.ones(m)])
         self.b = b
         self.lo = np.concatenate([np.array(model.lower), np.zeros(m)])
         self.hi = np.concatenate([np.array(model.upper), np.full(m, np.inf)])
         self.c = np.concatenate([np.array(model.objective), np.zeros(m)])
         self.art: list[int] = []
         self.model = model
-        self.pivots = self.phase1_pivots = self.flips = self.refactors = 0
+        self.pivots = self.phase1_pivots = self.flips = self.refactors = self.pricings = 0
         self.bland = False
 
     def _install_artificials(self) -> None:
         start = np.array(self.lo[: self.n_struct])
         resid = self.b - self.A[:, : self.n_struct] @ start
-        basis = []
-        art_cols = []
-        for r in range(self.m):
-            if resid[r] >= -TOL_FEAS:
-                basis.append(self.n_struct + r)  # slack basic
-            else:
-                col = np.zeros(self.m)
-                col[r] = -1.0
-                art_cols.append(col)
-                self.art.append(self.A.shape[1] + len(art_cols) - 1)
-                basis.append(self.art[-1])
-        if art_cols:
-            self.A = np.hstack([self.A, np.column_stack(art_cols)])
-            self.lo = np.concatenate([self.lo, np.zeros(len(art_cols))])
-            self.hi = np.concatenate([self.hi, np.full(len(art_cols), np.inf)])
-            self.c = np.concatenate([self.c, np.zeros(len(art_cols))])
-        self.basis = np.array(basis, dtype=np.intp)
+        art_rows = (resid < -TOL_FEAS).nonzero()[0]  # rows the slack alone cannot satisfy
+        k = len(art_rows)
+        basis = self.n_struct + np.arange(self.m)  # slacks basic
+        if k:
+            cols = self.A.shape[1]
+            self.art = list(range(cols, cols + k))
+            basis[art_rows] = self.art
+            art = np.zeros((self.m, k))
+            art[art_rows, np.arange(k)] = -1.0
+            self.A = np.hstack([self.A, art])
+            self.nz_rows = np.concatenate([self.nz_rows, art_rows])
+            self.nz_cols = np.concatenate([self.nz_cols, self.art])
+            self.nz_vals = np.concatenate([self.nz_vals, np.full(k, -1.0)])
+            self.lo = np.concatenate([self.lo, np.zeros(k)])
+            self.hi = np.concatenate([self.hi, np.full(k, np.inf)])
+            self.c = np.concatenate([self.c, np.zeros(k)])
+        self.basis = basis
         self.at_upper = np.zeros(self.A.shape[1], dtype=bool)
 
     def _refactor(self) -> None:
@@ -294,17 +312,27 @@ class _Simplex:
         nz = xN.nonzero()[0]
         return self.Binv @ (self.b - self.A[:, nz] @ xN[nz])
 
+    def _reduced_costs(self, cvec: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``cvec - y A`` from the column-sorted nonzeros: each column's
+        products are summed in row order."""
+        self.pricings += 1
+        yA = np.bincount(self.nz_cols, weights=y[self.nz_rows] * self.nz_vals, minlength=len(cvec))
+        return cvec - yA
+
     def _iterate(self, cvec: np.ndarray, max_iter: int) -> str:
         bland = False
         degen_streak = 0
         since_refactor = 0
+        d = None  # reduced costs of the current basis; a bound flip keeps them
         for _ in range(max_iter):
             if since_refactor >= _REFACTOR_EVERY:
                 self._refactor()
                 since_refactor = 0
+                d = None
             xB = self._xB()
-            y = cvec[self.basis] @ self.Binv
-            d = cvec - y @ self.A
+            if d is None:
+                y = cvec[self.basis] @ self.Binv
+                d = self._reduced_costs(cvec, y)
             viol = np.where(self.at_upper, -d, d)
             viol[self.basis] = 0.0
             candidates = (viol > TOL_DUAL).nonzero()[0]
@@ -337,14 +365,24 @@ class _Simplex:
                 self.basis[leave_pos] = e
                 self.at_upper[leaving] = leave_to_upper
                 self.at_upper[e] = False
-                # product-form update of Binv
+                # product-form update of Binv, on the rows that w touches.
+                # A skipped row i (w_i == 0) keeps its entries, where the
+                # full update would subtract 0 * row and could turn a -0.0
+                # into +0.0.  Signed zeros compare equal and add to a
+                # nonzero without effect, and no quotient by one reaches a
+                # decision (pivots and ratio-test steps pass a 1e-9
+                # magnitude test first), so no pivot choice can see the
+                # difference; the returned x and duals come from a fresh
+                # inverse.
                 piv = w[leave_pos]
                 if abs(piv) < _PIVOT_TOL:
                     self._refactor()
                 else:
                     row = self.Binv[leave_pos] / piv
-                    self.Binv -= np.outer(w, row)
+                    touched = w.nonzero()[0]
+                    self.Binv[touched] -= np.outer(w[touched], row)
                     self.Binv[leave_pos] = row
+                d = None
                 self.pivots += 1
                 since_refactor += 1
                 degen_streak = degen_streak + 1 if delta <= _PIVOT_TOL else 0
@@ -405,6 +443,7 @@ class _Simplex:
             phase2_pivots=self.pivots - self.phase1_pivots,
             bound_flips=self.flips,
             refactors=self.refactors,
+            pricings=self.pricings,
             bland=self.bland,
             certificate_error=certificate_error,
         )
@@ -418,7 +457,7 @@ class _Simplex:
             float(np.max((x - self.hi)[np.isfinite(self.hi)], initial=0.0)),
         )
         dual_feas = max(0.0, float(-y.min(initial=0.0)))
-        d = self.c - y @ A
+        d = self._reduced_costs(self.c, y)
         pos = d > TOL_DUAL
         neg = d < -TOL_DUAL
         hi_terms = np.where(np.isfinite(self.hi), self.hi, 0.0)

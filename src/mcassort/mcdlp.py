@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import lpcore
-from .model import CustomerType, Instance, choice_prob, validate
+from .model import CustomerType, Instance, validate
 
 INT_TOL = 1e-9
 
@@ -119,48 +119,45 @@ def build(
     n_items = inst.n_items
     F = len(fam)
     Q = [ct.total_rate(inst.T) for ct in inst.types]
+    item_of = {p.id: p.item for p in inst.products if 0 <= p.item < n_items}
 
     nvars = m * F
     var = lambda j, k: j * F + k
     objective = [0.0] * nvars
     upper = [1.0] * nvars
 
-    # cache choice probabilities once per (type, assortment)
-    probs: list[list[dict[int, float]]] = []
-    for j in range(m):
-        model = inst.types[j].choice
-        probs.append([{i: choice_prob(model, i, S) for i in S} for S in fam])
-
-    for j in range(m):
-        rev = inst.types[j].revenues
+    # one pass per (type, assortment): each sum below runs over the same
+    # products in the same order as a row-by-row build, so every float agrees
+    inventory: list[list[tuple[int, float]]] = [[] for _ in range(n_items)]
+    sell_one: list[list[tuple[int, float]]] = [[] for _ in range(m)]
+    for j, ct in enumerate(inst.types):
         for k, S in enumerate(fam):
-            objective[var(j, k)] = Q[j] * sum(rev[i] * probs[j][k][i] for i in S)
-
-    rows: list[tuple[list[tuple[int, float]], float, lpcore.RowTag]] = []
-    for item in range(n_items):
-        prods = set(inst.products_of_item(item))
-        coeffs = []
-        for j in range(m):
-            for k, S in enumerate(fam):
-                a = Q[j] * sum(probs[j][k][i] for i in S if i in prods)
+            probs = ct.choice.probs(S)
+            objective[var(j, k)] = Q[j] * sum(ct.revenues[i] * p for i, p in probs)
+            by_item: dict[int, list[float]] = {}
+            for i, p in probs:
+                if i in item_of:
+                    by_item.setdefault(item_of[i], []).append(p)
+            for item, ps in by_item.items():
+                a = Q[j] * sum(ps)
                 if a:
-                    coeffs.append((var(j, k), a))
-        rows.append((coeffs, float(inst.items[item].inventory), ("inventory", item)))
-    for j in range(m):
-        coeffs = []
-        for k, S in enumerate(fam):
-            a = sum(probs[j][k][i] for i in S)
+                    inventory[item].append((var(j, k), a))
+            a = sum(p for _, p in probs)
             if a:
-                coeffs.append((var(j, k), a))
-        rows.append((coeffs, 1.0, ("sell_one", j)))
+                sell_one[j].append((var(j, k), a))
+
+    rows: list[tuple[list[tuple[int, float]], float, lpcore.RowTag]] = [
+        (inventory[item], float(inst.items[item].inventory), ("inventory", item)) for item in range(n_items)
+    ]
+    rows += [(sell_one[j], 1.0, ("sell_one", j)) for j in range(m)]
     for j in range(m):
         coeffs = [(var(j, k), 1.0) for k in range(F)]
         rows.append((coeffs, _patience_rhs(inst.types[j]), ("patience", j)))
     if variant.no_repeat:
+        holders = [[k for k, S in enumerate(fam) if prod in S] for prod in range(inst.n_products)]
         for j in range(m):
             for prod in range(inst.n_products):
-                coeffs = [(var(j, k), 1.0) for k, S in enumerate(fam) if prod in S]
-                rows.append((coeffs, 1.0, ("overlap", j, prod)))
+                rows.append(([(var(j, k), 1.0) for k in holders[prod]], 1.0, ("overlap", j, prod)))
 
     caps_are_real = variant in (McdlpVariant.SINGLE_ITEM, McdlpVariant.MCDLP_R)
     if variant == McdlpVariant.SINGLE_ITEM:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 PROB_TOL = 1e-9
@@ -64,6 +64,12 @@ class Mnl:
         denom = self.no_purchase + sum(self.weights[k] for k in assortment)
         return self.weights[product] / denom
 
+    def probs(self, assortment: frozenset[int]) -> list[tuple[int, float]]:
+        """``(product, prob(product, assortment))`` for each displayed product,
+        in the assortment's order, from one denominator."""
+        denom = self.no_purchase + sum(self.weights[k] for k in assortment)
+        return [(i, self.weights[i] / denom) for i in assortment]
+
 
 @dataclass(frozen=True, eq=True, unsafe_hash=False)
 class Tabular:
@@ -85,6 +91,11 @@ class Tabular:
         if self.item_probs is not None:
             return self.item_probs[product]
         raise KeyError(f"no tabular entry for product {product} in {sorted(assortment)}")
+
+    def probs(self, assortment: frozenset[int]) -> list[tuple[int, float]]:
+        """``(product, prob(product, assortment))`` for each displayed product,
+        in the assortment's order."""
+        return [(i, self.prob(i, assortment)) for i in assortment]
 
 
 ChoiceModel = Mnl | Tabular
@@ -320,6 +331,9 @@ def _check_choice_model(inst: Instance, j: int, out: list[str]) -> None:
             out.append(f"type {j}: MNL weights must be strictly positive")
         return
     # Tabular: exhaustive checks over the enumerated family.
+    if model.item_probs is not None and len(model.item_probs) != n:
+        out.append(f"type {j}: tabular item_probs length {len(model.item_probs)} != {n}")
+        return
     try:
         fam = inst.family.assortments(n)
     except ValueError as exc:
@@ -327,6 +341,8 @@ def _check_choice_model(inst: Instance, j: int, out: list[str]) -> None:
         return
     fam_set = set(fam)
     for S in fam:
+        if any(i < 0 or i >= n for i in S):
+            continue  # validate names the set itself
         total = 0.0
         for i in S:
             try:

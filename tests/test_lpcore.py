@@ -350,6 +350,39 @@ class TestHotelGolden:
         assert [json.loads(line) for line in run.stdout.splitlines()] == self.GOLDEN
 
 
+_HOTEL_PIVOTS = """
+import json
+from mcassort import mcdlp, simlab
+from mcassort.lpcore import solve
+from mcassort.mcdlp import McdlpVariant
+
+template = simlab.gen_hotel_like(seed=0, n_types=24)
+for lf, cell_seed in ((1.0, 1), (4.0, 2), (7.0, 3)):
+    stats = solve(mcdlp.build(simlab.build_hotel_instance(template, lf, 2.0, 2, 4, seed=cell_seed),
+                              McdlpVariant.MMCDLP_NR)).stats
+    print(json.dumps([lf, stats.phase2_pivots, stats.bound_flips, stats.pricings]))
+"""
+
+
+class TestHotelPivotCounts:
+    # The same cells as TestHotelGolden: (loading factor, phase-2 pivots,
+    # bound flips, reduced-cost passes).  Every cell starts from a slack
+    # basis that needs no phase 1; it prices once per basis it visits and
+    # once more for the certificate, never after a bound flip.  The counts
+    # ride on the same pivot path as the pinned bits, so they are solved in
+    # a one-thread child process too: with pricing off the BLAS, the basis
+    # inverse from LAPACK still moves last bits with the thread count.
+    COUNTS = [[1.0, 778, 33, 780], [4.0, 178, 15, 180], [7.0, 57, 12, 59]]
+
+    def test_hotel24_pivots_flips_and_pricings(self):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        src = str(Path(mcdlp.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", _HOTEL_PIVOTS], env=env,
+                             capture_output=True, text=True, check=True)
+        assert [json.loads(line) for line in run.stdout.splitlines()] == self.COUNTS
+
+
 class TestStats:
     def test_counters_for_a_two_phase_solve(self):
         # x0 + x1 >= 1 needs an artificial, so phase 1 pivots at least once
@@ -370,10 +403,53 @@ class TestStats:
         assert dataclasses.replace(s, stats=LpStats()) == s
         assert "stats" not in repr(s)
 
+    def test_bound_flips_reuse_the_reduced_costs(self):
+        # hardness-14 reaches its optimum by bound flips alone; the basis
+        # never changes, so it is priced once, plus once for the certificate
+        stats = mcdlp.solve_variant(simlab.gen_hardness_instance(14), McdlpVariant.SINGLE_ITEM).lp.stats
+        assert (stats.phase1_pivots, stats.phase2_pivots, stats.bound_flips) == (0, 0, 196)
+        assert stats.pricings == 2
+
     def test_infeasible_has_no_certificate(self):
         s = solve(LpModel.build([1.0], [([(0, 1.0)], -1.0, None)], [1.0]))
         assert s.status == "infeasible"
         assert s.stats.certificate_error is None
+
+
+def _sparse_lp(rng, n, m):
+    """Random LP whose rows each use at most a third of the columns, some
+    with a repeated coefficient, and whose rows with a negative right-hand
+    side need an artificial at the zero start."""
+    rows = []
+    for r in range(m):
+        cols = rng.choice(n, size=int(rng.integers(1, max(2, n // 3) + 1)), replace=False)
+        coeffs = [(int(j), float(rng.uniform(-2, 2))) for j in cols]
+        if rng.random() < 0.3:
+            coeffs.append((int(cols[0]), float(rng.uniform(-1, 1))))
+        rhs = float(rng.uniform(-1.0, 2.0)) if r % 3 == 0 else float(rng.uniform(0.5, 3.0))
+        rows.append((coeffs, rhs, None))
+    return LpModel.build(list(rng.uniform(-1, 2, n)), rows, list(rng.uniform(0.5, 2.0, n)))
+
+
+class TestSparsePricing:
+    def test_matches_dense_product_with_artificials(self):
+        rng = np.random.default_rng(2024)
+        with_art = 0
+        for trial in range(60):
+            n, m = int(rng.integers(2, 40)), int(rng.integers(1, 25))
+            simplex = lpcore._Simplex(_sparse_lp(rng, n, m))
+            simplex._install_artificials()
+            with_art += bool(simplex.art)
+            simplex._refactor()
+            A = simplex.A
+            for cvec in (simplex.c, rng.normal(size=A.shape[1])):
+                for y in (cvec[simplex.basis] @ simplex.Binv, rng.normal(size=m) * 10.0 ** rng.integers(-3, 4)):
+                    got = simplex._reduced_costs(cvec, y)
+                    dense = cvec - y @ A
+                    scale = np.abs(cvec) + np.abs(y) @ np.abs(A)
+                    assert got.shape == dense.shape
+                    assert (np.abs(got - dense) <= 1e-12 * scale).all()
+        assert with_art >= 20
 
 
 def _variant_models():

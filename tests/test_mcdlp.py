@@ -1,9 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mcassort import mcdlp, simlab
+from mcassort import lpcore, mcdlp, simlab
 from mcassort.mcdlp import (
     McdlpVariant,
     MonteCarloEstimate,
@@ -14,9 +15,12 @@ from mcassort.model import (
     AssortmentFamily,
     CustomerType,
     Instance,
+    Item,
     Mnl,
+    Product,
     Tabular,
     choice_prob,
+    validate,
 )
 
 
@@ -26,6 +30,119 @@ def _toy_matching():
     return Instance.single_level(T=1, inventories=[1], types=(ct,),
                                  family=AssortmentFamily.size_capped(1),
                                  matching_with_timeouts=True)
+
+
+def row_by_row_build(inst, variant, assortments=None, colgen_master=False):
+    """The LP build as it was before the one-pass builder: probabilities
+    cached per (type, assortment), then each row assembled on its own."""
+    mcdlp._check_preconditions(inst, variant)
+    fam = tuple(assortments) if assortments is not None else inst.family.assortments(inst.n_products)
+    m = inst.m
+    F = len(fam)
+    Q = [ct.total_rate(inst.T) for ct in inst.types]
+    var = lambda j, k: j * F + k
+    objective = [0.0] * (m * F)
+    upper = [1.0] * (m * F)
+    probs = [[{i: choice_prob(inst.types[j].choice, i, S) for i in S} for S in fam] for j in range(m)]
+    for j in range(m):
+        rev = inst.types[j].revenues
+        for k, S in enumerate(fam):
+            objective[var(j, k)] = Q[j] * sum(rev[i] * probs[j][k][i] for i in S)
+    rows = []
+    for item in range(inst.n_items):
+        prods = set(inst.products_of_item(item))
+        coeffs = []
+        for j in range(m):
+            for k, S in enumerate(fam):
+                a = Q[j] * sum(probs[j][k][i] for i in S if i in prods)
+                if a:
+                    coeffs.append((var(j, k), a))
+        rows.append((coeffs, float(inst.items[item].inventory), ("inventory", item)))
+    for j in range(m):
+        coeffs = []
+        for k, S in enumerate(fam):
+            a = sum(probs[j][k][i] for i in S)
+            if a:
+                coeffs.append((var(j, k), a))
+        rows.append((coeffs, 1.0, ("sell_one", j)))
+    for j in range(m):
+        rows.append(([(var(j, k), 1.0) for k in range(F)], mcdlp._patience_rhs(inst.types[j]), ("patience", j)))
+    if variant.no_repeat:
+        for j in range(m):
+            for prod in range(inst.n_products):
+                coeffs = [(var(j, k), 1.0) for k, S in enumerate(fam) if prod in S]
+                rows.append((coeffs, 1.0, ("overlap", j, prod)))
+    caps_are_real = variant in (McdlpVariant.SINGLE_ITEM, McdlpVariant.MCDLP_R)
+    if variant == McdlpVariant.SINGLE_ITEM:
+        for j in range(m):
+            for k, S in enumerate(fam):
+                if len(S) == 1:
+                    (i,) = tuple(S)
+                    upper[var(j, k)] = float(inst.items[inst.products[i].item].inventory)
+    if colgen_master:
+        if caps_are_real:
+            for j in range(m):
+                for k in range(F):
+                    rows.append(([(var(j, k), 1.0)], upper[var(j, k)], ("xcap", j, k)))
+        for j in range(m):
+            slack = 2.0 * mcdlp._patience_rhs(inst.types[j]) + 2.0
+            for k in range(F):
+                upper[var(j, k)] = slack
+    return lpcore.LpModel.build(objective, rows, upper)
+
+
+def _two_level_tabular():
+    """Two items at two price levels with table choice: explicit entries on
+    some sets, set-independent probabilities elsewhere."""
+    K, n_items = 2, 3
+    P = n_items * K
+    types = []
+    for j, scale in enumerate((0.1, 0.07)):
+        ip = tuple(scale * (1 + i % 3) for i in range(P))
+        entries = {(0, frozenset({0, 3})): 0.8 * ip[0], (3, frozenset({0, 3})): 0.5 * ip[3],
+                   (1, frozenset({1})): 1.5 * ip[1], (4, frozenset({2, 4})): 0.75 * ip[4]}
+        types.append(CustomerType(id=j, arrival=(0.3, 0.2, 0.4), revenues=tuple(1.0 + 0.5 * i for i in range(P)),
+                                  choice=Tabular(entries=entries, item_probs=ip), patience=2))
+    return Instance(T=3, items=tuple(Item(i, 1 + i) for i in range(n_items)),
+                    products=tuple(Product(i * K + lv, i, lv) for i in range(n_items) for lv in range(K)),
+                    types=tuple(types), family=AssortmentFamily.size_capped(2), price_levels=K)
+
+
+class TestOnePassBuild:
+    """The one-pass builder emits models equal to the row-by-row build, float for float."""
+
+    def _same(self, inst, variant, assortments=None, colgen_master=False):
+        got = mcdlp.build(inst, variant, assortments, colgen_master=colgen_master)
+        assert got == row_by_row_build(inst, variant, assortments, colgen_master=colgen_master)
+        return got
+
+    def test_hotel_mmcdlp_nr_cells(self):
+        template = simlab.gen_hotel_like(seed=0, n_types=24)
+        for lf, cell_seed in ((1.0, 1), (4.0, 2), (7.0, 3)):
+            inst = simlab.build_hotel_instance(template, lf, 2.0, 2, 4, seed=cell_seed)
+            self._same(inst, McdlpVariant.MMCDLP_NR)
+
+    def test_hardness_single_item(self):
+        self._same(simlab.gen_hardness_instance(14), McdlpVariant.SINGLE_ITEM)
+
+    def test_attenuated_online_mcdlp_r(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from workloads import AttenuatedOnline, assortment_instance
+
+        self._same(assortment_instance(AttenuatedOnline.ASSORT_SEED), McdlpVariant.MCDLP_R)
+
+    def test_colgen_masters(self):
+        inst = simlab.random_norepeat_instance(seed=3, n=6, cap=3, m=4)
+        fam = inst.family.assortments(inst.n_products)[::7]
+        for variant in (McdlpVariant.MCDLP_NR, McdlpVariant.MCDLP_R):
+            model = self._same(inst, variant, fam, colgen_master=True)
+            assert any(row.tag[0] == "xcap" for row in model.rows) == (variant == McdlpVariant.MCDLP_R)
+
+    def test_tabular_two_price_levels(self):
+        inst = _two_level_tabular()
+        assert validate(inst).ok, validate(inst).violations
+        for variant in (McdlpVariant.MMCDLP_NR, McdlpVariant.MCDLP_R):
+            self._same(inst, variant)
 
 
 class TestBuild:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -288,6 +289,86 @@ def _valid_instances(draw):
     if splittable and draw(st.booleans()):
         inst = split_inventory(inst)
     return inst
+
+
+def _with_type(inst, j, **changes):
+    types = list(inst.types)
+    types[j] = dataclasses.replace(types[j], **changes)
+    return dataclasses.replace(inst, types=tuple(types))
+
+
+def _with_item(inst, i, **changes):
+    items = list(inst.items)
+    items[i] = dataclasses.replace(items[i], **changes)
+    return dataclasses.replace(inst, items=tuple(items))
+
+
+def _single_field_mutations(inst, j):
+    """Ways to break one field of the valid ``inst`` (type ``j`` for the
+    per-type fields), each with the violation ``validate`` must name."""
+    P = inst.n_products
+    ct = inst.types[j]
+    out = [
+        (dataclasses.replace(inst, T=0), "T must be positive"),
+        (dataclasses.replace(inst, price_levels=0), "price_levels must be >= 1"),
+        (_with_type(inst, j, id=j + 9), f"type ids must be dense, got {j + 9} at {j}"),
+        (_with_type(inst, j, arrival=1.5), f"type {j}: arrival probabilities outside [0,1]"),
+        (_with_type(inst, j, arrival=(0.0,) * (inst.T + 1)), f"type {j}: arrival table length {inst.T + 1} != T={inst.T}"),
+        (_with_type(inst, j, revenues=ct.revenues + (1.0,)), f"type {j}: revenue vector length {P + 1} != {P}"),
+        (dataclasses.replace(inst, family=AssortmentFamily.explicit(inst.family.assortments(P) + (frozenset({P}),))),
+         f"family set [{P}] references unknown products"),
+    ]
+    if P:  # splitting an instance drops its zero-stock items
+        out += [
+            (dataclasses.replace(inst, products=inst.products[:-1]), "products must be the item x price-level cross product"),
+            (dataclasses.replace(inst, products=(dataclasses.replace(inst.products[0], id=P + 3),) + inst.products[1:]),
+             f"product {P + 3}: id must equal item*K+level"),
+            (_with_item(inst, 0, id=7), "item ids must be dense 0..n-1, got 7 at 0"),
+            (_with_item(inst, 0, inventory=-1), "item 0: negative inventory"),
+            (_with_type(inst, j, revenues=(-1.0,) + ct.revenues[1:]), f"type {j}: revenues must be finite and non-negative"),
+            (_with_type(inst, j, revenues=ct.revenues[:-1] + (math.inf,)), f"type {j}: revenues must be finite and non-negative"),
+        ]
+    if ct.patience is not None:
+        out += [(_with_type(inst, j, leave_prob=0.5), f"type {j}: exactly one of patience and leave_prob must be set"),
+                (_with_type(inst, j, patience=0), f"type {j}: patience must be a positive integer")]
+    else:
+        out += [(_with_type(inst, j, leave_prob=None), f"type {j}: exactly one of patience and leave_prob must be set"),
+                (_with_type(inst, j, leave_prob=1.5), f"type {j}: leave_prob must lie in (0,1]")]
+    if isinstance(ct.arrival, tuple):
+        out.append((_with_type(inst, j, arrival=ct.arrival[:-1] + (-0.5,)), f"type {j}: arrival probabilities outside [0,1]"))
+    if isinstance(ct.choice, Mnl) and P:
+        w = ct.choice.weights
+        out += [
+            (_with_type(inst, j, choice=Mnl(w[:-1], ct.choice.no_purchase)), f"type {j}: MNL weight vector length {P - 1} != {P}"),
+            (_with_type(inst, j, choice=Mnl((0.0,) + w[1:], ct.choice.no_purchase)), f"type {j}: MNL weights must be strictly positive"),
+            (_with_type(inst, j, choice=Mnl(w, 0.0)), f"type {j}: MNL weights must be strictly positive"),
+        ]
+    elif isinstance(ct.choice, Tabular):
+        # a product shown in some family set without a table entry there
+        # reads its set-independent probability
+        shown = sorted({i for S in inst.family.assortments(P) for i in S if (i, S) not in ct.choice.entries})
+        if shown:
+            i = shown[0]
+            probs = ct.choice.item_probs[:i] + (1.5,) + ct.choice.item_probs[i + 1:]
+            out.append((_with_type(inst, j, choice=Tabular(ct.choice.entries, probs)),
+                        f"type {j}: probability 1.5 outside [0,1] for product {i}"))
+        if ct.choice.item_probs is not None:
+            out.append((_with_type(inst, j, choice=Tabular(ct.choice.entries, ct.choice.item_probs + (0.0,))),
+                        f"type {j}: tabular item_probs length {P + 1} != {P}"))
+    if not inst.family.is_singleton_family(P):
+        out.append((dataclasses.replace(inst, matching_with_timeouts=True),
+                    "matching-with-timeouts instances must have |S| <= 1 assortments"))
+    return out
+
+
+class TestValidateMutations:
+    @settings(max_examples=80, deadline=None)
+    @given(_valid_instances(), st.data())
+    def test_each_single_field_mutation_is_named(self, inst, data):
+        assert validate(inst).ok, validate(inst).violations
+        j = data.draw(st.integers(0, inst.m - 1))
+        for bad, message in _single_field_mutations(inst, j):
+            assert message in validate(bad).violations
 
 
 class TestRoundTrip:
