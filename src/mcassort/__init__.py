@@ -33,7 +33,6 @@ from .rounding import RoundingOutput, gkps_round
 from .blackbox import CoinSet, FlipOutcome, f, run_blackbox, w_value
 from .attenuate import (
     GammaSchedule,
-    estimate_probabilities,
     gamma_schedule,
     h_limit,
     run_algorithm1,

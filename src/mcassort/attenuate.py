@@ -17,35 +17,30 @@ flips all arriving types in one vectorized black-box pass per step, and
 shares one factor-estimation loop and one evaluation loop between the two.
 
 Factors are estimated by fresh nested simulation per time-step (cost grows
-with T^2 times the budget, so keep attenuated horizons at desk scale).  A
-scalar path produces per-replica matching traces whose invariants raise on
-violation.  Replicas derive independent generator streams from the seed, so
-the work could be fanned out concurrently without changing any estimate.
+with T^2 times the budget, so keep attenuated horizons at desk scale).
+Replicas derive independent generator streams from the seed, so the work
+could be fanned out concurrently without changing any estimate.
 """
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import mcdlp
-from .blackbox import CASE_NONE, CASE_SMALL, CoinSet, batch_flip, certified_case, run_blackbox
+from .blackbox import CASE_NONE, CASE_SMALL, batch_flip, certified_case
 from .mcdlp import RevenueSamples
 from .model import Instance, Mnl, Tabular, choice_prob
-from .trace import PolicyTrace, RunSampler, StepRecord
 
 __all__ = [
     "GammaSchedule",
     "gamma_schedule",
     "h_limit",
     "AttenuationFactors",
-    "ProbabilityEstimates",
     "AttenuationRunResult",
     "compute_attenuation_factors",
-    "estimate_probabilities",
     "run_algorithm1",
     "run_algorithm6",
 ]
@@ -108,17 +103,6 @@ class AttenuationFactors:
     surv_rel_var: np.ndarray  # (T, n): per-step relative variance of survival estimates
     mc_budget: int
     diagnostics: list[str] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class ProbabilityEstimates:
-    """Monte Carlo estimates at the start of one time-step."""
-
-    t: int
-    availability: np.ndarray      # (n,)
-    availability_se: np.ndarray
-    offer: np.ndarray             # (m, n): Pr[Offer and Avail | Type j], pre-attenuation
-    offer_se: np.ndarray
 
 
 class _Coins(NamedTuple):
@@ -402,7 +386,6 @@ class AttenuationRunResult(RevenueSamples):
     revenues: np.ndarray          # (replicas,)
     avail_freq: np.ndarray        # (T+1, n): availability at the start of t = 1..T+1
     accept_freq: np.ndarray       # (T, m, n): realized sale frequency per (type, item)
-    traces: list[PolicyTrace] = field(default_factory=list)
 
     def avail_sigma(self, t: int) -> np.ndarray:
         """Std budget for |avail_freq(t) - gamma_t|: eval noise plus factor noise.
@@ -481,39 +464,6 @@ def compute_attenuation_factors(
     return _estimate_factors(kern, mc_budget, np.random.SeedSequence(seed).spawn(kern.T))
 
 
-def estimate_probabilities(
-    inst: Instance,
-    plan,
-    factors: AttenuationFactors,
-    t: int,
-    mc_budget: int,
-    seed: int = 0,
-    allow_uncertified: bool = False,
-) -> ProbabilityEstimates:
-    """Re-simulate the attenuated matching policy up to the start of step ``t``.
-
-    Returns availability and per-(type, item) pre-attenuation offer estimates
-    with standard errors.  Items whose conditioning events never occur come
-    back with estimate 0 and are treated as factor 1 by the factor builder.
-    """
-    if mc_budget < 1:
-        raise ValueError("mc_budget must be positive")
-    if not 1 <= t <= inst.T:
-        raise ValueError(f"t must be in 1..{inst.T}")
-    kern = _matching_kernel(inst, plan, allow_uncertified)
-    n, B = kern.n, mc_budget
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    avail = kern.prefix(kern.edge_factors(factors), factors.vertex, t, B, rng)
-    if t == 1:
-        availability = np.ones(n)
-        availability_se = np.zeros(n)
-    else:
-        availability = avail.mean(axis=0)
-        availability_se = np.sqrt(availability * (1 - availability) / B)
-    offer, offer_se = kern.offer_estimates(avail, rng)
-    return ProbabilityEstimates(t, availability, availability_se, offer[:, :, 0], offer_se[:, :, 0])
-
-
 def run_algorithm1(
     inst: Instance,
     plan,
@@ -522,7 +472,6 @@ def run_algorithm1(
     seed: int = 0,
     factors: AttenuationFactors | None = None,
     allow_uncertified: bool = False,
-    record_traces: int = 0,
 ) -> AttenuationRunResult:
     """Attenuated online policy for matching with timeouts.
 
@@ -535,64 +484,7 @@ def run_algorithm1(
             inst, kern.weights, mc_budget=mc_budget, seed=seed * 2_654_435_761 % (2**31) + 1,
             allow_uncertified=allow_uncertified,
         )
-    result = _evaluate(kern, factors, replicas, np.random.default_rng(np.random.SeedSequence(seed)))
-    result.traces = [
-        _trace_algorithm1(inst, kern, factors, replica_id=k, seed=seed + 7_919 * (k + 1))
-        for k in range(record_traces)
-    ]
-    return result
-
-
-def _trace_algorithm1(
-    inst: Instance,
-    kern: _Kernel,
-    factors: AttenuationFactors,
-    replica_id: int,
-    seed: int,
-) -> PolicyTrace:
-    """Scalar single-horizon matching path with event recording and checks."""
-    rng = random.Random(seed)
-    sampler = RunSampler(inst)
-    n = kern.n
-    edge = kern.edge_factors(factors)
-    stock = [1] * n
-    retired = [False] * n
-    trace = PolicyTrace(replica=replica_id, initial_inventory=tuple(stock))
-    for t in range(1, kern.T + 1):
-        j = sampler.draw_type(0, rng)
-        if j is not None:
-            avail_ids = [i for i in range(n) if stock[i] > 0 and not retired[i] and kern.weights[j, i] > 0]
-            if avail_ids:
-                coins = CoinSet(
-                    tuple(kern.p_full[j, i, 0] for i in avail_ids),
-                    tuple(kern.weights[j, i] for i in avail_ids),
-                    int(kern.ell[j]),
-                    kern.case[j],
-                )
-                outcome = run_blackbox(coins, rng=rng)
-                if len(outcome.order) > kern.ell[j]:
-                    raise RuntimeError(f"t={t}: {len(outcome.order)} flips exceed patience {kern.ell[j]}")
-                stage = 0
-                for local in outcome.order:
-                    i = avail_ids[local]
-                    if stock[i] <= 0 or retired[i]:
-                        raise RuntimeError(f"t={t}: offered unavailable item {i}")
-                    displayed = rng.random() < edge[t - 1, j, i, 0]
-                    if not displayed:
-                        continue
-                    stage += 1
-                    bought = outcome.heads[local]
-                    if bought:
-                        stock[i] -= 1
-                        trace.steps.append(StepRecord(t, j, stage, (i,), i, kern.r[j, i]))
-                    else:
-                        trace.steps.append(StepRecord(t, j, stage, (i,), None, 0.0))
-        for i in range(n):
-            if stock[i] > 0 and not retired[i] and rng.random() >= factors.vertex[t - 1, i]:
-                retired[i] = True
-    trace.final_inventory = tuple(stock)
-    trace.check_conservation(inst)
-    return trace
+    return _evaluate(kern, factors, replicas, np.random.default_rng(np.random.SeedSequence(seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -600,16 +492,12 @@ def _trace_algorithm1(
 
 
 def _assortment_kernel(inst: Instance, solution: mcdlp.McdlpSolution, allow_uncertified: bool) -> _Kernel:
-    """Each type's positive-weight non-empty assortments, in sorted order."""
+    """Each type's support sets (``McdlpSolution.support``) are its coins."""
     if not inst.repeated_offers_allowed:
         raise ValueError("algorithm 6 needs repeated_offers_allowed")
     if inst.price_levels != 1:
         raise ValueError("algorithm 6 runs on single-price instances")
-    support = [
-        [(S, v) for S, v in sorted(plan.items(), key=lambda kv: tuple(sorted(kv[0])))
-         if v > 1e-12 and len(S) > 0]
-        for plan in solution.plan
-    ]
+    support = [solution.support(j) for j in range(len(solution.plan))]
     return _Kernel(inst, "algorithm 6", [[S for S, _ in s] for s in support],
                    [[v for _, v in s] for s in support], solution.assortments, allow_uncertified)
 

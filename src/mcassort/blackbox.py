@@ -28,9 +28,6 @@ CASE_NONE = "none"
 
 _TOL = 1e-9
 
-F_DERIV_AT_0 = -0.5
-F_DERIV_AT_1 = -1.0 + 2.0 / math.e
-
 __all__ = [
     "CoinSet",
     "certified_case",
@@ -183,7 +180,6 @@ def batch_flip(
     patience,
     case,
     rng: np.random.Generator,
-    wrong_key: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized black-box across many independent runs.
 
@@ -206,10 +202,7 @@ def batch_flip(
     ell_rows = np.broadcast_to(np.asarray(patience, dtype=np.int64), (B,))
     in_set = gkps_round_batch(x_rows, rng)
     Y = rng.random((B, n))
-    if wrong_key:
-        denom = 1.0 - p_rows
-    else:
-        denom = np.where(small_rows[:, None], 1.0 - p_rows, 1.0 - p_rows * x_rows)
+    denom = np.where(small_rows[:, None], 1.0 - p_rows, 1.0 - p_rows * x_rows)
     keys = np.where(denom > _TOL, Y / np.maximum(denom, _TOL), np.inf)
     keys = np.where(in_set, keys, np.nan)  # NaN sorts last, after any inf
     order = np.argsort(keys, axis=1, kind="stable")

@@ -19,7 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from . import lpcore
-from .model import CustomerType, Instance, validate
+# build takes a set's probabilities from ``probs`` and calls no choice_prob;
+# the name stays bound because perfbench's tracer rebinds choice_prob in every
+# module that imported it, and perfbench/test_perfbench.py expects it here.
+from .model import CustomerType, Instance, choice_prob, validate  # noqa: F401
 
 INT_TOL = 1e-9
 
@@ -57,6 +60,12 @@ class McdlpSolution:
     assortments: tuple[frozenset[int], ...]
     plan: tuple[dict, ...]              # per type: {assortment: weight > 0}
     lp: lpcore.LpSolution
+
+    def support(self, j: int) -> list[tuple[frozenset[int], float]]:
+        """Type j's (set, weight) pairs of weight above 1e-12 with a non-empty
+        set, sorted by the set's members: the sets the online policies offer."""
+        return [(S, v) for S, v in sorted(self.plan[j].items(), key=lambda kv: tuple(sorted(kv[0])))
+                if v > 1e-12 and len(S) > 0]
 
     def single_item_plan(self, n_products: int) -> np.ndarray:
         """x[j, i] for matching instances (singleton assortments)."""

@@ -61,14 +61,10 @@ class NoRepeatResult(RevenueSamples):
 
 
 def _support(solution: McdlpSolution, j: int, alpha: float) -> list[tuple[frozenset[int], float, int]]:
-    """Positive-weight assortments in deterministic order, each with its
-    inclusion probability and product bitmask; the empty set can never be
-    displayed so it is excluded from the permutation."""
-    return [
-        (S, _inclusion_prob(v, alpha), sum(1 << i for i in S))
-        for S, v in sorted(solution.plan[j].items(), key=lambda kv: tuple(sorted(kv[0])))
-        if v > 1e-12 and len(S) > 0
-    ]
+    """The plan's support sets, each with its inclusion probability and
+    product bitmask; the empty set can never be displayed, so the support
+    leaves it out of the permutation."""
+    return [(S, _inclusion_prob(v, alpha), sum(1 << i for i in S)) for S, v in solution.support(j)]
 
 
 def _inclusion_prob(x: float, alpha: float) -> float:

@@ -89,13 +89,13 @@ def gkps_round_batch(z_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray
     Implements the same lowest-index pairwise scan as :func:`gkps_round`, one
     column at a time across all rows.
     """
-    z = np.asarray(z_rows, dtype=float)
-    if z.ndim != 2:
+    given = np.asarray(z_rows, dtype=float)
+    if given.ndim != 2:
         raise ValueError("z_rows must be 2-d")
-    if np.any(z < -SNAP_TOL) or np.any(z > 1 + SNAP_TOL):
+    if np.any(given < -SNAP_TOL) or np.any(given > 1 + SNAP_TOL):
         raise ValueError("weights outside [0,1]")
-    B, N = z.shape
-    z = np.clip(z, 0.0, 1.0)
+    B, N = given.shape
+    z = np.clip(given, 0.0, 1.0)
     near0 = z <= SNAP_TOL
     near1 = z >= 1 - SNAP_TOL
     z[near0] = 0.0
@@ -139,7 +139,7 @@ def gkps_round_batch(z_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray
         u = rng.random(int(left.sum()))
         out[rows[left], carry_idx[left]] = u < carry_val[left]
     totals = out.sum(axis=1)
-    caps = np.ceil(z_rows.sum(axis=1) - SNAP_TOL)
+    caps = np.ceil(given.sum(axis=1) - SNAP_TOL)
     bad = np.nonzero(totals > np.maximum(caps, 0))[0]
     if bad.size:
         raise RuntimeError(f"degree preservation violated in row {bad[0]}: "

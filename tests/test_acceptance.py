@@ -138,7 +138,8 @@ def test_criterion_04_blackbox_guarantee():
                 worst_margin = min(worst_margin, margin)
                 assert freq[i] >= bound - 4 * sigma, (case, trial, i, freq[i], bound)
 
-    # Known counter-example against the p-only ordering key.  The exact
+    # Known counter-example against the p-only ordering key, which is the
+    # small-probs key Y / (1 - p) used outside its case.  The exact
     # conditional flip probability is 0.5 + eps/2 (0.5 is its eps -> 0
     # limit), so eps = 0.01 is used to land inside the 0.01 window.
     eps = 0.01
@@ -152,7 +153,7 @@ def test_criterion_04_blackbox_guarantee():
     while done < R3:
         B = min(chunk, R3 - done)
         xw = np.tile(x, (B, 1))
-        fw, _ = batch_flip(p, xw, 2, CASE_NONE, rng, wrong_key=True)
+        fw, _ = batch_flip(p, xw, 2, CASE_SMALL, rng)
         flips_wrong += int(fw[:, 2].sum())
         fr, _ = batch_flip(p, xw, 2, CASE_NONE, rng)
         flips_right += int(fr[:, 2].sum())

@@ -28,6 +28,16 @@ def _toy_instance(p=0.5, r=1.0):
                                  matching_with_timeouts=True)
 
 
+def _kernel_estimates(inst, plan, factors, t, budget, seed):
+    """Availability at the start of step ``t`` and the (type, item)
+    pre-attenuation offer estimates there, from one fresh engine ensemble of
+    ``budget`` replicas run through the attenuated steps 1..t-1."""
+    kern = attenuate._matching_kernel(inst, plan, allow_uncertified=False)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    avail = kern.prefix(kern.edge_factors(factors), factors.vertex, t, budget, rng)
+    return avail.mean(axis=0), kern.offer_estimates(avail, rng)[0][:, :, 0]
+
+
 class TestGammaSchedule:
     def test_one_step_closed_form(self):
         sched = gamma_schedule(1)
@@ -71,21 +81,6 @@ class TestToyAccept:
         sigma = math.sqrt(target * (1 - target) / res.replicas)
         assert freq == pytest.approx(target, abs=4 * sigma)
 
-    def test_estimate_probabilities_t1_exact(self):
-        inst = _toy_instance()
-        sol = mcdlp.solve_variant(inst, McdlpVariant.SINGLE_ITEM)
-        factors = attenuate.compute_attenuation_factors(inst, sol, 500, seed=1)
-        est = attenuate.estimate_probabilities(inst, sol, factors, 1, 500, seed=2)
-        assert est.availability[0] == 1.0
-        assert est.availability_se[0] == 0.0
-
-    def test_estimate_probabilities_budget_validation(self):
-        inst = _toy_instance()
-        sol = mcdlp.solve_variant(inst, McdlpVariant.SINGLE_ITEM)
-        factors = attenuate.compute_attenuation_factors(inst, sol, 100, seed=1)
-        with pytest.raises(ValueError):
-            attenuate.estimate_probabilities(inst, sol, factors, 1, 0, seed=2)
-
     def test_t2_pre_vertex_survival_and_estimator_determinism(self):
         # with the step-1 edge factor in place but vertex damping still off,
         # the item survives to t=2 w.p. 1 - (1-1/e)/2 ~ 0.684; the vertex
@@ -98,17 +93,16 @@ class TestToyAccept:
         sol = mcdlp.solve_variant(inst, McdlpVariant.SINGLE_ITEM)
         budget = 20_000
         factors = attenuate.compute_attenuation_factors(inst, sol, budget, seed=3)
-        import numpy as np
         pre = attenuate.AttenuationFactors(
             edge=factors.edge, vertex=np.ones_like(factors.vertex),
             surv_rel_var=factors.surv_rel_var, mc_budget=budget)
-        est = attenuate.estimate_probabilities(inst, sol, pre, 2, budget, seed=4)
+        avail, offer = _kernel_estimates(inst, sol, pre, 2, budget, seed=4)
+        avail_se = math.sqrt(avail[0] * (1 - avail[0]) / budget)
         expect = 1 - (1 - math.exp(-1)) * 0.5
-        assert est.availability[0] == pytest.approx(expect, abs=4 * est.availability_se[0]
-                                                    + 3 * expect / math.sqrt(budget))
-        est2 = attenuate.estimate_probabilities(inst, sol, pre, 2, budget, seed=4)
-        assert (est.availability == est2.availability).all()
-        assert (est.offer == est2.offer).all()
+        assert avail[0] == pytest.approx(expect, abs=4 * avail_se + 3 * expect / math.sqrt(budget))
+        avail2, offer2 = _kernel_estimates(inst, sol, pre, 2, budget, seed=4)
+        assert (avail == avail2).all()
+        assert (offer == offer2).all()
 
     def test_t2_availability_tracks_vertex_target(self):
         # two steps on the toy: availability before attenuation ~ 1 - 0.316,
@@ -154,23 +148,6 @@ class TestHypothesisGate:
         res = attenuate.run_algorithm1(inst, sol, mc_budget=400, replicas=400,
                                        seed=0, allow_uncertified=True)
         assert res.revenue_mean >= 0.0
-
-
-class TestTraces:
-    def test_trace_invariants(self):
-        inst = simlab.random_matching_instance(seed=4, n=5, m=3, T=6)
-        sol = mcdlp.solve_variant(inst, McdlpVariant.SINGLE_ITEM)
-        res = attenuate.run_algorithm1(inst, sol, mc_budget=300, replicas=300,
-                                       seed=1, record_traces=20)
-        assert len(res.traces) == 20
-        for tr in res.traces:
-            tr.check_conservation(inst)  # initial - sold == final
-            per_customer = {}
-            for s in tr.steps:
-                per_customer.setdefault(s.t, []).append(s)
-            for t, steps in per_customer.items():
-                ell = inst.types[steps[0].customer_type].patience
-                assert len(steps) <= ell
 
 
 class TestAlgorithm6:
@@ -312,9 +289,10 @@ class TestMatchingGoldens:
     kernel it replaced draw for draw.
 
     The plans, factors and digests were recorded from that kernel: hand-set
-    factors (``_handset_factors``) evaluated with ``replicas=3000, seed=7,
-    record_traces=3``; ``estimate_probabilities`` at t=3 with budget 300 and
-    seed 2; and ``compute_attenuation_factors`` with budget 400 and seed 9.
+    factors (``_handset_factors``) evaluated with ``replicas=3000, seed=7``;
+    the availability and offer estimates at t=3 from a budget-300 ensemble
+    drawn from seed 2 (``_kernel_estimates``); and
+    ``compute_attenuation_factors`` with budget 400 and seed 9.
     """
 
     CASES = {
@@ -324,7 +302,6 @@ class TestMatchingGoldens:
             "accept_freq": "cb0d88bde218a410f3deb4ed2d8091fe97735b4e2e374de6b0d439d266ddc463",
             "availability": "6f53de3012e0b92aa397fc4b8b4813b075597443490188f7bd3cf601e636c023",
             "offer": "ff4437328d8f3b8c4d0be8b3b3f3d23a41701fcc03f73fa375ec2b9cb8902c37",
-            "traces": [(41, 2.0), (53, 4.0), (34, 5.0)],
         }),
         "random": (lambda: simlab.random_matching_instance(seed=4, n=5, m=3, T=6), {
             "revenues": "441b09c68216bba3709b20048a30c3618971bb304796163a47c11ee672ce6e08",
@@ -332,7 +309,6 @@ class TestMatchingGoldens:
             "accept_freq": "e222356736e98de41f2da6f6bf9fdfb180651e7464ef29441586ee5e51adecbd",
             "availability": "4c4136f12fd33bd9c28408f12e7d2fbcea6e1adf6a8db18ae9bd36be0acffe38",
             "offer": "acf34384a2a8f41ce1271d0615e5d9685fd5e045505d26e727e596d144c508bc",
-            "traces": [(2, 4.5012932309379945), (3, 2.0922424218138724), (5, 2.0922424218138724)],
         }),
     }
 
@@ -342,15 +318,13 @@ class TestMatchingGoldens:
         inst = make()
         plan = np.load(GOLDEN)[f"{name}_plan"]
         fac = _handset_factors(inst.T, inst.m, inst.n_products)
-        res = attenuate.run_algorithm1(inst, plan, replicas=3000, seed=7, factors=fac,
-                                       record_traces=3)
+        res = attenuate.run_algorithm1(inst, plan, replicas=3000, seed=7, factors=fac)
         for key in ("revenues", "avail_freq", "accept_freq"):
             assert _sha(getattr(res, key)) == want[key], key
-        assert [(len(tr.steps), tr.revenue) for tr in res.traces] == want["traces"]
-        est = attenuate.estimate_probabilities(inst, plan, fac, 3, 300, seed=2)
-        assert est.offer.shape == (inst.m, inst.n_products)
-        assert _sha(est.availability) == want["availability"]
-        assert _sha(est.offer) == want["offer"]
+        availability, offer = _kernel_estimates(inst, plan, fac, 3, 300, seed=2)
+        assert offer.shape == (inst.m, inst.n_products)
+        assert _sha(availability) == want["availability"]
+        assert _sha(offer) == want["offer"]
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_factors_match_recorded(self, name):
@@ -367,9 +341,7 @@ class TestMatchingGoldens:
 class TestInvariantsRaise:
     def _trace(self):
         inst = simlab.random_matching_instance(seed=4, n=5, m=3, T=6)
-        sol = mcdlp.solve_variant(inst, McdlpVariant.SINGLE_ITEM)
-        res = attenuate.run_algorithm1(inst, sol, mc_budget=100, replicas=10, seed=1,
-                                       record_traces=5)
+        res = simlab.run_benchmark(inst, "greedy", replicas=10, seed=1, record_traces=10)
         return inst, next(tr for tr in res.traces if any(s.purchased is not None for s in tr.steps))
 
     def test_doctored_trace_fails_conservation(self):

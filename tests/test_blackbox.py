@@ -185,14 +185,15 @@ class TestRunBlackbox:
                     assert freq[i] >= bound - 4 * sigma, (case, trial, i, freq[i], bound)
 
     def test_counterexample_wrong_key_fails_bound(self):
-        # eps = 0.1: the p-only ordering flips coin 3 w.p. 0.5 + eps/2 = 0.55
+        # eps = 0.1: the p-only ordering key Y / (1 - p) (the small-probs key,
+        # used here outside its case) flips coin 3 w.p. 0.5 + eps/2 = 0.55
         # conditioned on it surviving the rounding, strictly below f(w_3).
         eps = 0.1
         p = np.array([1 - eps, 0.0, 1 - eps])
         x = (1.0, 1 - eps, eps)
         R = 400_000
         rng = np.random.default_rng(3)
-        fl, _ = batch_flip(p, np.tile(x, (R, 1)), 2, CASE_NONE, rng, wrong_key=True)
+        fl, _ = batch_flip(p, np.tile(x, (R, 1)), 2, CASE_SMALL, rng)
         cond = fl[:, 2].mean() / eps  # Pr[3 in rounded set] = x_3 = eps
         sigma = math.sqrt(0.25 / (R * eps))
         assert cond == pytest.approx(0.5 + eps / 2, abs=4 * sigma)

@@ -251,6 +251,16 @@ class TestBuild:
             mcdlp.build(inst, McdlpVariant.MMCDLP_NR)
 
 
+class TestSupport:
+    def test_support_keeps_positive_non_empty_sets_in_member_order(self):
+        plan = {frozenset({2, 0}): 0.25, frozenset({1}): 0.5, frozenset(): 0.2,
+                frozenset({0, 1}): 1e-12, frozenset({0}): 2e-12, frozenset({1, 2}): 0.0}
+        sol = mcdlp.McdlpSolution(McdlpVariant.MCDLP_R, 1.0, tuple(plan), (plan, {}), None)
+        assert sol.support(0) == [(frozenset({0}), 2e-12), (frozenset({0, 2}), 0.25),
+                                  (frozenset({1}), 0.5)]
+        assert sol.support(1) == []
+
+
 class TestIntegralize:
     def test_splits_to_unit_rates(self):
         ct0 = CustomerType(id=0, arrival=0.5, revenues=(1.0,),

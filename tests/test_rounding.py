@@ -29,6 +29,12 @@ class TestDeterministicProperties:
             Z = gkps_round_batch(np.tile(z, (2_000, 1)), rng)
             assert Z.sum(axis=1).max() <= max(cap, 0)
 
+    def test_batch_accepts_array_like_rows(self):
+        rows = [[0.5, 0.5], [0.3, 0.9]]
+        got = gkps_round_batch(rows, np.random.default_rng(4))
+        want = gkps_round_batch(np.array(rows), np.random.default_rng(4))
+        np.testing.assert_array_equal(got, want)
+
     def test_weight_outside_range_rejected(self):
         with pytest.raises(ValueError):
             gkps_round((1.2, 0.5), seed=0)
