@@ -32,7 +32,8 @@ import numpy as np
 from . import mcdlp
 from .blackbox import CASE_NONE, CASE_SMALL, batch_flip, certified_case
 from .mcdlp import RevenueSamples
-from .model import Instance, Mnl, Tabular, choice_prob
+from .model import Instance, Mnl, choice_prob
+from .trace import check_replicas
 
 __all__ = [
     "GammaSchedule",
@@ -170,9 +171,7 @@ class _Kernel:
                 self.pw[j] = np.where(self.slot_ok[j], np.asarray(choice.weights)[self.items[j]], 0.0)
             else:
                 self.pw[j] = self.p_full[j]
-                self.general[j] = any(len(S) > 1 for S in sets[j]) and not (
-                    isinstance(choice, Tabular) and choice.item_probs is not None and not choice.entries
-                )
+                self.general[j] = any(len(S) > 1 for S in sets[j]) and not choice.set_independent
             masses = [sum(choice_prob(choice, i, S) for i in S) for S in family if S]
             self.case.append(certified_case(masses, int(inst.types[j].patience)))
         self.denom0 = np.where(self.mnl, v0, 1.0)
@@ -186,8 +185,6 @@ class _Kernel:
             )
         self.identity = L == 1 and K == n and bool((self.items[:, :, 0] == np.arange(n)).all())
         self.sells = self.slot_ok & (self.p_full > 0)
-        # p_j(i, stripped S) / p_j(i, S) = available * rel_scale / denom
-        self.rel_scale = np.divide(self.pw, self.p_full, out=np.zeros_like(self.pw), where=self.sells)
 
     def draw_types(self, B: int, rng: np.random.Generator) -> np.ndarray:
         return np.searchsorted(self.cum_q, rng.random(B), side="right")  # == m: no arrival
@@ -202,18 +199,22 @@ class _Kernel:
         v = np.einsum("bkl,bkl->bk", self.pw[types], av)
         denom = self.denom0[types][:, None] + self.mnl[types][:, None] * v
         mass = np.divide(v, denom, out=np.zeros_like(v), where=denom > 0)
-        for b in np.nonzero(self.general[types])[0]:
-            mass[b] = self._general_probs(types[b], av[b]).sum(axis=1)
         weight = self.weights[types]
         weight *= av.any(axis=2)
-        return _Coins(types, av, denom, mass, weight)
+        c = _Coins(types, av, denom, mass, weight)
+        general = np.nonzero(self.general[types])[0]
+        mass[general] = self.stripped_probs(c, general).sum(axis=2)
+        return c
 
-    def _slot_probs(self, c: _Coins, rows: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """Stripped choice probabilities of the slots of set ``k[w]`` in row ``rows[w]``."""
+    def stripped_probs(self, c: _Coins, rows: np.ndarray) -> np.ndarray:
+        """p_j(i, stripped S) for every (set, slot) of row ``rows[w]``, shape
+        (len(rows), K, L); 0 on unavailable and padding slots."""
         types = c.types[rows]
-        val = self.pw[types, k] * c.av[rows, k] / c.denom[rows, k][:, None]
-        for w in np.nonzero(self.general[types])[0]:
-            val[w] = self._general_probs(types[w], c.av[rows[w]])[k[w]]
+        val = self.pw[types]
+        val *= c.av[rows]
+        val /= c.denom[rows][:, :, None]
+        for w in np.nonzero(self.general[types])[0]:  # no closed form: row by row
+            val[w] = self._general_probs(types[w], c.av[rows[w]])
         return val
 
     def _general_probs(self, j: int, av: np.ndarray) -> np.ndarray:
@@ -242,7 +243,7 @@ class _Kernel:
         """The bought slot of set ``k[w]`` in row ``rows[w]``, given a sale."""
         if self.L == 1:
             return np.zeros(len(rows), dtype=np.intp)
-        cum = self._slot_probs(c, rows, k).cumsum(axis=1)
+        cum = self.stripped_probs(c, rows)[np.arange(len(rows)), k].cumsum(axis=1)
         u = rng.random(len(rows)) * cum[:, -1]
         return (cum > u[:, None]).argmax(axis=1)
 
@@ -308,20 +309,14 @@ class _Kernel:
             if L == 1:  # a flipped singleton is available and keeps its choice probability
                 mean[block] = sq[block] = flipped.reshape(R, B, K, 1).mean(axis=1)
             else:
-                share = np.divide(flipped, c.denom, out=np.zeros(c.denom.shape), where=c.denom > 0)
-                share = share.reshape(R, B, K)
-                av = c.av.reshape(R, B, K, L)
-                scale = self.rel_scale[block]
-                mean[block] = np.einsum("rbk,rbkl->rkl", share, av) * scale / B
-                sq[block] = np.einsum("rbk,rbkl->rkl", share * share, av) * (scale * scale) / B
-                for r in np.nonzero(self.general[block])[0]:  # no closed form: row by row
-                    j = block[r]
-                    tally = np.stack([flipped[b][:, None] * self._general_probs(j, c.av[b])
-                                      for b in range(r * B, (r + 1) * B)])
-                    tally = np.divide(tally, self.p_full[j], out=np.zeros_like(tally), where=self.sells[j])
-                    mean[j] = tally.mean(axis=0)
-                    sq[j] = (tally * tally).mean(axis=0)
-                del share, av
+                sold = self.stripped_probs(c, np.arange(R * B))
+                sold *= flipped[:, :, None]
+                sold = sold.reshape(R, B, K, L)
+                # p_j(i, S) is fixed per type, so it divides the row sums
+                inv = np.divide(1.0, self.p_full[block], out=np.zeros((R, K, L)), where=self.sells[block])
+                mean[block] = np.einsum("rbkl->rkl", sold) * inv / B
+                sq[block] = np.einsum("rbkl,rbkl->rkl", sold, sold) * (inv * inv) / B
+                del sold
             del c, flipped  # free this block's rows before the next block is drawn
         return mean, np.sqrt(np.maximum(sq - mean * mean, 0.0) / B)
 
@@ -335,6 +330,8 @@ def _estimate_factors(kern: _Kernel, mc_budget: int, streams) -> AttenuationFact
     Targets exceeding their estimate by more than two standard errors are
     recorded as diagnostics (the factor clamps to 1 rather than aborting).
     """
+    if mc_budget < 1:
+        raise ValueError("mc_budget must be positive")
     T, m, n = kern.T, kern.m, kern.n
     sched = gamma_schedule(T)
     edge = np.ones((T, m, kern.K, kern.L))
@@ -458,8 +455,6 @@ def compute_attenuation_factors(
     allow_uncertified: bool = False,
 ) -> AttenuationFactors:
     """Estimate algorithm 1's edge and vertex factors for every step."""
-    if mc_budget < 1:
-        raise ValueError("mc_budget must be positive")
     kern = _matching_kernel(inst, plan, allow_uncertified)
     return _estimate_factors(kern, mc_budget, np.random.SeedSequence(seed).spawn(kern.T))
 
@@ -478,12 +473,11 @@ def run_algorithm1(
     Computes attenuation factors (unless supplied) and evaluates the policy on
     ``replicas`` fresh horizons, tracking availability, sales and revenue.
     """
+    check_replicas(replicas)
     kern = _matching_kernel(inst, plan, allow_uncertified)
     if factors is None:
-        factors = compute_attenuation_factors(
-            inst, kern.weights, mc_budget=mc_budget, seed=seed * 2_654_435_761 % (2**31) + 1,
-            allow_uncertified=allow_uncertified,
-        )
+        factor_seed = seed * 2_654_435_761 % (2**31) + 1
+        factors = _estimate_factors(kern, mc_budget, np.random.SeedSequence(factor_seed).spawn(kern.T))
     return _evaluate(kern, factors, replicas, np.random.default_rng(np.random.SeedSequence(seed)))
 
 
@@ -520,8 +514,7 @@ def run_algorithm6(
     """
     if solution.variant not in (mcdlp.McdlpVariant.MCDLP_R, mcdlp.McdlpVariant.SINGLE_ITEM):
         raise ValueError("algorithm 6 rounds an MCDLP-R (or single-item) plan")
-    if mc_budget < 1:
-        raise ValueError("mc_budget must be positive")
+    check_replicas(replicas)
     kern = _assortment_kernel(inst, solution, allow_uncertified)
     streams = np.random.SeedSequence(seed).spawn(kern.T + 1)
     factors = _estimate_factors(kern, mc_budget, streams)

@@ -118,16 +118,16 @@ class FlipOutcome:
             seen_heads = self.heads[i]
 
 
+def _key_denom(p, x, small):
+    """Coins flip in increasing order of Y / this denominator: 1 - p in the
+    small-probs case, 1 - p x otherwise.  Elementwise on arrays."""
+    return np.where(small, 1.0 - p, 1.0 - p * x)
+
+
 def w_value(coin: int, coins: CoinSet, case: str | None = None) -> float:
     """The case-appropriate w_i; equals 1 by convention when its denominator vanishes."""
-    case = case or coins.case
-    if case == CASE_NONE:
-        case = CASE_FULL
     rest = sum(p * x for k, (p, x) in enumerate(zip(coins.probs, coins.weights)) if k != coin)
-    if case == CASE_SMALL:
-        denom = 1.0 - coins.probs[coin]
-    else:
-        denom = 1.0 - coins.probs[coin] * coins.weights[coin]
+    denom = float(_key_denom(coins.probs[coin], coins.weights[coin], (case or coins.case) == CASE_SMALL))
     if denom <= _TOL:
         return 1.0
     w = rest / denom
@@ -151,10 +151,7 @@ def run_blackbox(coins: CoinSet, seed: int | None = None, rng: random.Random | N
     keyed = []
     for i in survivors:
         y = rng.random()
-        if coins.case == CASE_SMALL:
-            denom = 1.0 - coins.probs[i]
-        else:
-            denom = 1.0 - coins.probs[i] * coins.weights[i]
+        denom = float(_key_denom(coins.probs[i], coins.weights[i], coins.case == CASE_SMALL))
         key = y / denom if denom > _TOL else math.inf
         keyed.append((key, i))
     keyed.sort()  # ties (probability-zero under floats) resolve by lower id
@@ -202,7 +199,7 @@ def batch_flip(
     ell_rows = np.broadcast_to(np.asarray(patience, dtype=np.int64), (B,))
     in_set = gkps_round_batch(x_rows, rng)
     Y = rng.random((B, n))
-    denom = np.where(small_rows[:, None], 1.0 - p_rows, 1.0 - p_rows * x_rows)
+    denom = _key_denom(p_rows, x_rows, small_rows[:, None])
     keys = np.where(denom > _TOL, Y / np.maximum(denom, _TOL), np.inf)
     keys = np.where(in_set, keys, np.nan)  # NaN sorts last, after any inf
     order = np.argsort(keys, axis=1, kind="stable")

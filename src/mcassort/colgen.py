@@ -88,10 +88,7 @@ class SubproblemInstance:
         if not S:
             return 0.0
         if isinstance(self.choice, Mnl):
-            # Mnl.prob's denominator, summed once per set in the same order
-            weights = self.choice.weights
-            denom = self.choice.no_purchase + sum(weights[k] for k in S)
-            return sum(self.w[i] * (weights[i] / denom) - self.sigma[i] for i in S)
+            return sum(self.w[i] * p - self.sigma[i] for i, p in self.choice.probs(S))
         return sum(
             self.w[i] * choice_prob(self.choice, i, S) - self.sigma[i] for i in S
         )

@@ -12,7 +12,7 @@ Builders are pure functions and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
@@ -227,26 +227,8 @@ def integralize(inst: Instance) -> Instance:
         if abs(rate - copies) > 1e-6:
             raise ValueError(f"type {ct.id}: arrival rate {rate} is not integral")
         for _ in range(copies):
-            new_types.append(
-                CustomerType(
-                    id=len(new_types),
-                    arrival=1.0 / inst.T,
-                    revenues=ct.revenues,
-                    choice=ct.choice,
-                    patience=ct.patience,
-                    leave_prob=ct.leave_prob,
-                )
-            )
-    return Instance(
-        T=inst.T,
-        items=inst.items,
-        products=inst.products,
-        types=tuple(new_types),
-        family=inst.family,
-        price_levels=inst.price_levels,
-        repeated_offers_allowed=inst.repeated_offers_allowed,
-        matching_with_timeouts=inst.matching_with_timeouts,
-    )
+            new_types.append(replace(ct, id=len(new_types), arrival=1.0 / inst.T))
+    return replace(inst, types=tuple(new_types))
 
 
 @dataclass(frozen=True)

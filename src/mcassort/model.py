@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 PROB_TOL = 1e-9
@@ -91,6 +91,11 @@ class Tabular:
         if self.item_probs is not None:
             return self.item_probs[product]
         raise KeyError(f"no tabular entry for product {product} in {sorted(assortment)}")
+
+    @property
+    def set_independent(self) -> bool:
+        """True when every probability comes from ``item_probs``, whatever the set."""
+        return self.item_probs is not None and not self.entries
 
     def probs(self, assortment: frozenset[int]) -> list[tuple[int, float]]:
         """``(product, prob(product, assortment))`` for each displayed product,
@@ -445,45 +450,22 @@ def split_inventory(inst: Instance) -> Instance:
     products = tuple(
         Product(i * K + lv, i, lv) for i in range(len(new_items)) for lv in range(K)
     )
-    old_prod = lambda new_item, lv: copy_of[new_item] * K + lv
+    old = [copy_of[p.item] * K + p.level for p in products]  # new product -> old product
 
     new_types = []
     for ct in inst.types:
-        rev = tuple(ct.revenues[old_prod(p.item, p.level)] for p in products)
-        if isinstance(ct.choice, Mnl):
-            w = tuple(ct.choice.weights[old_prod(p.item, p.level)] for p in products)
-            model: ChoiceModel = Mnl(weights=w, no_purchase=ct.choice.no_purchase)
-        elif ct.choice.item_probs is not None and not ct.choice.entries:
-            probs = tuple(ct.choice.item_probs[old_prod(p.item, p.level)] for p in products)
-            model = Tabular(entries={}, item_probs=probs)
+        choice = ct.choice
+        if isinstance(choice, Mnl):
+            model: ChoiceModel = replace(choice, weights=tuple(choice.weights[o] for o in old))
+        elif choice.set_independent:
+            model = replace(choice, item_probs=tuple(choice.item_probs[o] for o in old))
         elif inst.family.is_singleton_family(inst.n_products):
-            entries = {}
-            for p in products:
-                old = old_prod(p.item, p.level)
-                entries[(p.id, frozenset({p.id}))] = ct.choice.prob(old, frozenset({old}))
-            model = Tabular(entries=entries)
+            model = Tabular(entries={(p.id, frozenset({p.id})): choice.prob(o, frozenset({o}))
+                                     for p, o in zip(products, old)})
         else:
             raise ValueError("split_inventory cannot remap a general tabular model")
-        new_types.append(
-            CustomerType(
-                id=ct.id,
-                arrival=ct.arrival,
-                revenues=rev,
-                choice=model,
-                patience=ct.patience,
-                leave_prob=ct.leave_prob,
-            )
-        )
-    return Instance(
-        T=inst.T,
-        items=tuple(new_items),
-        products=products,
-        types=tuple(new_types),
-        family=inst.family,
-        price_levels=K,
-        repeated_offers_allowed=inst.repeated_offers_allowed,
-        matching_with_timeouts=inst.matching_with_timeouts,
-    )
+        new_types.append(replace(ct, revenues=tuple(ct.revenues[o] for o in old), choice=model))
+    return replace(inst, items=tuple(new_items), products=products, types=tuple(new_types))
 
 
 # ---------------------------------------------------------------------------
@@ -546,23 +528,26 @@ def instance_from_dict(d: dict) -> Instance:
     )
     products = tuple(Product(i * K + lv, i, lv) for i in range(len(items)) for lv in range(K))
     fam_d = d["family"]
-    if fam_d["mode"] == "size_capped":
-        family = AssortmentFamily.size_capped(fam_d["k"])
-    else:
+    if fam_d["mode"] == "explicit":
         family = AssortmentFamily.explicit(fam_d["sets"])
+    else:
+        family = AssortmentFamily(mode=fam_d["mode"], k=fam_d.get("k"))
     types = []
     for j, td in enumerate(d["types"]):
-        arrival = tuple(td["arrival"]) if isinstance(td["arrival"], list) else td["arrival"]
-        types.append(
-            CustomerType(
-                id=j,
-                arrival=arrival,
-                revenues=tuple(td["revenues"]),
-                choice=_choice_from_dict(td),
-                patience=td.get("patience"),
-                leave_prob=td.get("leave_prob"),
+        try:
+            arrival = tuple(td["arrival"]) if isinstance(td["arrival"], list) else td["arrival"]
+            types.append(
+                CustomerType(
+                    id=j,
+                    arrival=arrival,
+                    revenues=tuple(td["revenues"]),
+                    choice=_choice_from_dict(td),
+                    patience=td.get("patience"),
+                    leave_prob=td.get("leave_prob"),
+                )
             )
-        )
+        except KeyError as exc:
+            raise KeyError(f"types[{j}].{exc.args[0]}") from None
     return Instance(
         T=d["T"],
         items=items,
@@ -582,8 +567,14 @@ def save_instance(inst: Instance, path: str) -> None:
 
 
 def load_instance(path: str) -> Instance:
-    """Read an instance file; raises ``InvalidInstanceError`` if it fails ``validate``."""
+    """Read an instance file; raises ``InvalidInstanceError`` if a field is
+    missing or malformed, or if the instance fails ``validate``."""
     with open(path) as fh:
-        inst = instance_from_dict(json.load(fh))
+        try:
+            inst = instance_from_dict(json.load(fh))
+        except KeyError as exc:
+            raise InvalidInstanceError((f"missing field {exc.args[0]}",)) from None
+        except (TypeError, ValueError) as exc:
+            raise InvalidInstanceError((f"malformed instance file: {exc}",)) from None
     validate(inst).require()
     return inst

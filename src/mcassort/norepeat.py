@@ -22,7 +22,7 @@ import numpy as np
 
 from .mcdlp import McdlpSolution, RevenueSamples
 from .model import Instance, choice_prob
-from .trace import PolicyTrace, RunSampler, StepRecord, serve_replicas
+from .trace import PolicyTrace, RunSampler, StepRecord, check_replicas, serve_replicas
 
 __all__ = [
     "NoRepeatResult",
@@ -86,6 +86,7 @@ def _run(
 ) -> NoRepeatResult:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    check_replicas(replicas)
     for j, ct in enumerate(inst.types):
         if (ct.patience is None) == (ct.leave_prob is None):
             raise ValueError(f"type {j}: exactly one of patience and leave_prob must be set")

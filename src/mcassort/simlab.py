@@ -26,7 +26,7 @@ from .model import (
     Tabular,
     choice_prob,
 )
-from .trace import PolicyTrace, RunSampler, StepRecord, serve_replicas
+from .trace import PolicyTrace, RunSampler, StepRecord, check_replicas, serve_replicas
 
 __all__ = [
     "BenchmarkResult",
@@ -130,6 +130,7 @@ def run_benchmark(
     """Simulate the greedy or conservative benchmark (no repeated displays)."""
     if policy not in ("greedy", "conservative"):
         raise ValueError(f"unknown benchmark policy {policy!r}")
+    check_replicas(replicas)
     chooser = _GreedyChooser(inst, high_only=(policy == "conservative"))
     high = inst.price_levels - 1
     displayable = sum(1 << p.id for p in inst.products if not chooser.high_only or p.level == high)
@@ -202,6 +203,7 @@ def hardness_sold_fraction(n: int, replicas: int, seed: int = 0) -> np.ndarray:
     Each step one customer arrives and sees every available item, so a sale
     happens with probability 1 - (1 - 1/n)^{N_t}; only the count N_t matters.
     """
+    check_replicas(replicas)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     N = np.full(replicas, n, dtype=np.int64)
     base = 1.0 - 1.0 / n

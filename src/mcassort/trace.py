@@ -10,7 +10,7 @@ from typing import Callable
 
 from .model import Instance, choice_prob
 
-__all__ = ["StepRecord", "PolicyTrace", "RunSampler", "serve_replicas"]
+__all__ = ["StepRecord", "PolicyTrace", "RunSampler", "check_replicas", "serve_replicas"]
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,12 @@ class RunSampler:
         items, cdf = self.purchase_row(j, displayed)
         k = bisect_right(cdf, rng.random())
         return items[k] if k < len(items) else None
+
+
+def check_replicas(replicas: int) -> None:
+    """Refuse a run of fewer than one replica: its mean and rates would be NaN."""
+    if replicas < 1:
+        raise ValueError(f"replicas must be at least 1, got {replicas}")
 
 
 # walk(rng, t, j, first, avail, trace) -> (product bought or None, stages displayed)

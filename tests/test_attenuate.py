@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -17,6 +18,7 @@ from mcassort.model import (
     Instance,
     Mnl,
     Tabular,
+    choice_prob,
 )
 
 
@@ -218,7 +220,7 @@ class TestAlgorithm6:
             # an unavailable item contributes nothing to any assortment mass,
             # and a set with nothing left to show is never flipped
             for k, S in enumerate(kern.sets[0]):
-                val = kern._slot_probs(coins, np.arange(2000), np.full(2000, k))
+                val = kern.stripped_probs(coins, np.arange(2000))[:, k]
                 assert (val[~avail[:, kern.items[0, k]]] == 0).all()
                 dead = ~avail[:, sorted(S)].any(axis=1)
                 assert (coins.mass[dead, k] == 0).all()
@@ -267,6 +269,42 @@ class TestAlgorithm6:
         np.testing.assert_array_equal(res_t.accept_freq, res_m.accept_freq)
         np.testing.assert_array_equal(res_t.revenues, res_m.revenues)
         assert res_m.accept_freq.sum() > 0
+
+    def test_stripped_probs_equal_choice_prob_on_stripped_sets(self):
+        # one type per rule: MNL (closed form over the stripped weight sum), a
+        # set-independent table (closed form over 1) and a general table
+        # (row by row); the general table is substitutable but not MNL
+        sets = [frozenset(S) for S in ([0, 1], [1, 2, 3], [0, 2, 3], [3])]
+        base = (0.3, 0.2, 0.25, 0.15)
+        general = Tabular(entries={(i, frozenset(T)): base[i] / (1 + 0.3 * len(T))
+                                   for S in sets for r in range(1, len(S) + 1)
+                                   for T in itertools.combinations(sorted(S), r) for i in T})
+        models = [Mnl(weights=(1.0, 0.5, 0.8, 1.3), no_purchase=0.7),
+                  Tabular(entries={}, item_probs=base), general]
+        assert [m.set_independent for m in models[1:]] == [True, False]
+        assert not Tabular(entries=general.entries, item_probs=base).set_independent
+        types = tuple(CustomerType(id=j, arrival=0.3, revenues=(1.0,) * 4, choice=m, patience=2)
+                      for j, m in enumerate(models))
+        inst = Instance.single_level(T=3, inventories=[1] * 4, types=types,
+                                     family=AssortmentFamily.explicit(sets), repeated_offers_allowed=True)
+        kern = attenuate._Kernel(inst, "algorithm 6", [sets] * 3, [[0.25] * 4] * 3, sets, True)
+        assert kern.general.tolist() == [False, False, True]
+        rng = np.random.default_rng(5)
+        avail = rng.random((300, 4)) < 0.6
+        coins = kern._coins(avail, rng.integers(0, 3, 300))
+        rows = rng.permutation(300)[:200]
+        got = kern.stripped_probs(coins, rows)
+        assert got.shape == (200, kern.K, kern.L)
+        for w, b in enumerate(rows):
+            j = coins.types[b]
+            for k, S in enumerate(sets):
+                stripped = frozenset(i for i in S if avail[b, i])
+                want = [choice_prob(models[j], i, stripped) if i in stripped else 0.0 for i in sorted(S)]
+                want += [0.0] * (kern.L - len(S))  # padding slots
+                if j == 0:
+                    np.testing.assert_allclose(got[w, k], want, rtol=1e-12, atol=0)
+                else:
+                    assert got[w, k].tolist() == want
 
 
 GOLDEN = Path(__file__).parent / "data" / "attenuation_golden.npz"

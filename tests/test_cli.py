@@ -125,6 +125,22 @@ class TestCli:
             assert "arrival mass exceeds 1 at time-step 0 (got 1.57)" in captured.err
             assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("break_file, named", [
+        (lambda d: d.pop("T"), "missing field T"),
+        (lambda d: d["types"][1].pop("revenues"), "missing field types[1].revenues"),
+        (lambda d: d["family"].update(mode="bogus"), "unknown family mode 'bogus'"),
+    ], ids=["no-T", "no-revenues", "bogus-mode"])
+    def test_malformed_instance_file_exits_with_field(self, tmp_path, capsys, break_file, named):
+        path = tmp_path / "bad.json"
+        d = instance_to_dict(simlab.gen_hardness_instance(3))
+        break_file(d)
+        path.write_text(json.dumps(d))
+        assert _run(["solve-lp", "--variant", "single-item", "--instance", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err
+        assert "Traceback" not in captured.err
+
     def test_fit_mnl_quoted_feature_with_comma(self, tmp_path, capsys):
         data = tmp_path / "tx.csv"
         lines = ["segment,offered,chosen"]

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mcassort import lpcore, mcdlp, simlab
+from mcassort import attenuate, lpcore, mcdlp, norepeat, simlab
 from mcassort.mcdlp import McdlpVariant, MonteCarloEstimate, verify_policy_upper_bound
 from mcassort.model import (
     AssortmentFamily,
@@ -288,3 +289,56 @@ class TestSweep:
     def test_replica_floor(self):
         with pytest.raises(ValueError, match="replicas"):
             simlab.SweepSpec(replicas=10)
+
+
+def _solved(inst, variant):
+    return inst, mcdlp.solve_variant(inst, variant)
+
+
+def _norepeat_case():
+    return _solved(simlab.random_norepeat_instance(seed=2, n=4, cap=2, m=3), McdlpVariant.MCDLP_NR)
+
+
+def _geometric_case():
+    inst = simlab.random_norepeat_instance(seed=12, n=4, cap=2, m=4)
+    types = tuple(replace(ct, patience=None, leave_prob=0.5) for ct in inst.types)
+    return _solved(replace(inst, types=types), McdlpVariant.MCDLP_NR)
+
+
+def _repeated_case():
+    ct = CustomerType(id=0, arrival=0.8, revenues=(1.0, 2.0, 1.5),
+                      choice=Mnl(weights=(1.0, 0.5, 0.8), no_purchase=1.0), patience=3)
+    inst = Instance.single_level(T=3, inventories=[1, 1, 1], types=(ct,),
+                                 family=AssortmentFamily.explicit([[0, 1], [1, 2], [0, 2]]),
+                                 repeated_offers_allowed=True)
+    return _solved(inst, McdlpVariant.MCDLP_R)
+
+
+RUNNERS = {
+    "run_benchmark": lambda r: simlab.run_benchmark(_norepeat_case()[0], "greedy", r),
+    "run_algorithm3": lambda r: norepeat.run_algorithm3(*_norepeat_case(), replicas=r),
+    "run_modified_algorithm3": lambda r: norepeat.run_modified_algorithm3(
+        *_solved(simlab.random_homog_instance(seed=3, n=4, cap=2, m=3), McdlpVariant.MCDLP_NRS), replicas=r),
+    "run_algorithm3_random_patience": lambda r: norepeat.run_algorithm3_random_patience(
+        *_geometric_case(), replicas=r),
+    "run_algorithm1": lambda r: attenuate.run_algorithm1(
+        *_solved(simlab.random_matching_instance(seed=4, n=4, m=3, T=4), McdlpVariant.SINGLE_ITEM),
+        mc_budget=50, replicas=r),
+    "run_algorithm6": lambda r: attenuate.run_algorithm6(*_repeated_case(), mc_budget=50, replicas=r),
+    "hardness_sold_fraction": lambda r: simlab.hardness_sold_fraction(5, r),
+}
+
+
+@pytest.mark.parametrize("replicas", [0, -2])
+@pytest.mark.parametrize("runner", sorted(RUNNERS))
+def test_runners_refuse_fewer_than_one_replica(runner, replicas, monkeypatch):
+    # a run of no replicas has a NaN mean; it is refused before any factor
+    # estimation, and serving code is never reached
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started before the replica count was checked")
+
+    monkeypatch.setattr(attenuate, "_estimate_factors", unreachable)
+    for mod in (simlab, norepeat):
+        monkeypatch.setattr(mod, "serve_replicas", unreachable)
+    with pytest.raises(ValueError, match="replicas"):
+        RUNNERS[runner](replicas)

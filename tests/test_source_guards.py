@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mcassort"
@@ -36,3 +37,61 @@ def test_exported_names_resolve():
             missing += [f"mcassort.{a.name} (not in {node.module}.__all__)" for a in node.names
                         if a.name not in public or not hasattr(package, a.name)]
     assert not missing, f"exported names that do not resolve: {missing}"
+
+
+PERFBENCH = SRC.parents[1] / "perfbench"
+# Call arguments each tracer size function reads by name (through ``_bound``);
+# ``_cells`` names its argument in the layer entry itself.
+SIZE_ARGS = {
+    "_lp_size": {"model"},
+    "_build_size": set(),
+    "_colgen_size": set(),
+    "_factors_size": set(),
+    "_alg6_size": {"inst", "replicas"},
+    "_steps_into": {"inst", "replicas"},
+    "_sweep_size": {"spec", "policies"},
+}
+
+
+def _module_tuples(path: Path, name: str):
+    """The ``(module, "attr", ...)`` tuples assigned or appended to ``name``."""
+    out = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        target = node.targets[0] if isinstance(node, ast.Assign) else getattr(node, "target", None)
+        if not (isinstance(target, ast.Name) and target.id == name):
+            continue
+        if isinstance(node.value, (ast.Tuple, ast.List)):
+            out += [tuple(e.elts) for e in node.value.elts]
+        else:  # [(mod, "attr") for mod in (a, b, ...)]
+            comp = node.value
+            mods = comp.generators[0].iter.elts
+            out += [(m, *comp.elt.elts[1:]) for m in mods]
+    return [(mod.id, attr.value, rest) for mod, attr, *rest in out]
+
+
+def test_benchmark_bindings_resolve():
+    # perfbench's tracer rebinds these names and reads these arguments, and
+    # its tests expect these from-import copies; a rename in src/ breaks the
+    # benchmark without failing any library test
+    bindings = _module_tuples(PERFBENCH / "tracer.py", "LAYERS")
+    bindings += _module_tuples(PERFBENCH / "tracer.py", "COUNTED")
+    copies = _module_tuples(PERFBENCH / "test_perfbench.py", "COPIES")
+    assert len(bindings) >= 15 and len(copies) >= 10
+    missing, checked = [], 0
+    for mod_name, attr, rest in bindings + copies:
+        mod = importlib.import_module(f"mcassort.{mod_name}")
+        if not hasattr(mod, attr):
+            missing.append(f"{mod_name}.{attr}")
+            continue
+        if len(rest) < 2 or isinstance(rest[1], ast.Constant):
+            continue  # a counted name, a copy, or a layer without a size function
+        size = rest[1]
+        if isinstance(size, ast.Call) and size.func.id == "_cells":
+            wanted = {size.args[1].value}
+        else:
+            wanted = SIZE_ARGS[size.func.id if isinstance(size, ast.Call) else size.id]
+        params = inspect.signature(getattr(mod, attr)).parameters
+        missing += [f"{mod_name}.{attr}({arg}=)" for arg in sorted(wanted - set(params))]
+        checked += bool(wanted)
+    assert checked, "no layer's bound arguments were parsed"
+    assert not missing, f"names the benchmark binds that do not resolve: {missing}"
