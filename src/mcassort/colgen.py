@@ -14,8 +14,10 @@ master objective: the returned plan is within alpha of the full optimum.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -33,6 +35,7 @@ _DP_STACK_BYTES = 1 << 20
 
 __all__ = [
     "DualBundle",
+    "FamilyTable",
     "SubproblemInstance",
     "FptasConfig",
     "PricingOracle",
@@ -74,15 +77,68 @@ def extract_duals(inst: Instance, sol: lpcore.LpSolution, no_repeat: bool) -> Du
     return DualBundle(zeta, gamma, beta, sigma)
 
 
+class FamilyTable:
+    """One choice model's purchase probabilities on every set of a family,
+    padded so that ``values`` prices the whole family in one numpy pass.
+
+    Row r is the r-th set of ``family.assortments(n_products)``.  Its slots
+    hold the set's members and ``choice.probs`` in the frozenset's own
+    iteration order, which is the order ``SubproblemInstance.value`` sums in.
+    A padding slot names product ``n_products``, priced at w = sigma = 0 with
+    probability 0, so it adds an exact +0.0.  Nothing here depends on the
+    duals; the arrays are built on first use.
+    """
+
+    def __init__(self, choice, family, n_products: int):
+        self.choice, self.family, self.n_products = choice, family, n_products
+
+    @functools.cached_property
+    def sets(self) -> tuple[frozenset[int], ...]:
+        return self.family.assortments(self.n_products)
+
+    @functools.cached_property
+    def _slots(self) -> tuple[np.ndarray, np.ndarray]:
+        rows = [self.choice.probs(S) for S in self.sets]
+        lens = np.array([len(r) for r in rows])
+        filled = np.arange(lens.max()) < lens[:, None]
+        idx = np.full(filled.shape, self.n_products, dtype=np.intp)
+        prob = np.zeros(filled.shape)
+        idx[filled] = [i for r in rows for i, _ in r]
+        prob[filled] = [p for r in rows for _, p in r]
+        return idx, prob
+
+    def values(self, w, sigma) -> np.ndarray:
+        """sum_{i in S} (w_i p(i,S) - sigma_i) for every set S, with the same
+        float operations, in the same order, as ``SubproblemInstance.value``."""
+        idx, prob = self._slots
+        terms = np.append(w, 0.0)[idx] * prob - np.append(sigma, 0.0)[idx]
+        out = np.zeros(len(idx))
+        for col in terms.T:
+            out += col
+        return out
+
+
 @dataclass(frozen=True)
 class SubproblemInstance:
-    """Pricing problem for one type: max_S sum_{i in S} (w_i p(i,S) - sigma_i)."""
+    """Pricing problem for one type: max_S sum_{i in S} (w_i p(i,S) - sigma_i).
+
+    ``table`` holds the family's purchase probabilities for brute-force
+    pricing; when none is given the instance makes its own.
+    """
 
     w: np.ndarray
     sigma: np.ndarray
     choice: object
     family: object      # AssortmentFamily
     n_products: int
+    table: FamilyTable | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.table is None:
+            object.__setattr__(self, "table", FamilyTable(self.choice, self.family, self.n_products))
+        elif (self.table.choice, self.table.family, self.table.n_products) != (
+                self.choice, self.family, self.n_products):
+            raise ValueError("pricing table was built for another choice model, family or product count")
 
     def value(self, S: frozenset[int]) -> float:
         if not S:
@@ -94,7 +150,7 @@ class SubproblemInstance:
         )
 
     @staticmethod
-    def from_duals(inst: Instance, j: int, duals: DualBundle) -> "SubproblemInstance":
+    def from_duals(inst: Instance, j: int, duals: DualBundle, table: FamilyTable) -> "SubproblemInstance":
         Q = inst.types[j].total_rate(inst.T)
         w = np.array([
             (inst.types[j].revenues[i] - duals.zeta[inst.products[i].item]) * Q - duals.gamma[j]
@@ -102,7 +158,7 @@ class SubproblemInstance:
         ])
         return SubproblemInstance(
             w=w, sigma=duals.sigma[j].copy(), choice=inst.types[j].choice,
-            family=inst.family, n_products=inst.n_products,
+            family=inst.family, n_products=inst.n_products, table=table,
         )
 
 
@@ -113,15 +169,23 @@ class PricingOracle(Protocol):
 def subproblem_bruteforce(
     sub: SubproblemInstance, exclude: set | None = None
 ) -> tuple[frozenset[int], float]:
-    """Exact maximizer by enumerating the whole family (the test oracle)."""
-    fam = sub.family.assortments(sub.n_products)
+    """Exact maximizer over the whole family, the first set in family order
+    winning ties within 1e-15; sets in ``exclude`` are skipped.
+
+    Every set's value comes from one pass over ``sub.table``.  A set replaces
+    the incumbent only when it beats it by more than 1e-15, so every
+    replacement beats all earlier sets and 0; only those strict prefix maxima
+    go through the record rule.
+    """
+    vals = sub.table.values(sub.w, sub.sigma)
+    sets = sub.table.sets
+    if exclude:
+        vals[[k for k, S in enumerate(sets) if S in exclude]] = -np.inf
+    ceiling = np.fmax.accumulate(np.concatenate(([0.0], vals[:-1])))
     best, best_v = frozenset(), 0.0
-    for S in fam:
-        if exclude and S in exclude:
-            continue
-        v = sub.value(S)
-        if v > best_v + 1e-15:
-            best, best_v = S, v
+    for k in np.flatnonzero(vals > ceiling).tolist():
+        if vals[k] > best_v + 1e-15:
+            best, best_v = sets[k], vals[k]
     return best, best_v
 
 
@@ -391,6 +455,13 @@ class MnlFptasOracle:
 
 @dataclass
 class ColgenResult:
+    """The final plan and how the master loop reached it.
+
+    ``pricing_s`` holds the wall seconds of each ``oracle.solve`` call, in
+    call order (iteration-major, then type); ``added_per_iteration`` the
+    number of columns each iteration added to the master.
+    """
+
     solution: mcdlp.McdlpSolution
     iterations: int
     added: list[frozenset[int]]
@@ -398,6 +469,8 @@ class ColgenResult:
     duals: DualBundle
     objective_history: list[float] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+    pricing_s: list[float] = field(default_factory=list)
+    added_per_iteration: list[int] = field(default_factory=list)
 
     @property
     def objective(self) -> float:
@@ -429,8 +502,11 @@ def column_generate(
     added: list[frozenset[int]] = []
     history: list[float] = []
     warns: list[str] = []
+    pricing_s: list[float] = []
+    per_iteration: list[int] = []
     no_repeat = variant.no_repeat
     enumerable = family_size <= MAX_TABULAR_FAMILY
+    tables = [FamilyTable(ct.choice, inst.family, inst.n_products) for ct in inst.types]
     for it in range(1, family_size + 2):
         sol = mcdlp.solve_variant(inst, variant, assortments=restricted, colgen_master=True)
         if history and not sol.objective >= history[-1] - 1e-7:
@@ -442,8 +518,10 @@ def column_generate(
         duals = extract_duals(inst, sol.lp, no_repeat)
         new_cols: list[frozenset[int]] = []
         for j in range(inst.m):
-            sub = SubproblemInstance.from_duals(inst, j, duals)
+            sub = SubproblemInstance.from_duals(inst, j, duals, tables[j])
+            start = time.perf_counter()
             S, value = oracle.solve(sub)
+            pricing_s.append(time.perf_counter() - start)
             if value <= duals.beta[j] + TOL_RC or not S:
                 continue
             if S not in have:
@@ -460,12 +538,16 @@ def column_generate(
                     "termination certificate degraded (family not enumerable)"
                 )
         if not new_cols:
+            per_iteration.append(0)
             # report the plan of the standard-form LP on the final family
             final = mcdlp.solve_variant(inst, variant, assortments=restricted)
-            return ColgenResult(final, it, added, family_size, duals, history, warns)
+            return ColgenResult(final, it, added, family_size, duals, history, warns,
+                                pricing_s, per_iteration)
+        before = len(added)
         for S in new_cols:
             if S not in have:
                 restricted.append(S)
                 have.add(S)
                 added.append(S)
+        per_iteration.append(len(added) - before)
     raise RuntimeError("column generation exceeded its iteration bound")

@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 from typing import Iterable, Mapping, Sequence
 
 PROB_TOL = 1e-9
@@ -484,12 +485,30 @@ def _choice_to_dict(model: ChoiceModel) -> dict:
     }
 
 
-def _choice_from_dict(d: dict) -> ChoiceModel:
+def _number(value, name: str, kind=Real):
+    """``value`` if it is a ``kind`` number and not a bool; otherwise a
+    ``TypeError`` that names the field."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is Integral else "a number"
+        raise TypeError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _numbers(values, name: str) -> tuple:
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"{name} must be a list of numbers, got {values!r}")
+    return tuple(_number(x, f"{name}[{k}]") for k, x in enumerate(values))
+
+
+def _choice_from_dict(d: dict, name: str) -> ChoiceModel:
     if "mnl" in d:
-        return Mnl(weights=tuple(d["mnl"]["weights"]), no_purchase=d["mnl"]["no_purchase"])
+        return Mnl(weights=_numbers(d["mnl"]["weights"], f"{name}.mnl.weights"),
+                   no_purchase=_number(d["mnl"]["no_purchase"], f"{name}.mnl.no_purchase"))
     tab = d["tabular"]
-    entries = {(i, frozenset(S)): p for i, S, p in tab["entries"]}
-    probs = tuple(tab["item_probs"]) if tab.get("item_probs") is not None else None
+    entries = {(i, frozenset(S)): _number(p, f"{name}.tabular.entries[{k}]")
+               for k, (i, S, p) in enumerate(tab["entries"])}
+    probs = tab.get("item_probs")
+    probs = None if probs is None else _numbers(probs, f"{name}.tabular.item_probs")
     return Tabular(entries=entries, item_probs=probs)
 
 
@@ -522,9 +541,12 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(d: dict) -> Instance:
-    K = d.get("price_levels", 1)
+    """Inverse of ``instance_to_dict``.  A missing field raises ``KeyError``
+    and a wrong-typed number ``TypeError``, each naming the field."""
+    K = _number(d.get("price_levels", 1), "price_levels", Integral)
     items = tuple(
-        Item(i, int(it["inventory"]), it.get("parent")) for i, it in enumerate(d["items"])
+        Item(i, int(_number(it["inventory"], f"items[{i}].inventory", Integral)), it.get("parent"))
+        for i, it in enumerate(d["items"])
     )
     products = tuple(Product(i * K + lv, i, lv) for i in range(len(items)) for lv in range(K))
     fam_d = d["family"]
@@ -534,22 +556,26 @@ def instance_from_dict(d: dict) -> Instance:
         family = AssortmentFamily(mode=fam_d["mode"], k=fam_d.get("k"))
     types = []
     for j, td in enumerate(d["types"]):
+        name = f"types[{j}]"
         try:
-            arrival = tuple(td["arrival"]) if isinstance(td["arrival"], list) else td["arrival"]
+            arrival = td["arrival"]
+            arrival = (_numbers(arrival, f"{name}.arrival") if isinstance(arrival, list)
+                       else _number(arrival, f"{name}.arrival"))
+            patience, leave_prob = td.get("patience"), td.get("leave_prob")
             types.append(
                 CustomerType(
                     id=j,
                     arrival=arrival,
-                    revenues=tuple(td["revenues"]),
-                    choice=_choice_from_dict(td),
-                    patience=td.get("patience"),
-                    leave_prob=td.get("leave_prob"),
+                    revenues=_numbers(td["revenues"], f"{name}.revenues"),
+                    choice=_choice_from_dict(td, name),
+                    patience=None if patience is None else _number(patience, f"{name}.patience", Integral),
+                    leave_prob=None if leave_prob is None else _number(leave_prob, f"{name}.leave_prob"),
                 )
             )
         except KeyError as exc:
-            raise KeyError(f"types[{j}].{exc.args[0]}") from None
+            raise KeyError(f"{name}.{exc.args[0]}") from None
     return Instance(
-        T=d["T"],
+        T=_number(d["T"], "T", Integral),
         items=items,
         products=products,
         types=tuple(types),

@@ -129,7 +129,11 @@ class TestCli:
         (lambda d: d.pop("T"), "missing field T"),
         (lambda d: d["types"][1].pop("revenues"), "missing field types[1].revenues"),
         (lambda d: d["family"].update(mode="bogus"), "unknown family mode 'bogus'"),
-    ], ids=["no-T", "no-revenues", "bogus-mode"])
+        (lambda d: d["types"][0].update(arrival="x"), "types[0].arrival must be a number, got 'x'"),
+        (lambda d: d["types"][2].update(patience="2"), "types[2].patience must be an integer, got '2'"),
+        (lambda d: d.update(T="3"), "T must be an integer, got '3'"),
+        (lambda d: d["items"][1].update(inventory=2.5), "items[1].inventory must be an integer, got 2.5"),
+    ], ids=["no-T", "no-revenues", "bogus-mode", "text-arrival", "text-patience", "text-T", "float-inventory"])
     def test_malformed_instance_file_exits_with_field(self, tmp_path, capsys, break_file, named):
         path = tmp_path / "bad.json"
         d = instance_to_dict(simlab.gen_hardness_instance(3))

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcassort import colgen, mcdlp, simlab
 from mcassort.colgen import (
     BruteForceOracle,
     DualBundle,
+    FamilyTable,
     FptasConfig,
     MnlExactOracle,
     MnlFptasOracle,
@@ -19,7 +22,7 @@ from mcassort.colgen import (
     subproblem_mnl_repeated,
 )
 from mcassort.mcdlp import McdlpVariant
-from mcassort.model import AssortmentFamily, Mnl
+from mcassort.model import AssortmentFamily, Mnl, Tabular
 
 
 def _random_sub(rng, n, sigma_scale=1.0, family=None):
@@ -31,6 +34,154 @@ def _random_sub(rng, n, sigma_scale=1.0, family=None):
         family=family if family is not None else AssortmentFamily.size_capped(n),
         n_products=n,
     )
+
+
+def scalar_bruteforce(sub, exclude=None):
+    """Reference for ``subproblem_bruteforce``: one ``value`` call per set,
+    in family order, under the same record rule."""
+    best, best_v = frozenset(), 0.0
+    for S in sub.family.assortments(sub.n_products):
+        if exclude and S in exclude:
+            continue
+        v = sub.value(S)
+        if v > best_v + 1e-15:
+            best, best_v = S, v
+    return best, best_v
+
+
+def _same_as_scalar(sub, exclude=None):
+    S, v = subproblem_bruteforce(sub, exclude)
+    Sr, vr = scalar_bruteforce(sub, exclude)
+    assert S == Sr and v == vr, (S, v, Sr, vr)
+    return S, v
+
+
+def _random_tabular(rng, n, family):
+    """A table with its own probability for every (product, set) of ``family``."""
+    entries = {}
+    for S in family.assortments(n):
+        shares = rng.dirichlet(np.ones(len(S) + 1))
+        entries.update(((i, S), float(p)) for i, p in zip(S, shares))
+    return Tabular(entries=entries)
+
+
+class TestBruteForceAgainstScalar:
+    """The vectorized oracle returns the scalar loop's set and an equal value."""
+
+    def test_random_mnl(self):
+        rng = np.random.default_rng(40)
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            k = int(rng.integers(0, n + 1))
+            sub = _random_sub(rng, n, sigma_scale=float(rng.choice([0.0, 1.0, 5.0])),
+                              family=AssortmentFamily.size_capped(k))
+            sub = SubproblemInstance(w=sub.w - rng.uniform(0, 1.0), sigma=sub.sigma,
+                                     choice=sub.choice, family=sub.family, n_products=n)
+            _same_as_scalar(sub)
+
+    def test_tie_heavy_duals(self):
+        # equal weights make every set of one size tie exactly; nudges of a
+        # few ulps put other values within the 1e-15 record margin
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            n = int(rng.integers(2, 8))
+            w = np.full(n, 0.8) + rng.integers(-3, 4, n) * 2e-16
+            sigma = np.full(n, 0.05) + rng.integers(-3, 4, n) * 1e-17
+            sub = SubproblemInstance(
+                w=w, sigma=sigma, choice=Mnl(weights=(1.0,) * n, no_purchase=1.0),
+                family=AssortmentFamily.size_capped(int(rng.integers(1, n + 1))), n_products=n)
+            _same_as_scalar(sub)
+
+    def test_exclude(self):
+        rng = np.random.default_rng(42)
+        for _ in range(20):
+            n = int(rng.integers(2, 8))
+            sub = _random_sub(rng, n, family=AssortmentFamily.size_capped(3))
+            fam = sub.family.assortments(n)
+            best, _ = _same_as_scalar(sub)
+            drop = {fam[k] for k in rng.choice(len(fam), size=len(fam) // 2, replace=False)}
+            for exclude in ({best}, drop, set(fam)):
+                _same_as_scalar(sub, exclude)
+
+    def test_tabular_choice(self):
+        rng = np.random.default_rng(43)
+        for _ in range(10):
+            n = int(rng.integers(2, 6))
+            fam = AssortmentFamily.size_capped(int(rng.integers(1, n + 1)))
+            sub = SubproblemInstance(
+                w=rng.uniform(-0.2, 1.5, n), sigma=rng.uniform(0.0, 0.2, n),
+                choice=_random_tabular(rng, n, fam), family=fam, n_products=n)
+            _same_as_scalar(sub)
+
+    def test_explicit_family(self):
+        rng = np.random.default_rng(44)
+        fam = AssortmentFamily.explicit([{4, 1}, {0}, {2, 3, 1}, {3}, {0, 4, 2, 1}])
+        for _ in range(10):
+            _same_as_scalar(_random_sub(rng, 5, family=fam))
+
+    def test_empty_set_only_family(self):
+        rng = np.random.default_rng(45)
+        for fam in (AssortmentFamily.explicit([]), AssortmentFamily.size_capped(0)):
+            sub = _random_sub(rng, 3, family=fam)
+            assert _same_as_scalar(sub) == (frozenset(), 0.0)
+
+    def test_non_positive_w(self):
+        rng = np.random.default_rng(46)
+        sub = _random_sub(rng, 6, family=AssortmentFamily.size_capped(3))
+        for w in (-sub.w, np.zeros(6)):
+            got = _same_as_scalar(SubproblemInstance(
+                w=w, sigma=sub.sigma, choice=sub.choice, family=sub.family, n_products=6))
+            assert got == (frozenset(), 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 7), st.integers(0, 7), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 1e-16, 1.0]))
+    def test_random_duals_property(self, n, k, seed, tie):
+        rng = np.random.default_rng(seed)
+        v = tuple(rng.uniform(0.3, 1.2, n))
+        w = rng.uniform(-0.5, 1.5, n)
+        # with tie < 1 every weight sits within a few ulps of the first
+        w = w[0] + (w - w[0]) * tie if tie < 1 else w
+        sub = SubproblemInstance(
+            w=w, sigma=rng.uniform(0.0, 0.15, n) * rng.integers(0, 2, n),
+            choice=Mnl(weights=v, no_purchase=float(rng.uniform(0.5, 2.0))),
+            family=AssortmentFamily.size_capped(min(k, n)), n_products=n)
+        _same_as_scalar(sub)
+
+
+class TestFamilyTable:
+    def test_shared_family_prices_per_choice_and_size(self):
+        # one family object under two choice models and two product counts:
+        # each subproblem prices as a fresh scalar scan of its own model
+        rng = np.random.default_rng(47)
+        fam = AssortmentFamily.size_capped(2)
+        for n in (3, 5):
+            for choice in (Mnl(weights=tuple(rng.uniform(0.3, 1.2, n)), no_purchase=1.0),
+                           _random_tabular(rng, n, fam)):
+                for _ in range(3):
+                    sub = SubproblemInstance(w=rng.uniform(-0.2, 1.5, n), sigma=rng.uniform(0, 0.1, n),
+                                             choice=choice, family=fam, n_products=n)
+                    _same_as_scalar(sub)
+                    assert len(sub.table.sets) == fam.count(n)
+
+    def test_table_is_reused_across_duals(self):
+        rng = np.random.default_rng(48)
+        base = _random_sub(rng, 5, family=AssortmentFamily.size_capped(3))
+        table = FamilyTable(base.choice, base.family, 5)
+        for _ in range(4):
+            sub = SubproblemInstance(w=rng.uniform(-0.2, 1.5, 5), sigma=rng.uniform(0, 0.1, 5),
+                                     choice=base.choice, family=base.family, n_products=5, table=table)
+            _same_as_scalar(sub)
+            assert sub.table is table
+
+    def test_table_for_another_model_or_size_refused(self):
+        rng = np.random.default_rng(49)
+        sub = _random_sub(rng, 4, family=AssortmentFamily.size_capped(2))
+        other = Mnl(weights=(1.0,) * 4, no_purchase=1.0)
+        for table in (FamilyTable(other, sub.family, 4), FamilyTable(sub.choice, sub.family, 3)):
+            with pytest.raises(ValueError, match="pricing table"):
+                SubproblemInstance(w=sub.w, sigma=sub.sigma, choice=sub.choice,
+                                   family=sub.family, n_products=4, table=table)
 
 
 class TestBruteForce:
@@ -246,6 +397,15 @@ class TestColumnGeneration:
                                                  res.objective_history[1:]))
         assert (res.duals.zeta >= -1e-7).all()
         assert (res.duals.sigma >= -1e-7).all()
+
+    def test_pricing_time_and_columns_per_iteration(self):
+        inst = simlab.random_norepeat_instance(seed=3, n=5, cap=2, m=4)
+        res = column_generate(inst, McdlpVariant.MCDLP_NR, BruteForceOracle())
+        assert len(res.pricing_s) == res.iterations * inst.m
+        assert all(isinstance(s, float) and s >= 0.0 for s in res.pricing_s)
+        assert len(res.added_per_iteration) == res.iterations
+        assert sum(res.added_per_iteration) == len(res.added)
+        assert res.added_per_iteration[-1] == 0 and min(res.added_per_iteration[:-1]) >= 1
 
     def test_complete_start_terminates_immediately(self):
         # family = empty set + singletons: the starting set is everything
