@@ -32,7 +32,7 @@ import numpy as np
 from . import mcdlp
 from .blackbox import CASE_NONE, CASE_SMALL, batch_flip, certified_case
 from .mcdlp import RevenueSamples
-from .model import Instance, Mnl, choice_prob
+from .model import Instance, Mnl, choice_prob, validate
 from .trace import check_replicas
 
 __all__ = [
@@ -443,6 +443,7 @@ def _matching_kernel(inst: Instance, plan, allow_uncertified: bool) -> _Kernel:
     x = _as_plan_array(inst, plan)
     if x.shape != (inst.m, inst.n_products):
         raise ValueError(f"plan must have shape {(inst.m, inst.n_products)}")
+    validate(inst).require()
     singletons = [frozenset({i}) for i in range(inst.n_products)]
     return _Kernel(inst, "algorithm 1", [singletons] * inst.m, x, singletons, allow_uncertified)
 
@@ -515,6 +516,7 @@ def run_algorithm6(
     if solution.variant not in (mcdlp.McdlpVariant.MCDLP_R, mcdlp.McdlpVariant.SINGLE_ITEM):
         raise ValueError("algorithm 6 rounds an MCDLP-R (or single-item) plan")
     check_replicas(replicas)
+    validate(inst).require()
     kern = _assortment_kernel(inst, solution, allow_uncertified)
     streams = np.random.SeedSequence(seed).spawn(kern.T + 1)
     factors = _estimate_factors(kern, mc_budget, streams)

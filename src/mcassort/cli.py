@@ -98,12 +98,10 @@ def _cmd_simulate(args) -> int:
         revenues = res.revenues
         opt = lp.objective
     elif args.policy == "offer-all":
+        # hardness_sold_fraction assumes p = 1/n and unit revenues, so only
+        # the hardness instance itself is accepted
         n = inst.n_items
-        symmetric = (
-            inst.T == n and inst.m == n
-            and all(ct.patience == n and ct.arrival == 1.0 / n for ct in inst.types)
-        )
-        if not symmetric:
+        if n < 1 or inst != simlab.gen_hardness_instance(n):
             raise SystemExit("offer-all expects a symmetric hardness instance "
                              "(gen-instance hardness)")
         fractions = simlab.hardness_sold_fraction(n, args.replicas, seed=args.seed)

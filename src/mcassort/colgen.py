@@ -91,10 +91,11 @@ class FamilyTable:
 
     def __init__(self, choice, family, n_products: int):
         self.choice, self.family, self.n_products = choice, family, n_products
+        self._enumerate = functools.cache(functools.partial(family.assortments, n_products))
 
-    @functools.cached_property
+    @property
     def sets(self) -> tuple[frozenset[int], ...]:
-        return self.family.assortments(self.n_products)
+        return self._enumerate()
 
     @functools.cached_property
     def _slots(self) -> tuple[np.ndarray, np.ndarray]:
@@ -507,6 +508,8 @@ def column_generate(
     no_repeat = variant.no_repeat
     enumerable = family_size <= MAX_TABULAR_FAMILY
     tables = [FamilyTable(ct.choice, inst.family, inst.n_products) for ct in inst.types]
+    for table in tables[1:]:  # one enumeration, made on first use, serves every type
+        table._enumerate = tables[0]._enumerate
     for it in range(1, family_size + 2):
         sol = mcdlp.solve_variant(inst, variant, assortments=restricted, colgen_master=True)
         if history and not sol.objective >= history[-1] - 1e-7:

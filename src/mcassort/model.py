@@ -325,7 +325,8 @@ class Instance:
         )
 
 
-def _check_choice_model(inst: Instance, j: int, out: list[str]) -> None:
+def _check_choice_model(inst: Instance, j: int, fam: tuple | ValueError, out: list[str]) -> None:
+    """``fam`` is the enumerated family, or the error enumerating it raised."""
     ct = inst.types[j]
     model = ct.choice
     n = inst.n_products
@@ -340,10 +341,8 @@ def _check_choice_model(inst: Instance, j: int, out: list[str]) -> None:
     if model.item_probs is not None and len(model.item_probs) != n:
         out.append(f"type {j}: tabular item_probs length {len(model.item_probs)} != {n}")
         return
-    try:
-        fam = inst.family.assortments(n)
-    except ValueError as exc:
-        out.append(f"type {j}: {exc}")
+    if isinstance(fam, ValueError):
+        out.append(f"type {j}: {fam}")
         return
     fam_set = set(fam)
     for S in fam:
@@ -400,6 +399,12 @@ def validate(inst: Instance) -> ValidationReport:
         mass = sum(inst.q(t, j) for j in range(inst.m))
         if mass > 1 + PROB_TOL:
             out.append(f"arrival mass exceeds 1 at time-step {t} (got {mass})")
+    fam: tuple | ValueError = ()
+    if not all(isinstance(ct.choice, Mnl) for ct in inst.types):
+        try:  # enumerated once, for every tabular type
+            fam = inst.family.assortments(inst.n_products)
+        except ValueError as exc:
+            fam = exc
     for j, ct in enumerate(inst.types):
         if ct.id != j:
             out.append(f"type ids must be dense, got {ct.id} at {j}")
@@ -418,7 +423,7 @@ def validate(inst: Instance) -> ValidationReport:
             out.append(f"type {j}: revenue vector length {len(ct.revenues)} != {inst.n_products}")
         elif any((not math.isfinite(r)) or r < 0 for r in ct.revenues):
             out.append(f"type {j}: revenues must be finite and non-negative")
-        _check_choice_model(inst, j, out)
+        _check_choice_model(inst, j, fam, out)
     if inst.matching_with_timeouts and not inst.family.is_singleton_family(inst.n_products):
         out.append("matching-with-timeouts instances must have |S| <= 1 assortments")
     if inst.family.mode == "explicit":

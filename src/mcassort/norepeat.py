@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mcdlp import McdlpSolution, RevenueSamples
-from .model import Instance, choice_prob
+from .model import Instance, choice_prob, validate
 from .trace import PolicyTrace, RunSampler, StepRecord, check_replicas, serve_replicas
 
 __all__ = [
@@ -90,6 +90,7 @@ def _run(
     for j, ct in enumerate(inst.types):
         if (ct.patience is None) == (ct.leave_prob is None):
             raise ValueError(f"type {j}: exactly one of patience and leave_prob must be set")
+    validate(inst).require()
     m = inst.m
     support = [_support(solution, j, alpha) for j in range(m)]
     sampler = RunSampler(inst)

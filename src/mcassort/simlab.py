@@ -16,7 +16,8 @@ import numpy as np
 
 from . import lpcore, mcdlp, norepeat
 from .mcdlp import McdlpVariant, MonteCarloEstimate, RevenueSamples
-from .model import (
+# choice_prob is unused here but stays bound: perfbench's tracer rebinds it in every importer
+from .model import (  # noqa: F401
     AssortmentFamily,
     CustomerType,
     Instance,
@@ -25,6 +26,7 @@ from .model import (
     Product,
     Tabular,
     choice_prob,
+    validate,
 )
 from .trace import PolicyTrace, RunSampler, StepRecord, check_replicas, serve_replicas
 
@@ -68,32 +70,25 @@ class BenchmarkResult(RevenueSamples):
 class _GreedyChooser:
     """Memoized argmax of immediate expected revenue over feasible displays.
 
-    The cache key is (type, candidate-product bitmask); candidates are the
-    in-stock products the customer has not seen (restricted to the highest
-    price level in conservative mode).  Ties break to the lexicographically
-    smallest set, the empty set losing to any positive-value set.  Each
-    set's expected revenue is computed once per type.
+    The family's non-empty sets are listed once, in its lexicographic order,
+    as (sorted set, bitmask) pairs; conservative mode leaves out every set
+    with a product in ``low``, the bits below the highest price level.  Each
+    listed set's expected revenue is computed once per type.  The cache key
+    is (type, candidate-product bitmask).  Ties break to the first set in
+    family order, the empty set losing to any positive-value set.
     """
 
     def __init__(self, inst: Instance, high_only: bool):
         if high_only and inst.price_levels < 2:
             raise ValueError("conservative policy needs at least two price levels")
-        self.inst = inst
-        self.high_only = high_only
-        self.cap = inst.family.max_size(inst.n_products)
+        high = inst.price_levels - 1
+        self.low = sum(1 << p.id for p in inst.products if p.level != high) if high_only else 0
+        listed = ((tuple(sorted(S)), sum(1 << i for i in S)) for S in inst.family.assortments(inst.n_products))
+        self.sets = [(S, bits) for S, bits in listed if S and not bits & self.low]
+        # sorted (product, probability) pairs: each sum runs in the set's sorted order
+        self.values = [[sum(ct.revenues[i] * p for i, p in sorted(ct.choice.probs(frozenset(S))))
+                        for S, _ in self.sets] for ct in inst.types]
         self.cache: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
-        self.values: dict[tuple[int, tuple[int, ...]], float] = {}
-
-    def _candidates(self, cand: tuple[int, ...]):
-        fam = self.inst.family
-        if fam.mode == "size_capped":
-            for size in range(1, min(self.cap, len(cand)) + 1):
-                yield from itertools.combinations(cand, size)
-        else:
-            cset = set(cand)
-            for S in fam.sets:
-                if S and S <= cset:
-                    yield tuple(sorted(S))
 
     def choose(self, j: int, mask: int) -> tuple[tuple[int, ...], int]:
         """Best display for type ``j`` among the products whose bits are set
@@ -102,22 +97,15 @@ class _GreedyChooser:
         hit = self.cache.get(key)
         if hit is not None:
             return hit
-        cand = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-        ct = self.inst.types[j]
-        best_set: tuple[int, ...] = ()
+        best: tuple[tuple[int, ...], int] = ((), 0)
         best_val = 0.0
-        for S in sorted(self._candidates(cand)):
-            val = self.values.get((j, S))
-            if val is None:
-                fs = frozenset(S)
-                val = self.values[(j, S)] = sum(ct.revenues[i] * choice_prob(ct.choice, i, fs) for i in S)
-            if val > best_val + 1e-12:
-                best_set, best_val = S, val
-        high = self.inst.price_levels - 1
-        if self.high_only and any(self.inst.products[i].level != high for i in best_set):
-            raise RuntimeError(f"conservative greedy displayed low fares in {best_set}")
-        hit = self.cache[key] = (best_set, sum(1 << i for i in best_set))
-        return hit
+        for listed, val in zip(self.sets, self.values[j]):
+            if not listed[1] & ~mask and val > best_val + 1e-12:
+                best, best_val = listed, val
+        if best[1] & self.low:
+            raise RuntimeError(f"conservative greedy displayed low fares in {best[0]}")
+        self.cache[key] = best
+        return best
 
 
 def run_benchmark(
@@ -131,9 +119,9 @@ def run_benchmark(
     if policy not in ("greedy", "conservative"):
         raise ValueError(f"unknown benchmark policy {policy!r}")
     check_replicas(replicas)
+    validate(inst).require()
     chooser = _GreedyChooser(inst, high_only=(policy == "conservative"))
-    high = inst.price_levels - 1
-    displayable = sum(1 << p.id for p in inst.products if not chooser.high_only or p.level == high)
+    displayable = ((1 << inst.n_products) - 1) & ~chooser.low
     sampler = RunSampler(inst)
     result = BenchmarkResult(
         replicas=replicas,

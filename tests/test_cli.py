@@ -167,3 +167,27 @@ class TestCli:
         assert rows[0] == ["type", "no_purchase", "weights"]
         assert len(rows) == 2 and len(rows[1]) == 3
         assert rows[1][0] == "('a\"b',)"
+
+    def test_offer_all_runs_the_saved_hardness_instance(self, tmp_path, capsys):
+        path = str(tmp_path / "h.json")
+        assert _run(["gen-instance", "hardness", path, "--n", "5", "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert _run(["simulate", "--policy", "offer-all", "--instance", path,
+                     "--replicas", "200", "--seed", "1"]) == 0
+        revenues = simlab.hardness_sold_fraction(5, 200, seed=1) * 5
+        assert f"mean,{float(np.mean(revenues)):.10g}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("field, value", [("revenues", [3.0] * 5),
+                                              ("item_probs", [0.9] * 5)])
+    def test_offer_all_refuses_another_instance(self, tmp_path, capsys, field, value):
+        # same T, m, patience and arrivals as hardness-5; the offer-all formula
+        # assumes p = 1/n and unit revenues, so the run is refused
+        path = tmp_path / "h.json"
+        d = instance_to_dict(simlab.gen_hardness_instance(5))
+        for td in d["types"]:
+            (td if field == "revenues" else td["tabular"])[field] = value
+        path.write_text(json.dumps(d))
+        with pytest.raises(SystemExit, match="symmetric hardness instance"):
+            _run(["simulate", "--policy", "offer-all", "--instance", str(path),
+                  "--replicas", "200", "--seed", "1"])
+        assert capsys.readouterr().out == ""

@@ -407,6 +407,16 @@ class TestColumnGeneration:
         assert sum(res.added_per_iteration) == len(res.added)
         assert res.added_per_iteration[-1] == 0 and min(res.added_per_iteration[:-1]) >= 1
 
+    def test_family_enumerated_once_per_run(self, monkeypatch):
+        # every type's pricing table reads one enumeration, made on first use
+        inst = simlab.random_norepeat_instance(seed=3, n=5, cap=2, m=4)
+        calls = []
+        enumerate_family = AssortmentFamily.assortments
+        monkeypatch.setattr(AssortmentFamily, "assortments",
+                            lambda fam, n: calls.append(n) or enumerate_family(fam, n))
+        res = column_generate(inst, McdlpVariant.MCDLP_NR, BruteForceOracle())
+        assert res.iterations > 1 and calls == [5]
+
     def test_complete_start_terminates_immediately(self):
         # family = empty set + singletons: the starting set is everything
         inst = simlab.random_norepeat_instance(seed=4, n=4, cap=1, m=3)

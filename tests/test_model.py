@@ -90,6 +90,27 @@ class TestValidate:
                                      matching_with_timeouts=True)
         assert any("matching" in v for v in inst.validate().violations)
 
+    def test_family_enumerated_once_for_every_tabular_type(self, monkeypatch):
+        calls = []
+        enumerate_family = AssortmentFamily.assortments
+        monkeypatch.setattr(AssortmentFamily, "assortments",
+                            lambda fam, n: calls.append(n) or enumerate_family(fam, n))
+
+        def tabular_types(n, k):
+            types = tuple(CustomerType(id=j, arrival=0.2, revenues=(1.0,) * n, patience=1,
+                                       choice=Tabular(entries={}, item_probs=(0.05,) * n))
+                          for j in range(3))
+            return Instance.single_level(T=1, inventories=[1] * n, types=types,
+                                         family=AssortmentFamily.size_capped(k))
+
+        assert validate(tabular_types(4, 2)).ok
+        assert calls == [4]
+        # a family too large to enumerate is still named once per tabular type
+        report = validate(tabular_types(17, 17))
+        assert calls == [4, 17]
+        assert report.violations == tuple(
+            f"type {j}: family too large to enumerate (131072 sets); use column generation" for j in range(3))
+
 
 class TestValidateAtEntry:
     def _bad(self):

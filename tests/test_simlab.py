@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -7,10 +8,13 @@ import pytest
 from mcassort import attenuate, lpcore, mcdlp, norepeat, simlab
 from mcassort.mcdlp import McdlpVariant, MonteCarloEstimate, verify_policy_upper_bound
 from mcassort.model import (
+    MAX_TABULAR_FAMILY,
     AssortmentFamily,
     CustomerType,
     Instance,
+    Item,
     Mnl,
+    Product,
     Tabular,
     choice_prob,
 )
@@ -111,6 +115,120 @@ class TestConservative:
         inst = simlab.random_norepeat_instance(seed=0, n=3, cap=2, m=2)
         with pytest.raises(ValueError, match="price levels"):
             simlab.run_benchmark(inst, "conservative", replicas=5, seed=0)
+
+
+class _LazyChooser:
+    """Reference for ``simlab._GreedyChooser``: on each miss it enumerates the
+    candidates' own feasible subsets, sorts them and prices each (type, set)
+    on first sight, summing ``choice_prob`` terms in the set's sorted order.
+    Conservative mode is its callers' doing: they pass top-level masks only."""
+
+    def __init__(self, inst):
+        self.inst = inst
+        self.cap = inst.family.max_size(inst.n_products)
+        self.cache = {}
+        self.values = {}
+
+    def _candidates(self, cand):
+        fam = self.inst.family
+        if fam.mode == "size_capped":
+            for size in range(1, min(self.cap, len(cand)) + 1):
+                yield from itertools.combinations(cand, size)
+        else:
+            cset = set(cand)
+            for S in fam.sets:
+                if S and S <= cset:
+                    yield tuple(sorted(S))
+
+    def choose(self, j, mask):
+        key = (j, mask)
+        hit = self.cache.get(key)
+        if hit is not None:
+            return hit
+        cand = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+        ct = self.inst.types[j]
+        best_set = ()
+        best_val = 0.0
+        for S in sorted(self._candidates(cand)):
+            val = self.values.get((j, S))
+            if val is None:
+                fs = frozenset(S)
+                val = self.values[(j, S)] = sum(ct.revenues[i] * choice_prob(ct.choice, i, fs) for i in S)
+            if val > best_val + 1e-12:
+                best_set, best_val = S, val
+        hit = self.cache[key] = (best_set, sum(1 << i for i in best_set))
+        return hit
+
+
+def _random_choice(rng, kind, n, family):
+    if kind == "mnl":
+        return Mnl(weights=tuple(float(w) for w in rng.lognormal(0.0, 0.5, n)),
+                   no_purchase=float(rng.uniform(0.5, 2.0)))
+    if kind == "independent":
+        return Tabular(entries={}, item_probs=tuple(float(p) for p in rng.uniform(0.05, 0.3, n)))
+    if kind == "near-tie":  # singleton values 1e-13 apart, inside the 1e-12 margin
+        return Tabular(entries={}, item_probs=tuple(0.2 + 1e-13 * i for i in range(n)))
+    entries = {}  # a full table: its own probabilities on every set
+    for S in family.assortments(n):
+        probs = rng.dirichlet(np.ones(len(S) + 1))[:-1]
+        entries.update({(i, S): float(p) for i, p in zip(sorted(S), probs)})
+    return Tabular(entries=entries)
+
+
+def _chooser_cases():
+    """Small instances over every family shape, choice model and price-level count."""
+    rng = np.random.default_rng(14)
+    for levels, n_items in ((1, 4), (2, 3)):
+        n = levels * n_items
+        families = [AssortmentFamily.size_capped(k) for k in range(n + 1)]
+        for _ in range(2):
+            sizes = rng.integers(1, n + 1, size=5)
+            families.append(AssortmentFamily.explicit(
+                [rng.choice(n, size=s, replace=False).tolist() for s in sizes]))
+        for family in families:
+            for kind in ("mnl", "independent", "near-tie", "full"):
+                types = []
+                for j in range(2):
+                    # revenues drawn from three values, two of them fixed, tie sets exactly
+                    revenues = tuple(float(r) for r in rng.choice((1.0, 2.0, rng.uniform(0.5, 3.0)), size=n))
+                    if kind == "near-tie":
+                        revenues = (1.0,) * n
+                    types.append(CustomerType(id=j, arrival=0.5, revenues=revenues,
+                                              choice=_random_choice(rng, kind, n, family), patience=2))
+                items = tuple(Item(i, 1) for i in range(n_items))
+                products = tuple(Product(i * levels + lv, i, lv) for i in range(n_items) for lv in range(levels))
+                yield Instance(T=2, items=items, products=products, types=tuple(types),
+                               family=family, price_levels=levels)
+
+
+class TestChooserAgainstLazyReference:
+    def test_same_display_on_every_candidate_mask(self):
+        policies = checked = 0
+        for inst in _chooser_cases():
+            high = inst.price_levels - 1
+            for high_only in (False, True) if inst.price_levels > 1 else (False,):
+                policies += 1
+                chooser = simlab._GreedyChooser(inst, high_only)
+                ref = _LazyChooser(inst)
+                # conservative candidates are the top-level products only
+                displayable = sum(1 << p.id for p in inst.products if not high_only or p.level == high)
+                for j in range(inst.m):
+                    for mask in range(1 << inst.n_products):
+                        if mask & ~displayable:
+                            continue
+                        assert chooser.choose(j, mask) == ref.choose(j, mask), (inst.family, j, mask)
+                        checked += 1
+        assert (policies, checked) == (7 * 4 + 9 * 4 * 2, 6080)
+
+    def test_family_too_large_to_enumerate_is_refused(self):
+        n = 17  # 2^17 sets > MAX_TABULAR_FAMILY
+        ct = CustomerType(id=0, arrival=1.0, revenues=(1.0,) * n,
+                          choice=Mnl(weights=(1.0,) * n, no_purchase=1.0), patience=1)
+        inst = Instance.single_level(T=1, inventories=[1] * n, types=(ct,),
+                                     family=AssortmentFamily.size_capped(n))
+        assert inst.family.count(n) > MAX_TABULAR_FAMILY
+        with pytest.raises(ValueError, match="too large to enumerate"):
+            simlab.run_benchmark(inst, "greedy", replicas=1)
 
 
 class TestGenerators:
@@ -342,3 +460,48 @@ def test_runners_refuse_fewer_than_one_replica(runner, replicas, monkeypatch):
         monkeypatch.setattr(mod, "serve_replicas", unreachable)
     with pytest.raises(ValueError, match="replicas"):
         RUNNERS[runner](replicas)
+
+
+def _arrival_mass_two(inst):
+    """Arrival mass 2 at every step; T shrinks so that every T q_j is kept."""
+    scale = 2.0 / sum(ct.arrival for ct in inst.types)
+    return replace(inst, T=max(1, round(inst.T / scale)),
+                   types=tuple(replace(ct, arrival=ct.arrival * scale) for ct in inst.types))
+
+
+def _both_patience_rules(inst):
+    return replace(inst, types=(replace(inst.types[0], leave_prob=0.5),) + inst.types[1:])
+
+
+VALIDATED_RUNNERS = {
+    "run_benchmark": (lambda: (_norepeat_case()[0], None),
+                      lambda inst, sol: simlab.run_benchmark(inst, "greedy", 10)),
+    "run_algorithm3": (lambda: _solved(simlab.random_norepeat_instance(seed=2, n=4, cap=2, m=4),
+                                       McdlpVariant.MCDLP_NR),
+                       lambda inst, sol: norepeat.run_algorithm3(inst, sol, replicas=10)),
+    "run_algorithm1": (lambda: _solved(simlab.random_matching_instance(seed=4, n=4, m=3, T=4),
+                                       McdlpVariant.SINGLE_ITEM),
+                       lambda inst, sol: attenuate.run_algorithm1(inst, sol, mc_budget=50, replicas=10)),
+    "run_algorithm6": (_repeated_case,
+                       lambda inst, sol: attenuate.run_algorithm6(inst, sol, mc_budget=50, replicas=10)),
+}
+
+
+@pytest.mark.parametrize("defect, message", [
+    (_arrival_mass_two, "arrival mass exceeds 1 at time-step 0"),
+    (_both_patience_rules, "type 0: exactly one of patience and leave_prob must be set"),
+], ids=["arrival-mass-2", "both-patience-rules"])
+@pytest.mark.parametrize("runner", sorted(VALIDATED_RUNNERS))
+def test_runners_refuse_instances_validate_rejects(runner, defect, message, monkeypatch):
+    # the plan comes from the valid instance; the runner sees the broken one,
+    # where types past cumulative arrival mass 1 would never arrive
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started on an invalid instance")
+
+    make, run = VALIDATED_RUNNERS[runner]
+    inst, sol = make()
+    monkeypatch.setattr(attenuate, "_estimate_factors", unreachable)
+    for mod in (simlab, norepeat):
+        monkeypatch.setattr(mod, "serve_replicas", unreachable)
+    with pytest.raises(ValueError, match=message):
+        run(defect(inst), sol)
