@@ -33,7 +33,7 @@ from . import mcdlp
 from .blackbox import CASE_NONE, CASE_SMALL, batch_flip, certified_case
 from .mcdlp import RevenueSamples
 from .model import Instance, Mnl, choice_prob, validate
-from .trace import check_replicas
+from .trace import check_replicas, check_seed
 
 __all__ = [
     "GammaSchedule",
@@ -456,6 +456,7 @@ def compute_attenuation_factors(
     allow_uncertified: bool = False,
 ) -> AttenuationFactors:
     """Estimate algorithm 1's edge and vertex factors for every step."""
+    check_seed(seed)
     kern = _matching_kernel(inst, plan, allow_uncertified)
     return _estimate_factors(kern, mc_budget, np.random.SeedSequence(seed).spawn(kern.T))
 
@@ -475,6 +476,7 @@ def run_algorithm1(
     ``replicas`` fresh horizons, tracking availability, sales and revenue.
     """
     check_replicas(replicas)
+    check_seed(seed)
     kern = _matching_kernel(inst, plan, allow_uncertified)
     if factors is None:
         factor_seed = seed * 2_654_435_761 % (2**31) + 1
@@ -516,6 +518,7 @@ def run_algorithm6(
     if solution.variant not in (mcdlp.McdlpVariant.MCDLP_R, mcdlp.McdlpVariant.SINGLE_ITEM):
         raise ValueError("algorithm 6 rounds an MCDLP-R (or single-item) plan")
     check_replicas(replicas)
+    check_seed(seed)
     validate(inst).require()
     kern = _assortment_kernel(inst, solution, allow_uncertified)
     streams = np.random.SeedSequence(seed).spawn(kern.T + 1)

@@ -21,6 +21,14 @@ from .model import InvalidInstanceError, load_instance, save_instance
 _VARIANTS = {v.value: v for v in McdlpVariant}
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer (argparse exits 2 on anything else)."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def _out(args, text: str) -> None:
     if args.out:
         with open(args.out, "w") as fh:
@@ -207,7 +215,7 @@ def main(argv=None) -> int:
     g.add_argument("--patience", type=int, default=2)
     g.add_argument("--loading-factor", type=float, default=2.0)
     g.add_argument("--scale-factor", type=float, default=2.0)
-    g.add_argument("--seed", type=int, required=True)
+    g.add_argument("--seed", type=_seed, required=True)
 
     s = sub.add_parser("solve-lp", help="solve an LP relaxation and print plan and duals")
     s.add_argument("--variant", choices=sorted(_VARIANTS), required=True)
@@ -223,7 +231,7 @@ def main(argv=None) -> int:
     r.add_argument("--replicas", type=int, default=1000)
     r.add_argument("--mc-budget", type=int, default=2000)
     r.add_argument("--alpha", type=float, default=None)
-    r.add_argument("--seed", type=int, required=True)
+    r.add_argument("--seed", type=_seed, required=True)
     r.add_argument("--out")
 
     w = sub.add_parser("sweep", help="hotel-like parameter sweep, CSV output")
@@ -233,7 +241,7 @@ def main(argv=None) -> int:
     w.add_argument("--scale-factor", type=float, default=2.0)
     w.add_argument("--types", type=int, default=12)
     w.add_argument("--replicas", type=int, default=100)
-    w.add_argument("--seed", type=int, required=True)
+    w.add_argument("--seed", type=_seed, required=True)
     w.add_argument("--out")
 
     c = sub.add_parser("colgen", help="column generation on an instance")

@@ -9,8 +9,8 @@ which by substitutability can only raise the remaining items' probabilities.
 Three entry points share the walk: the first-arrival-gated base policy, its
 ungated modification for homogeneous revenues, and the geometric-patience
 variant where the customer leaves with probability p_out after every
-unsuccessful stage.  Replica state is fully isolated, so replicas could run
-concurrently.
+unsuccessful stage.  The walk serves all arriving customers of a step at
+once, one row per replica, on the engine ``trace.serve_batches``.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .mcdlp import McdlpSolution, RevenueSamples
 from .model import Instance, choice_prob, validate
-from .trace import PolicyTrace, RunSampler, StepRecord, check_replicas, serve_replicas
+from .trace import PolicyTrace, RunSampler, check_replicas, check_seed, memo_lookup, record_step, serve_batches
 
 __all__ = [
     "NoRepeatResult",
@@ -60,13 +60,6 @@ class NoRepeatResult(RevenueSamples):
     min_condition_count: int = 200
 
 
-def _support(solution: McdlpSolution, j: int, alpha: float) -> list[tuple[frozenset[int], float, int]]:
-    """The plan's support sets, each with its inclusion probability and
-    product bitmask; the empty set can never be displayed, so the support
-    leaves it out of the permutation."""
-    return [(S, _inclusion_prob(v, alpha), sum(1 << i for i in S)) for S, v in solution.support(j)]
-
-
 def _inclusion_prob(x: float, alpha: float) -> float:
     p = x / alpha
     if p > 1.0:
@@ -84,90 +77,130 @@ def _run(
     gate_first_arrival: bool,
     record_traces: int = 0,
 ) -> NoRepeatResult:
+    """Serve the permutation walk to every customer (only to a type's first
+    arrival when ``gate_first_arrival``), all replicas at once.
+
+    Type j's support (the plan's positive-weight sets; the empty set can
+    never be displayed, so it is left out) is padded to the longest one.  A
+    served customer orders her sets by ``argsort`` of uniforms and includes
+    each with probability x*(S)/alpha; an included set is stripped of the
+    products seen or out of stock and, when anything is left, displayed.
+    Each (type, set, stripped set) has its substitutability checked once per
+    run.  The gated event counters are tallied after each step from the
+    position of every set in the order, the position at which each product
+    was first shown and the position at which the customer stopped.
+    """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     check_replicas(replicas)
-    for j, ct in enumerate(inst.types):
-        if (ct.patience is None) == (ct.leave_prob is None):
-            raise ValueError(f"type {j}: exactly one of patience and leave_prob must be set")
+    check_seed(seed)
     validate(inst).require()
-    m = inst.m
-    support = [_support(solution, j, alpha) for j in range(m)]
+    m, P = inst.m, inst.n_products
+    support = [solution.support(j) for j in range(m)]
+    sizes = np.array([len(sup) for sup in support])
+    K = max(1, int(sizes.max()))
+    sets = np.zeros((m, K, P), dtype=bool)      # padded support sets as product masks
+    incl = np.zeros((m, K))
+    for j, sup in enumerate(support):
+        for k, (S, v) in enumerate(sup):
+            sets[j, k, list(S)] = True
+            incl[j, k] = _inclusion_prob(v, alpha)
+    patience = np.array([P + 1 if ct.patience is None else ct.patience for ct in inst.types])
+    leave = np.array([ct.leave_prob or 0.0 for ct in inst.types])
     sampler = RunSampler(inst)
-    # (type, support index, stripped bitmask) triples whose substitutability
-    # this run has checked, over every product left
-    checked: set[tuple[int, int, int]] = set()
-    all_products = (1 << inst.n_products) - 1
+    memo: dict[bytes, int] = {}  # (type * K + set index, stripped mask) -> display index
+    timeouts = np.zeros(m * K, dtype=np.int64)
+    seen_counts = np.zeros(m * K * P, dtype=np.int64)
     result = NoRepeatResult(
         replicas=replicas,
         revenues=np.zeros(replicas),
         type_arrivals=np.zeros(m),
-        imatch=np.zeros((m, inst.n_products)),
+        imatch=np.zeros((m, P)),
         seen={},
         timeout_cmatch={},
-        support=[[S for S, _, _ in sup] for sup in support],
+        support=[[S for S, _ in sup] for sup in support],
         item_sales=np.zeros(inst.n_items),
         offers_made=np.zeros(replicas),
     )
 
-    def walk(rng, t, j, first, avail, trace):
-        if gate_first_arrival and not first:
-            return None, 0
-        if gate_first_arrival:
-            result.type_arrivals[j] += 1
-            gone = all_products & ~avail
-            while gone:  # one pass per sold-out product, lowest id first
-                result.imatch[j, (gone & -gone).bit_length() - 1] += 1
-                gone &= gone - 1
+    def checked_display(head: int, stripped: int) -> int:
+        j, k = divmod(head, K)
         ct = inst.types[j]
-        patience = ct.patience
-        leave_prob = ct.leave_prob
-        sup = support[j]
-        order = list(range(len(sup)))
-        rng.shuffle(order)
-        seen = 0
-        offers = 0
-        purchased: int | None = None
-        left = False
-        for k in order:
-            S, incl, bits = sup[k]
-            stopped = (purchased is not None) or left or (patience is not None and offers >= patience)
-            if gate_first_arrival:
-                key = (j, k)
-                result.timeout_cmatch[key] = result.timeout_cmatch.get(key, 0) + int(stopped)
-                for i in S:
-                    if seen >> i & 1:
-                        skey = (j, k, i)
-                        result.seen[skey] = result.seen.get(skey, 0) + 1
-            if stopped:
-                continue
-            if rng.random() >= incl:
-                continue
-            stripped = bits & avail & ~seen
-            if not stripped:
-                continue  # nothing displayable: no stage is consumed
-            offers += 1
-            seen |= stripped
-            if (j, k, stripped) not in checked:
-                shown = sampler.purchase_row(j, stripped)[0]
-                fs = frozenset(shown)
-                for i in shown:
-                    p_str = choice_prob(ct.choice, i, fs)
-                    if p_str < choice_prob(ct.choice, i, S) - 1e-9:
-                        raise RuntimeError(f"substitutability broken: p({i}, {list(shown)}) = {p_str} "
-                                           f"< p({i}, {sorted(S)})")
-                checked.add((j, k, stripped))
-            choice = sampler.draw_choice(j, stripped, rng)
-            if trace is not None:
-                rev_here = ct.revenues[choice] if choice is not None else 0.0
-                trace.steps.append(StepRecord(t, j, offers, sampler.purchase_row(j, stripped)[0], choice, rev_here))
-            if choice is not None:
-                purchased = choice
-            elif leave_prob is not None and rng.random() < leave_prob:
-                left = True
-        return purchased, offers
+        S = support[j][k][0]
+        shown = sampler.purchase_row(j, stripped)[0]
+        fs = frozenset(shown)
+        for i in shown:
+            p_str = choice_prob(ct.choice, i, fs)
+            if p_str < choice_prob(ct.choice, i, S) - 1e-9:
+                raise RuntimeError(f"substitutability broken: p({i}, {list(shown)}) = {p_str} "
+                                   f"< p({i}, {sorted(S)})")
+        return sampler.display(j, stripped)
 
-    serve_replicas(inst, result, seed, record_traces, sampler, walk)
+    def step(rng, t, j, first, avail, traces):
+        served = np.flatnonzero(first) if gate_first_arrival else np.arange(len(j))
+        js, avail = j[served], avail[served]
+        n = len(js)
+        bought = np.full(n, -1)
+        offers = np.zeros(n, dtype=np.int64)
+        traces = [traces[r] for r in served[:np.searchsorted(served, len(traces))]]
+        if gate_first_arrival:
+            result.type_arrivals += np.bincount(js, minlength=m)
+            r, i = np.nonzero(~avail)
+            result.imatch += np.bincount(js[r] * P + i, minlength=m * P).reshape(m, P)
+        # column q of each row is the set at position q of the customer's order
+        size = sizes[js]
+        real = np.arange(K) < size[:, None]
+        order = np.argsort(np.where(real, rng.random((n, K)), 2.0), axis=1)
+        head = js[:, None] * K + order
+        u_incl, u_buy, u_leave = rng.random((3, n, K))
+        go = u_incl < incl.ravel()[head]
+        leaves = u_leave < leave[js][:, None]
+        shows = sets.reshape(m * K, P)[head]
+        shown_at = np.full((n, P), K)           # position at which each product was first shown
+        stop_at = np.full(n, K)                 # position after which the customer has stopped
+        act = np.arange(n)
+        for pos in range(K):
+            act = act[pos < size[act]]
+            if not act.size:
+                break
+            c = act[go[act, pos]]
+            stripped = shows[c, pos] & avail[c] & (shown_at[c] == K)
+            some = stripped.any(axis=1)
+            c, stripped = c[some], stripped[some]
+            if not c.size:
+                continue
+            ja = js[c]
+            offers[c] += 1
+            shown_at[c] = np.where(stripped, pos, shown_at[c])
+            shown = memo_lookup(memo, head[c, pos], stripped, checked_display)
+            choice = sampler.draw_purchases(shown, u_buy[c, pos])
+            for q in range(np.searchsorted(c, len(traces))):
+                record_step(traces[c[q]], inst, t, ja[q], offers[c[q]], sampler.offered[shown[q]], choice[q])
+            sold = choice >= 0
+            bought[c[sold]] = choice[sold]
+            stop = sold | (offers[c] >= patience[ja]) | leaves[c, pos]
+            stop_at[c[stop]] = pos
+            act = act[stop_at[act] == K]
+        if gate_first_arrival:
+            # a set reached after the customer stopped counts a timeout; a
+            # product of it shown at an earlier position counts as seen
+            later = np.arange(K)
+            timeouts[:] += np.bincount(head[real & (later > stop_at[:, None])], minlength=m * K)
+            r, q, i = np.nonzero(shows & (shown_at[:, None, :] < later[:, None]))
+            seen_counts[:] += np.bincount(head[r, q] * P + i, minlength=m * K * P)
+        out_bought = np.full(len(j), -1)
+        out_offers = np.zeros(len(j), dtype=np.int64)
+        out_bought[served], out_offers[served] = bought, offers
+        return out_bought, out_offers
+
+    serve_batches(inst, result, seed, record_traces, sampler, step)
+    if gate_first_arrival:
+        for j in np.flatnonzero(result.type_arrivals):
+            for k in range(sizes[j]):
+                result.timeout_cmatch[(int(j), k)] = int(timeouts[j * K + k])
+        for idx in np.flatnonzero(seen_counts):
+            cell, i = divmod(int(idx), P)
+            result.seen[divmod(cell, K) + (i,)] = int(seen_counts[idx])
     return result
 
 

@@ -2,8 +2,9 @@
 
 Everything stochastic takes an explicit seed and derives child streams from
 it, so a sweep with the same spec and seed reproduces its CSV byte for byte.
-Replica loops are written to be independent per replica (parallelizable),
-with aggregation by plain means and standard errors.
+The serving simulators run all replicas of a call together, in row blocks
+of ``trace.BLOCK_ROWS`` (``trace.serve_batches``), and aggregate by plain
+means and standard errors.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .model import (  # noqa: F401
     choice_prob,
     validate,
 )
-from .trace import PolicyTrace, RunSampler, StepRecord, check_replicas, serve_replicas
+from .trace import PolicyTrace, RunSampler, check_replicas, check_seed, memo_lookup, record_step, serve_batches
 
 __all__ = [
     "BenchmarkResult",
@@ -85,9 +86,8 @@ class _GreedyChooser:
         self.low = sum(1 << p.id for p in inst.products if p.level != high) if high_only else 0
         listed = ((tuple(sorted(S)), sum(1 << i for i in S)) for S in inst.family.assortments(inst.n_products))
         self.sets = [(S, bits) for S, bits in listed if S and not bits & self.low]
-        # sorted (product, probability) pairs: each sum runs in the set's sorted order
-        self.values = [[sum(ct.revenues[i] * p for i, p in sorted(ct.choice.probs(frozenset(S))))
-                        for S, _ in self.sets] for ct in inst.types]
+        shown = [frozenset(S) for S, _ in self.sets]
+        self.values = _expected_revenues(inst.types, shown)
         self.cache: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
 
     def choose(self, j: int, mask: int) -> tuple[tuple[int, ...], int]:
@@ -108,6 +108,45 @@ class _GreedyChooser:
         return best
 
 
+def _expected_revenues(types, sets: list[frozenset[int]]) -> list[list[float]]:
+    """Per type, ``sum(r_i p(i, S))`` on each set over its products in
+    sorted order, with the floats of the type's ``choice.probs``.
+
+    The MNL types are priced together in numpy, set size by set size, with
+    the float operations of ``Mnl.probs`` in its order: the weights summed
+    over the frozenset's own iteration order, the no-purchase weight added,
+    one division per product.  Other models are priced through ``probs``.
+    """
+    out = [[sum(ct.revenues[i] * p for i, p in sorted(ct.choice.probs(S))) for S in sets]
+           if not isinstance(ct.choice, Mnl) else None for ct in types]
+    mnl = [j for j, ct in enumerate(types) if isinstance(ct.choice, Mnl)]
+    if not mnl:
+        return out
+    w = np.array([types[j].choice.weights for j in mnl])
+    r = np.array([types[j].revenues for j in mnl])
+    v0 = np.array([[types[j].choice.no_purchase] for j in mnl])
+    values = np.zeros((len(mnl), len(sets)))
+    by_size: dict[int, list[int]] = {}
+    for k, S in enumerate(sets):
+        by_size.setdefault(len(S), []).append(k)
+    for size, ks in by_size.items():
+        if not size:
+            continue
+        order = np.array([list(sets[k]) for k in ks])
+        members = np.sort(order, axis=1)
+        total = w[:, order[:, 0]]
+        for col in order.T[1:]:
+            total = total + w[:, col]
+        denom = v0 + total
+        value = r[:, members[:, 0]] * (w[:, members[:, 0]] / denom)
+        for col in members.T[1:]:
+            value = value + r[:, col] * (w[:, col] / denom)
+        values[:, ks] = value
+    for j, row in zip(mnl, values.tolist()):
+        out[j] = row
+    return out
+
+
 def run_benchmark(
     inst: Instance,
     policy: str,
@@ -115,42 +154,62 @@ def run_benchmark(
     seed: int = 0,
     record_traces: int = 0,
 ) -> BenchmarkResult:
-    """Simulate the greedy or conservative benchmark (no repeated displays)."""
+    """Simulate the greedy or conservative benchmark (no repeated displays).
+
+    Every arriving customer sees stage after stage the chooser's best display
+    among the displayable products in stock that she has not been shown,
+    until she buys, runs out of patience or leaves, or nothing is left to
+    show.  The replicas are served together (``trace.serve_batches``): each
+    stage looks up every row's (type, candidate mask) in a per-run memo that
+    asks the chooser on a miss.
+    """
     if policy not in ("greedy", "conservative"):
         raise ValueError(f"unknown benchmark policy {policy!r}")
     check_replicas(replicas)
+    check_seed(seed)
     validate(inst).require()
     chooser = _GreedyChooser(inst, high_only=(policy == "conservative"))
-    displayable = ((1 << inst.n_products) - 1) & ~chooser.low
+    displayable = np.array([not chooser.low >> i & 1 for i in range(inst.n_products)])
+    patience = np.array([inst.n_products + 1 if ct.patience is None else ct.patience for ct in inst.types])
+    leave = np.array([ct.leave_prob or 0.0 for ct in inst.types])
     sampler = RunSampler(inst)
+    memo: dict[bytes, int] = {}  # (type, candidate mask) -> display index, -1 for none
+
+    def best_display(j: int, cand: int) -> int:
+        S, bits = chooser.choose(j, cand)
+        return sampler.display(j, bits) if S else -1
+
+    def step(rng, t, j, first, avail, traces):
+        cand = avail & displayable
+        stage = np.zeros(len(j), dtype=np.int64)
+        bought = np.full(len(j), -1)
+        act = np.arange(len(j))
+        while act.size:
+            shown = memo_lookup(memo, j[act], cand[act], best_display)
+            act, shown = act[shown >= 0], shown[shown >= 0]
+            if not act.size:
+                break
+            ja = j[act]
+            stage[act] += 1
+            choice = sampler.draw_purchases(shown, rng.random(act.size))
+            cand[act] &= ~sampler.shown[shown]
+            for q in range(np.searchsorted(act, len(traces))):
+                record_step(traces[act[q]], inst, t, ja[q], stage[act[q]], sampler.offered[shown[q]], choice[q])
+            sold = choice >= 0
+            bought[act[sold]] = choice[sold]
+            more = ~sold & (stage[act] < patience[ja])
+            if leave.any():
+                more &= rng.random(act.size) >= leave[ja]
+            act = act[more]
+        return bought, stage
+
     result = BenchmarkResult(
         replicas=replicas,
         revenues=np.zeros(replicas),
         item_sales=np.zeros(inst.n_items),
         offers_made=np.zeros(replicas),
     )
-
-    def walk(rng, t, j, first, avail, trace):
-        ct = inst.types[j]
-        cand = avail & displayable
-        stage = 0
-        while ct.patience is None or stage < ct.patience:
-            S, bits = chooser.choose(j, cand)
-            if not S:
-                break
-            stage += 1
-            choice = sampler.draw_choice(j, bits, rng)
-            cand &= ~bits
-            if trace is not None:
-                rev_here = ct.revenues[choice] if choice is not None else 0.0
-                trace.steps.append(StepRecord(t, j, stage, S, choice, rev_here))
-            if choice is not None:
-                return choice, stage
-            if ct.leave_prob is not None and rng.random() < ct.leave_prob:
-                break
-        return None, stage
-
-    serve_replicas(inst, result, seed, record_traces, sampler, walk)
+    serve_batches(inst, result, seed, record_traces, sampler, step)
     return result
 
 
@@ -192,6 +251,7 @@ def hardness_sold_fraction(n: int, replicas: int, seed: int = 0) -> np.ndarray:
     happens with probability 1 - (1 - 1/n)^{N_t}; only the count N_t matters.
     """
     check_replicas(replicas)
+    check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     N = np.full(replicas, n, dtype=np.int64)
     base = 1.0 - 1.0 / n
@@ -462,6 +522,7 @@ class SweepSpec:
             raise ValueError("need at least 30 replicas per cell")
         if any(lf <= 0 for lf in self.loading_factors):
             raise ValueError("loading factors must be positive")
+        check_seed(self.seed)
 
 
 _SWEEP_POLICIES = ("greedy", "conservative", "algorithm3", "modified-algorithm3")

@@ -1,16 +1,31 @@
-"""Per-replica trace records, the per-run sampler and the replica loop the
-scalar simulators share."""
+"""Per-replica trace records, the per-run sampler and the replica-batched
+serving engine the greedy, conservative and no-repeat simulators share."""
 from __future__ import annotations
 
-import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable
 
+import numpy as np
+
 from .model import Instance, choice_prob
 
-__all__ = ["StepRecord", "PolicyTrace", "RunSampler", "check_replicas", "serve_replicas"]
+__all__ = [
+    "StepRecord",
+    "PolicyTrace",
+    "RunSampler",
+    "BLOCK_ROWS",
+    "check_replicas",
+    "check_seed",
+    "memo_lookup",
+    "record_step",
+    "serve_batches",
+]
+
+# Replicas are served in blocks of at most this many rows, block b drawing
+# from child b of SeedSequence(seed), so memory stays bounded for any replica
+# count and a run's draws do not depend on anything but its seed.
+BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -55,31 +70,36 @@ class PolicyTrace:
 class RunSampler:
     """Arrival and purchase draws of one simulator run, from tables built once.
 
-    Every draw takes one ``rng.random()`` and finds it in a running sum,
-    accumulated in the order a draw-by-draw loop would add it up: types in
-    index order, displayed products in id order.  The partial sums are the
-    same floats and, with non-negative probabilities, never decrease, so a
-    draw returns the same outcome from the same generator state; an index
-    past the end means no arrival or no purchase.
+    A draw finds a uniform in a running sum, accumulated in the order a
+    draw-by-draw loop would add it up: types in index order, displayed
+    products in id order.  The partial sums are the same floats and, with
+    non-negative probabilities, never decrease, so a uniform gets the outcome
+    that loop would give it; an index past the end means no arrival or no
+    purchase.
 
     Arrival rows are built up front: one for stationary instances, one per
-    time-step otherwise.  Purchase rows are built on first use per (type
-    index, displayed-product bitmask).  The cache is keyed on the type index,
-    so a sampler serves one instance; build one per simulator call.
+    time-step otherwise.  A display is a (type, displayed products) pair; its
+    running purchase sum is built on first use by ``purchase_row`` and kept
+    as one row of a padded table, so a batch of purchases is drawn by one
+    gather.  The cache is keyed on the type index, so a sampler serves one
+    instance; build one per simulator call.
     """
 
     def __init__(self, inst: Instance):
-        rows = [list(accumulate(inst.q(t, j) for j in range(inst.m)))
+        rows = [np.array(list(accumulate(inst.q(t, j) for j in range(inst.m))))
                 for t in range(1 if inst.stationary else inst.T)]
         self._arrivals = rows * inst.T if inst.stationary else rows
         self._models = [ct.choice for ct in inst.types]
         self._purchases: dict[tuple[int, int], tuple[tuple[int, ...], list[float]]] = {}
+        self._displays: dict[tuple[int, int], int] = {}
+        self.offered: list[tuple[int, ...]] = []     # per display: products in id order
+        self.shown = np.zeros((0, inst.n_products), dtype=bool)
+        self._cdf = np.zeros((0, 0))                  # padded with 2.0, above every uniform
+        self._items = np.zeros((0, 1), dtype=np.int64)  # padded with -1: no purchase
 
-    def draw_type(self, t: int, rng: random.Random) -> int | None:
-        """Sample which customer type arrives at step ``t`` (None for no arrival)."""
-        cdf = self._arrivals[t]
-        j = bisect_right(cdf, rng.random())
-        return j if j < len(cdf) else None
+    def draw_types(self, t: int, u: np.ndarray) -> np.ndarray:
+        """The type each uniform in ``u`` sends at step ``t``; m means no arrival."""
+        return np.searchsorted(self._arrivals[t], u, side="right")
 
     def purchase_row(self, j: int, displayed: int) -> tuple[tuple[int, ...], list[float]]:
         """(displayed products in id order, their running purchase probability)."""
@@ -92,12 +112,46 @@ class RunSampler:
             row = self._purchases[key] = (items, list(accumulate(choice_prob(model, i, shown) for i in items)))
         return row
 
-    def draw_choice(self, j: int, displayed: int, rng: random.Random) -> int | None:
-        """Sample type ``j``'s purchase from the products whose bits are set in
-        ``displayed`` (None for no purchase)."""
+    def display(self, j: int, displayed: int) -> int:
+        """Index of the display of the products whose bits are set in
+        ``displayed`` to type ``j``."""
+        key = (j, displayed)
+        idx = self._displays.get(key)
+        if idx is not None:
+            return idx
         items, cdf = self.purchase_row(j, displayed)
-        k = bisect_right(cdf, rng.random())
-        return items[k] if k < len(items) else None
+        idx = self._displays[key] = len(self.offered)
+        self.offered.append(items)
+        rows = len(self.shown) if idx < len(self.shown) else max(16, 2 * idx)
+        width = max(len(items), self._cdf.shape[1])
+        if rows > len(self.shown) or width > self._cdf.shape[1]:
+            self.shown = _grown(self.shown, rows, self.shown.shape[1], False)
+            self._cdf = _grown(self._cdf, rows, width, 2.0)
+            self._items = _grown(self._items, rows, width + 1, -1)
+        self.shown[idx, list(items)] = True
+        self._cdf[idx, :len(items)] = cdf
+        self._items[idx, :len(items)] = items
+        return idx
+
+    def draw_purchases(self, displays: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The product each display index buys at its uniform in ``u``; -1
+        means no purchase."""
+        k = (self._cdf[displays] <= u[:, None]).sum(axis=1)
+        return self._items[displays, k]
+
+
+def _grown(a: np.ndarray, rows: int, cols: int, fill) -> np.ndarray:
+    """``a`` copied into the top-left corner of a (rows, cols) array of ``fill``."""
+    out = np.full((rows, cols), fill, dtype=a.dtype)
+    out[:a.shape[0], :a.shape[1]] = a
+    return out
+
+
+def record_step(trace: PolicyTrace, inst: Instance, t: int, j, stage, offered: tuple[int, ...], choice) -> None:
+    """Append one displayed stage to ``trace``; ``choice`` -1 means no purchase."""
+    bought = int(choice) if choice >= 0 else None
+    revenue = inst.types[j].revenues[bought] if bought is not None else 0.0
+    trace.steps.append(StepRecord(t, int(j), int(stage), offered, bought, revenue))
 
 
 def check_replicas(replicas: int) -> None:
@@ -106,64 +160,103 @@ def check_replicas(replicas: int) -> None:
         raise ValueError(f"replicas must be at least 1, got {replicas}")
 
 
-# walk(rng, t, j, first, avail, trace) -> (product bought or None, stages displayed)
-Walk = Callable[[random.Random, int, int, bool, int, "PolicyTrace | None"], tuple["int | None", int]]
+def check_seed(seed: int) -> None:
+    """Refuse a negative seed: the generator streams take non-negative entropy only."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
 
-def serve_replicas(inst: Instance, result, seed: int, record_traces: int,
-                   sampler: RunSampler, walk: Walk) -> None:
+def memo_lookup(memo: dict, head: np.ndarray, masks: np.ndarray, make: Callable[[int, int], int]) -> np.ndarray:
+    """``memo``'s value for each row's key (``head[r]``, product mask ``masks[r]``).
+
+    Keys are the bytes of the head and the packed mask, so any product count
+    works.  A key seen for the first time gets ``make(head, mask)``, with the
+    mask as an int whose bit i is product i.
+    """
+    n = len(head)
+    packed = np.packbits(masks, axis=1, bitorder="little")
+    raw = np.concatenate([head.astype("<i8").view(np.uint8).reshape(n, 8), packed], axis=1)
+    keys = raw.view(f"V{raw.shape[1]}").ravel().tolist()
+    vals = list(map(memo.get, keys))
+    if None in vals:
+        for q, key in enumerate(keys):
+            if vals[q] is None:
+                val = memo.get(key)
+                if val is None:
+                    val = memo[key] = make(int(head[q]), int.from_bytes(key[8:], "little"))
+                vals[q] = val
+    return np.array(vals, dtype=np.int64)
+
+
+# step(rng, t, j, first, avail, traces) -> (product bought or -1, stages displayed)
+Step = Callable[[np.random.Generator, int, np.ndarray, np.ndarray, np.ndarray, list],
+                tuple[np.ndarray, np.ndarray]]
+
+
+def serve_batches(inst: Instance, result, seed: int, record_traces: int,
+                  sampler: RunSampler, step: Step) -> None:
     """Serve ``result.replicas`` horizons of at most one arrival per step.
 
-    Replica ``rep`` draws from ``random.Random(seed * 2**33 + rep)``.  The loop
-    draws only the arriving type ``j`` at step ``t``; ``walk`` serves that
-    customer with every other draw and returns the product bought (or None)
-    and the number of stages displayed.  ``first`` says whether this is the
-    type's first arrival in the replica, ``avail`` has the bits of the
-    products whose item is in stock, and ``trace`` (the first
-    ``record_traces`` replicas, else None) collects the walk's step records.
+    Replicas run in blocks of ``BLOCK_ROWS`` rows; block b draws from
+    ``default_rng`` on child b of ``SeedSequence(seed)``.  Each row keeps an
+    integer stock per item, an in-stock mask over products and the set of
+    types that have arrived.  Per step one uniform per row draws the arriving
+    type, and ``step`` serves the arriving rows at once: ``j`` are their
+    types, ``first`` says whether this is the type's first arrival in the
+    replica, ``avail`` is their in-stock product mask and ``traces`` the
+    ``PolicyTrace`` of each of the leading rows that are recorded (the first
+    ``record_traces`` replicas).  It returns each row's product bought (-1
+    for none) and its number of stages displayed.
 
-    The loop books each sale: the item's stock drops by one (negative stock
-    raises), its products' bits clear when it sells out, and the revenue and
-    the sale go to ``result.revenues`` and ``result.item_sales``; the stages
-    go to ``result.offers_made``.  Recorded traces are checked for inventory
-    conservation and appended to ``result.traces``.
+    The engine books the sales: the item's stock drops by one (negative
+    stock raises), its products leave the in-stock mask when it sells out,
+    and the revenue and the sale go to ``result.revenues`` and
+    ``result.item_sales``; the stages go to ``result.offers_made``.
+    Recorded traces are checked for inventory conservation and appended to
+    ``result.traces``.
     """
-    products = inst.products
-    revenues = [ct.revenues for ct in inst.types]
-    item_bits = [sum(1 << i for i in inst.products_of_item(it.id)) for it in inst.items]
-    initial = [it.inventory for it in inst.items]
-    in_stock = sum(1 << p.id for p in products if initial[p.item] > 0)
-    draw_type = sampler.draw_type
-    item_sales = result.item_sales
-    for rep in range(result.replicas):
-        rng = random.Random(seed * 2**33 + rep)
-        stock = initial.copy()
-        avail = in_stock
-        arrived = 0
-        revenue = 0.0
-        stages = 0
-        trace = PolicyTrace(rep, tuple(stock)) if rep < record_traces else None
+    item_of = np.array([p.item for p in inst.products], dtype=np.int64)
+    products_of = np.zeros((inst.n_items, inst.n_products), dtype=bool)
+    products_of[item_of, np.arange(inst.n_products)] = True
+    revenues = np.array([ct.revenues for ct in inst.types], dtype=float)
+    initial = np.array([it.inventory for it in inst.items], dtype=np.int64)
+    replicas = result.replicas
+    n_blocks = -(-replicas // BLOCK_ROWS)
+    for b, stream in enumerate(np.random.SeedSequence(seed).spawn(n_blocks)):
+        rng = np.random.default_rng(stream)
+        lo = b * BLOCK_ROWS
+        B = min(BLOCK_ROWS, replicas - lo)
+        stock = np.tile(initial, (B, 1))
+        in_stock = np.tile(initial[item_of] > 0, (B, 1))
+        arrived = np.zeros((B, inst.m), dtype=bool)
+        revenue = np.zeros(B)
+        stages = np.zeros(B, dtype=np.int64)
+        traces = [PolicyTrace(rep, tuple(initial.tolist())) for rep in range(lo, min(lo + B, record_traces))]
         for t in range(inst.T):
-            j = draw_type(t, rng)
-            if j is None:
+            j = sampler.draw_types(t, rng.random(B))
+            rows = np.flatnonzero(j < inst.m)
+            if not rows.size:
                 continue
-            first = not arrived >> j & 1
-            arrived |= 1 << j
-            bought, shown = walk(rng, t, j, first, avail, trace)
-            stages += shown
-            if bought is None:
-                continue
-            item = products[bought].item
-            stock[item] -= 1
-            if stock[item] < 0:
-                raise RuntimeError(f"negative stock of item {item}")
-            if stock[item] == 0:
-                avail &= ~item_bits[item]
-            revenue += revenues[j][bought]
-            item_sales[item] += 1
-        result.revenues[rep] = revenue
-        result.offers_made[rep] = stages
-        if trace is not None:
-            trace.final_inventory = tuple(stock)
+            j = j[rows]
+            first = ~arrived[rows, j]
+            arrived[rows, j] = True
+            recorded = [traces[r] for r in rows[:np.searchsorted(rows, len(traces))]]
+            bought, shown = step(rng, t, j, first, in_stock[rows], recorded)
+            stages[rows] += shown
+            sold = bought >= 0
+            r, p = rows[sold], bought[sold]
+            item = item_of[p]
+            left = stock[r, item] - 1
+            if (left < 0).any():
+                raise RuntimeError(f"negative stock of item {item[left < 0][0]}")
+            stock[r, item] = left
+            out = left == 0
+            in_stock[r[out]] &= ~products_of[item[out]]
+            revenue[r] += revenues[j[sold], p]
+            result.item_sales += np.bincount(item, minlength=inst.n_items)
+        result.revenues[lo:lo + B] = revenue
+        result.offers_made[lo:lo + B] = stages
+        for trace in traces:
+            trace.final_inventory = tuple(stock[trace.replica - lo].tolist())
             trace.check_conservation(inst)
             result.traces.append(trace)

@@ -18,7 +18,7 @@ from mcassort.blackbox import (
     run_blackbox,
     w_value,
 )
-from mcassort.model import AssortmentFamily, CustomerType, Instance, Mnl, Tabular
+from mcassort.model import AssortmentFamily, CustomerType, Instance, Mnl, Tabular, validate
 from mcassort.rounding import gkps_round
 
 
@@ -292,12 +292,22 @@ class TestAssortmentKernelVsOracle:
     SETS = [frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})]
     TABLE_SETS = [frozenset({0, 1, 2}), frozenset({0, 2}), frozenset({1, 2})]
     WEIGHTS = (0.5, 0.45, 0.4)
-    # not MNL: the within-set odds change when an item is stripped
+    # not MNL: the within-set odds change when an item is stripped; and
+    # substitutable: stripping an item never lowers another's probability
     TABLE = _table({
         (0, 1, 2): {0: 0.1, 1: 0.2, 2: 0.3},
-        (0, 1): {0: 0.3, 1: 0.1}, (0, 2): {0: 0.25, 2: 0.3}, (1, 2): {1: 0.35, 2: 0.15},
+        (0, 1): {0: 0.3, 1: 0.25}, (0, 2): {0: 0.25, 2: 0.3}, (1, 2): {1: 0.25, 2: 0.35},
         (0,): {0: 0.45}, (1,): {1: 0.4}, (2,): {2: 0.5},
     })
+
+    def test_table_is_substitutable_on_every_stripped_set(self):
+        # validate checks the family's own sets; the stripped sets lie below them
+        sets = [frozenset(S) for S in ((0, 1, 2), (0, 1), (0, 2), (1, 2), (0,), (1,), (2,))]
+        for big in sets:
+            for small in sets:
+                if small < big:
+                    for i in small:
+                        assert self.TABLE.prob(i, small) >= self.TABLE.prob(i, big), (i, small, big)
 
     @pytest.mark.parametrize("choice, sets, case, patience, sold_out", [
         # masses 0.60, 0.71, 0.67; patience covers the family
@@ -308,7 +318,7 @@ class TestAssortmentKernelVsOracle:
         (Mnl(weights=(1.0, 0.5, 1.5), no_purchase=2.0), SETS, CASE_NONE, 2, ()),
         # stripped sets {0, 1}, {0}, {1}
         (Mnl(weights=(1.0, 0.5, 1.5), no_purchase=1.0), SETS, CASE_FULL, 3, (2,)),
-        # masses 0.60, 0.55, 0.50; evaluated set by set, not in closed form
+        # masses 0.60, 0.55, 0.60; evaluated set by set, not in closed form
         (TABLE, TABLE_SETS, CASE_FULL, 3, ()),
         (TABLE, TABLE_SETS, CASE_NONE, 2, ()),
         # stripped sets {0, 1}, {0}, {1}
@@ -323,6 +333,8 @@ class TestAssortmentKernelVsOracle:
         inst = Instance.single_level(T=1, inventories=[1, 1, 1], types=(ct,),
                                      family=AssortmentFamily.explicit([sorted(S) for S in sets]),
                                      repeated_offers_allowed=True)
+        # the comparison runs inside the model class the guarantees assume
+        assert validate(inst).ok, validate(inst).violations
         sol = mcdlp.McdlpSolution(mcdlp.McdlpVariant.MCDLP_R, 0.0, tuple(sets),
                                   (dict(zip(sets, self.WEIGHTS)),), None)
         kern = attenuate._assortment_kernel(inst, sol, allow_uncertified=True)

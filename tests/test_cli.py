@@ -64,6 +64,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "mean," in out
 
+    @pytest.mark.parametrize("policy", ["attenuated", "greedy", "norepeat"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, policy):
+        # refused by the argument parser, before numpy sees the seed
+        path = str(tmp_path / "m.json")
+        save_instance(simlab.random_matching_instance(seed=4, n=4, m=3, T=4), path)
+        with pytest.raises(SystemExit) as refused:
+            _run(["simulate", "--policy", policy, "--instance", path, "--replicas", "20", "--seed", "-1"])
+        assert refused.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be non-negative, got -1" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_seed_required(self, tmp_path):
         path = str(tmp_path / "x.json")
         with pytest.raises(SystemExit):

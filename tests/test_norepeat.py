@@ -5,9 +5,9 @@ import pytest
 
 from mcassort import mcdlp, norepeat, simlab
 from mcassort.mcdlp import McdlpVariant, MonteCarloEstimate, verify_policy_upper_bound
-from mcassort.model import AssortmentFamily, CustomerType, Instance, Mnl, Tabular
+from mcassort.model import AssortmentFamily, CustomerType, Instance, InvalidInstanceError, Mnl, Tabular
 from mcassort.norepeat import ALPHA_STAR
-from mcassort.trace import RunSampler, serve_replicas
+from mcassort.trace import RunSampler, serve_batches
 
 
 def _solved_nr(seed, n=5, cap=2, m=4):
@@ -182,7 +182,7 @@ class TestRandomPatience:
 
     @pytest.mark.parametrize("patience, leave_prob", [(2, 0.5), (None, None)])
     def test_rejects_type_without_exactly_one_patience_rule(self, patience, leave_prob):
-        # the walk reads both fields, so a type with both or neither is refused
+        # the walk reads both fields, so validate refuses a type with both or neither
         inst, sol = _solved_nr(0)
         types = list(inst.types)
         ct = types[1]
@@ -190,8 +190,9 @@ class TestRandomPatience:
                                 choice=ct.choice, patience=patience, leave_prob=leave_prob)
         bad = Instance(T=inst.T, items=inst.items, products=inst.products,
                        types=tuple(types), family=inst.family)
-        with pytest.raises(ValueError, match="^type 1: exactly one of patience and leave_prob"):
+        with pytest.raises(InvalidInstanceError) as refused:
             norepeat._run(bad, sol, ALPHA_STAR, 10, 0, gate_first_arrival=True)
+        assert "type 1: exactly one of patience and leave_prob must be set" in refused.value.violations
 
 
 class TestInvariantsRaise:
@@ -215,12 +216,13 @@ class TestInvariantsRaise:
             norepeat.run_algorithm3(inst, self._plan(self.PAIR), alpha=1.0, replicas=3, seed=0)
 
     def test_negative_stock_raises(self):
-        # a walk that sells product 0 although its item has no unit left; the
-        # replica loop books every policy's sales, so the check fires there
+        # a step that sells product 0 although its item has no unit left; the
+        # engine books every policy's sales, so the check fires there
         S = frozenset({0})
         inst = self._instance({(0, S): 1.0, (0, self.PAIR): 0.5, (1, self.PAIR): 0.5}, [0, 1])
-        result = simlab.BenchmarkResult(replicas=1, revenues=np.zeros(1), item_sales=np.zeros(2),
-                                        offers_made=np.zeros(1))
-        walk = lambda rng, t, j, first, avail, trace: (0, 1)
+        result = simlab.BenchmarkResult(replicas=3, revenues=np.zeros(3), item_sales=np.zeros(2),
+                                        offers_made=np.zeros(3))
+        step = lambda rng, t, j, first, avail, traces: (np.zeros(len(j), dtype=np.int64),
+                                                          np.ones(len(j), dtype=np.int64))
         with pytest.raises(RuntimeError, match="negative stock of item 0"):
-            serve_replicas(inst, result, 0, 0, RunSampler(inst), walk)
+            serve_batches(inst, result, 0, 0, RunSampler(inst), step)

@@ -1,17 +1,21 @@
-"""Byte-level pins of the scalar simulators' outputs at fixed seeds.
+"""Byte-level pins of the simulators' outputs at fixed seeds, and the
+replica-batched engine against the scalar reference in distribution.
 
-The digests were recorded from the draw-by-draw simulators (a running sum
-over arrival and purchase probabilities per draw) that the per-run sampler
-replaced, so they hold only while every draw consumes the generator exactly
-as before.  The instances cover stationary and non-stationary arrivals, MNL,
-set-independent and fully tabulated choice models, deterministic and
-geometric patience, and one and two price levels.
+``GOLDEN`` and ``SWEEP_SHA`` pin the scalar reference simulators
+(``scalar_serving``).  They were recorded from the draw-by-draw simulators
+(a running sum over arrival and purchase probabilities per draw) that the
+per-run sampler replaced, so they hold only while every draw consumes the
+generator exactly as before.  ``BATCHED`` pins the library's batched runs of
+the same cases at the same seeds.  The instances cover stationary and
+non-stationary arrivals, MNL, set-independent and fully tabulated choice
+models, deterministic and geometric patience, and one and two price levels.
 """
 import hashlib
 from dataclasses import replace
 
 import pytest
 
+import scalar_serving as scalar
 from mcassort import mcdlp, norepeat, simlab
 from mcassort.mcdlp import McdlpVariant
 from mcassort.model import Instance, Tabular, choice_prob
@@ -47,41 +51,70 @@ def _geometric(inst: Instance, p_out: float) -> Instance:
     return _retyped(inst, lambda ct: {"patience": None, "leave_prob": p_out})
 
 
-def _digests() -> dict:
-    """sha256 of one simulator run's outputs at a fixed seed, per case name."""
+def _instances() -> dict:
+    """Each case's instance and its LP plan, by instance key."""
     ns = simlab.random_homog_instance(seed=3, n=5, cap=2, stationary=False)
     tab = _tabulated(simlab.random_norepeat_instance(seed=4, n=5, cap=2, m=4))
     geo = _geometric(simlab.random_norepeat_instance(seed=15, n=4, cap=2, m=4), 0.5)
     gap = simlab.gen_gap_instance(6)
     hotel = simlab.build_hotel_instance(simlab.gen_hotel_like(seed=3, n_types=6), 2.0,
                                         scale_factor=2.0, patience=2, cap=3, seed=1)
-    lp = {
-        "ns": mcdlp.solve_variant(ns, McdlpVariant.MCDLP_NRS),
-        "tab": mcdlp.solve_variant(tab, McdlpVariant.MCDLP_NR),
-        "geo": mcdlp.solve_variant(geo, McdlpVariant.MCDLP_NR),
-        "gap": mcdlp.solve_variant(gap, McdlpVariant.MCDLP_NR),
-        "hotel": mcdlp.solve_variant(hotel, McdlpVariant.MMCDLP_NR),
+    return {
+        "ns": (ns, mcdlp.solve_variant(ns, McdlpVariant.MCDLP_NRS)),
+        "tab": (tab, mcdlp.solve_variant(tab, McdlpVariant.MCDLP_NR)),
+        "geo": (geo, mcdlp.solve_variant(geo, McdlpVariant.MCDLP_NR)),
+        "gap": (gap, mcdlp.solve_variant(gap, McdlpVariant.MCDLP_NR)),
+        "hotel": (hotel, mcdlp.solve_variant(hotel, McdlpVariant.MMCDLP_NR)),
     }
-    bench = lambda inst, policy, seed: simlab.run_benchmark(inst, policy, 400, seed=seed, record_traces=20)
-    nr = lambda run, inst, key, seed, **kw: run(inst, lp[key], replicas=400, seed=seed,
-                                                record_traces=20, **kw)
-    cases = {
-        "nonstationary-greedy": lambda: bench(ns, "greedy", 5),
-        "nonstationary-modified3": lambda: nr(norepeat.run_modified_algorithm3, ns, "ns", 6),
-        "tabular-greedy": lambda: bench(tab, "greedy", 7),
-        "tabular-algorithm3": lambda: nr(norepeat.run_algorithm3, tab, "tab", 8),
-        "leave-prob-greedy": lambda: bench(geo, "greedy", 9),
-        "leave-prob-algorithm3": lambda: nr(norepeat.run_algorithm3_random_patience, geo, "geo", 10),
-        "gap-greedy": lambda: bench(gap, "greedy", 11),
-        "gap-algorithm3": lambda: nr(norepeat.run_algorithm3, gap, "gap", 12),
-        "hotel-greedy": lambda: bench(hotel, "greedy", 13),
-        "hotel-conservative": lambda: bench(hotel, "conservative", 14),
-        "hotel-algorithm3": lambda: nr(norepeat.run_algorithm3, hotel, "hotel", 15, alpha=1.0),
-        "hotel-modified3": lambda: norepeat._run(
-            hotel, lp["hotel"], alpha=1.0, replicas=400, seed=16, gate_first_arrival=False,
-            record_traces=20),
+
+
+# The simulators each case runs, by role: the library's batched runners and
+# the scalar reference.  "ungated" is the modified walk on heterogeneous
+# revenues, as the hotel sweep runs it.
+LIBRARY = {
+    "benchmark": simlab.run_benchmark,
+    "algorithm3": norepeat.run_algorithm3,
+    "random-patience": norepeat.run_algorithm3_random_patience,
+    "modified3": norepeat.run_modified_algorithm3,
+    "ungated": lambda inst, sol, **kw: norepeat._run(inst, sol, gate_first_arrival=False, **kw),
+}
+SCALAR = {
+    "benchmark": scalar.run_benchmark,
+    "algorithm3": scalar.run_algorithm3,
+    "random-patience": scalar.run_algorithm3,
+    "modified3": scalar.run_modified_algorithm3,
+    "ungated": scalar.run_modified_algorithm3,
+}
+
+
+def _cases(data: dict, runners: dict, replicas: int, record_traces: int) -> dict:
+    """Per case name: the key of its instance and its simulator run at the
+    case's fixed seed."""
+    def bench(key, policy, seed):
+        return runners["benchmark"](data[key][0], policy, replicas, seed=seed, record_traces=record_traces)
+
+    def nr(role, key, seed, **kw):
+        return runners[role](*data[key], replicas=replicas, seed=seed, record_traces=record_traces, **kw)
+
+    return {
+        "nonstationary-greedy": ("ns", lambda: bench("ns", "greedy", 5)),
+        "nonstationary-modified3": ("ns", lambda: nr("modified3", "ns", 6)),
+        "tabular-greedy": ("tab", lambda: bench("tab", "greedy", 7)),
+        "tabular-algorithm3": ("tab", lambda: nr("algorithm3", "tab", 8)),
+        "leave-prob-greedy": ("geo", lambda: bench("geo", "greedy", 9)),
+        "leave-prob-algorithm3": ("geo", lambda: nr("random-patience", "geo", 10)),
+        "gap-greedy": ("gap", lambda: bench("gap", "greedy", 11)),
+        "gap-algorithm3": ("gap", lambda: nr("algorithm3", "gap", 12)),
+        "hotel-greedy": ("hotel", lambda: bench("hotel", "greedy", 13)),
+        "hotel-conservative": ("hotel", lambda: bench("hotel", "conservative", 14)),
+        "hotel-algorithm3": ("hotel", lambda: nr("algorithm3", "hotel", 15, alpha=1.0)),
+        "hotel-modified3": ("hotel", lambda: nr("ungated", "hotel", 16, alpha=1.0)),
     }
-    return {name: _sha_text(repr(_outputs(run()))) for name, run in cases.items()}
+
+
+def _digests(data: dict, runners: dict) -> dict:
+    """sha256 of one simulator run's outputs at a fixed seed, per case name."""
+    return {name: _sha_text(repr(_outputs(run()))) for name, (_, run) in _cases(data, runners, 400, 20).items()}
 
 
 GOLDEN = {
@@ -105,9 +138,48 @@ GOLDEN = {
 SWEEP_SHA = "93e2f9e75ae73d175fbf17e209351b9a07d6c3267abc6236dca8a675bd997260"
 
 
+# sha256 of the library's batched runs of the same cases, seeds and replica
+# counts (``_digests(data, LIBRARY)``).
+BATCHED = {
+    "gap-algorithm3": "6a7919f26010ff1de006a8cb6fd076132872b72ab98782797666b2e96537c55e",
+    "gap-greedy": "461c7d6786a3437e34914b8572586ea2310a5100e18ebb32947f74ae94550fec",
+    "hotel-algorithm3": "ce036b5400b7d2665c319ed8d1e6b9a3c8b0eddf14a713507f356bb1f6e8331d",
+    "hotel-conservative": "e7514634adcb1693e284b9dc125b73e5d69392450aec1ca032d62db24349ca42",
+    "hotel-greedy": "e0fd08a19e8c8748291a91dfea3d0d897fe2611ec0a73b2af712d5ff605c1f92",
+    "hotel-modified3": "2731748726d0a27e06953b3e117d6ce8298879a62cc846da28bf9687ba88b5a2",
+    "leave-prob-algorithm3": "3e17e64427b9b5eda7db1f18a0c19ef7e6fe7b5ecfe3b7356aa37b9287c57fba",
+    "leave-prob-greedy": "dff7e4d9107ae91a03f843b43f40f78725437a48c637acc3991bbc0a39c89e96",
+    "nonstationary-greedy": "c3e48473d479adc29548a36e39acddeb8d0965a14fc6752c7f32049d574adaa4",
+    "nonstationary-modified3": "dd01aabe5bc0be4496f1c33dd0123cd717d9223c0056ba5cf7fc810e86b389ef",
+    "tabular-algorithm3": "0074dde400b2e6b8c8ddeeb819a918a892fa97548e35718bf8ef8cdc09f16594",
+    "tabular-greedy": "59e2517872c86c63d93a1f48abd79588f539edcb2085afefe40b69f1925f747b"
+}
+
+# sha256 of sweep_to_csv for the same hotel sweep run by the library.  It
+# holds at one and at two BLAS threads.
+BATCHED_SWEEP_SHA = "dc1b38fc5581c0c09a176ed9d3901b1b42568bb4bdc99d15fbd6d5981d104838"
+
+
 @pytest.fixture(scope="module")
-def digests():
-    return _digests()
+def data():
+    return _instances()
+
+
+@pytest.fixture(scope="module")
+def digests(data):
+    return _digests(data, SCALAR)
+
+
+@pytest.fixture(scope="module")
+def batched_digests(data):
+    return _digests(data, LIBRARY)
+
+
+def _hotel_sweep_csv() -> str:
+    template = simlab.gen_hotel_like(seed=0, n_types=24)
+    spec = simlab.SweepSpec(loading_factors=(1.0, 4.0, 7.0), patiences=(2,), caps=(4,),
+                            scale_factors=(2.0,), replicas=600, seed=0)
+    return simlab.sweep_to_csv(simlab.run_sweep(template, spec))
 
 
 class TestSimulatorGoldens:
@@ -115,9 +187,33 @@ class TestSimulatorGoldens:
     def test_outputs_match_recorded(self, digests, name):
         assert digests[name] == GOLDEN[name]
 
+    def test_hotel_sweep_csv_matches_recorded(self, monkeypatch):
+        # run_sweep reaches its simulators through these module bindings
+        monkeypatch.setattr(simlab, "run_benchmark", scalar.run_benchmark)
+        monkeypatch.setattr(norepeat, "run_algorithm3", scalar.run_algorithm3)
+        monkeypatch.setattr(norepeat, "_run", scalar.run_norepeat)
+        assert _sha_text(_hotel_sweep_csv()) == SWEEP_SHA
+
+
+class TestBatchedGoldens:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_outputs_match_recorded(self, batched_digests, name):
+        assert batched_digests[name] == BATCHED[name]
+
     def test_hotel_sweep_csv_matches_recorded(self):
-        template = simlab.gen_hotel_like(seed=0, n_types=24)
-        spec = simlab.SweepSpec(loading_factors=(1.0, 4.0, 7.0), patiences=(2,), caps=(4,),
-                                scale_factors=(2.0,), replicas=600, seed=0)
-        csv = simlab.sweep_to_csv(simlab.run_sweep(template, spec))
-        assert _sha_text(csv) == SWEEP_SHA
+        assert _sha_text(_hotel_sweep_csv()) == BATCHED_SWEEP_SHA
+
+
+class TestBatchedAgainstScalar:
+    """The batched engine and the scalar reference report the same
+    distribution on every golden case: mean revenue, per-item sale
+    frequencies, mean displayed stages and, for the no-repeat policies, every
+    event rate, each within 4 sigma."""
+
+    REPLICAS = 3000
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_statistics_agree(self, data, name):
+        key, fast = _cases(data, LIBRARY, self.REPLICAS, 0)[name]
+        _, slow = _cases(data, SCALAR, self.REPLICAS, 0)[name]
+        assert scalar.disagreements(data[key][0], fast(), slow()) == []

@@ -433,33 +433,54 @@ def _repeated_case():
 
 
 RUNNERS = {
-    "run_benchmark": lambda r: simlab.run_benchmark(_norepeat_case()[0], "greedy", r),
-    "run_algorithm3": lambda r: norepeat.run_algorithm3(*_norepeat_case(), replicas=r),
-    "run_modified_algorithm3": lambda r: norepeat.run_modified_algorithm3(
-        *_solved(simlab.random_homog_instance(seed=3, n=4, cap=2, m=3), McdlpVariant.MCDLP_NRS), replicas=r),
-    "run_algorithm3_random_patience": lambda r: norepeat.run_algorithm3_random_patience(
-        *_geometric_case(), replicas=r),
-    "run_algorithm1": lambda r: attenuate.run_algorithm1(
+    "run_benchmark": lambda r, s=0: simlab.run_benchmark(_norepeat_case()[0], "greedy", r, seed=s),
+    "run_algorithm3": lambda r, s=0: norepeat.run_algorithm3(*_norepeat_case(), replicas=r, seed=s),
+    "run_modified_algorithm3": lambda r, s=0: norepeat.run_modified_algorithm3(
+        *_solved(simlab.random_homog_instance(seed=3, n=4, cap=2, m=3), McdlpVariant.MCDLP_NRS),
+        replicas=r, seed=s),
+    "run_algorithm3_random_patience": lambda r, s=0: norepeat.run_algorithm3_random_patience(
+        *_geometric_case(), replicas=r, seed=s),
+    "run_algorithm1": lambda r, s=0: attenuate.run_algorithm1(
         *_solved(simlab.random_matching_instance(seed=4, n=4, m=3, T=4), McdlpVariant.SINGLE_ITEM),
-        mc_budget=50, replicas=r),
-    "run_algorithm6": lambda r: attenuate.run_algorithm6(*_repeated_case(), mc_budget=50, replicas=r),
-    "hardness_sold_fraction": lambda r: simlab.hardness_sold_fraction(5, r),
+        mc_budget=50, replicas=r, seed=s),
+    "run_algorithm6": lambda r, s=0: attenuate.run_algorithm6(*_repeated_case(), mc_budget=50, replicas=r, seed=s),
+    "hardness_sold_fraction": lambda r, s=0: simlab.hardness_sold_fraction(5, r, seed=s),
+    "compute_attenuation_factors": lambda r, s=0: attenuate.compute_attenuation_factors(
+        *_solved(simlab.random_matching_instance(seed=4, n=4, m=3, T=4), McdlpVariant.SINGLE_ITEM),
+        mc_budget=50, seed=s),
 }
 
 
-@pytest.mark.parametrize("replicas", [0, -2])
-@pytest.mark.parametrize("runner", sorted(RUNNERS))
-def test_runners_refuse_fewer_than_one_replica(runner, replicas, monkeypatch):
-    # a run of no replicas has a NaN mean; it is refused before any factor
-    # estimation, and serving code is never reached
+def _unreachable_serving(monkeypatch, why):
     def unreachable(*args, **kwargs):
-        raise AssertionError("work started before the replica count was checked")
+        raise AssertionError(why)
 
     monkeypatch.setattr(attenuate, "_estimate_factors", unreachable)
     for mod in (simlab, norepeat):
-        monkeypatch.setattr(mod, "serve_replicas", unreachable)
+        monkeypatch.setattr(mod, "serve_batches", unreachable)
+
+
+@pytest.mark.parametrize("replicas", [0, -2])
+@pytest.mark.parametrize("runner", sorted(set(RUNNERS) - {"compute_attenuation_factors"}))
+def test_runners_refuse_fewer_than_one_replica(runner, replicas, monkeypatch):
+    # a run of no replicas has a NaN mean; it is refused before any factor
+    # estimation, and serving code is never reached
+    _unreachable_serving(monkeypatch, "work started before the replica count was checked")
     with pytest.raises(ValueError, match="replicas"):
         RUNNERS[runner](replicas)
+
+
+@pytest.mark.parametrize("runner", sorted(RUNNERS))
+def test_runners_refuse_a_negative_seed(runner, monkeypatch):
+    # numpy's SeedSequence would fail on it mid-run; the runner names the seed first
+    _unreachable_serving(monkeypatch, "work started before the seed was checked")
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        RUNNERS[runner](5, -1)
+
+
+def test_sweep_spec_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -3$"):
+        simlab.SweepSpec(seed=-3)
 
 
 def _arrival_mass_two(inst):
@@ -495,13 +516,29 @@ VALIDATED_RUNNERS = {
 def test_runners_refuse_instances_validate_rejects(runner, defect, message, monkeypatch):
     # the plan comes from the valid instance; the runner sees the broken one,
     # where types past cumulative arrival mass 1 would never arrive
-    def unreachable(*args, **kwargs):
-        raise AssertionError("work started on an invalid instance")
-
     make, run = VALIDATED_RUNNERS[runner]
     inst, sol = make()
-    monkeypatch.setattr(attenuate, "_estimate_factors", unreachable)
-    for mod in (simlab, norepeat):
-        monkeypatch.setattr(mod, "serve_replicas", unreachable)
+    _unreachable_serving(monkeypatch, "work started on an invalid instance")
     with pytest.raises(ValueError, match=message):
         run(defect(inst), sol)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mnl_expected_revenues_are_the_probs_floats(seed):
+    # numpy pricing of MNL sets gives the floats of summing probs in sorted
+    # order, also past 8 products, where a frozenset's order is not sorted;
+    # a tabular type in the same instance is priced through probs
+    rng = np.random.default_rng(seed)
+    n = 40
+    types = [CustomerType(id=j, arrival=0.3, revenues=tuple(rng.uniform(0.1, 500.0, n)),
+                          choice=Mnl(weights=tuple(rng.lognormal(0.0, 1.0, n)),
+                                     no_purchase=float(rng.uniform(0.5, 9.0))),
+                          patience=1) for j in range(2)]
+    types.append(CustomerType(id=2, arrival=0.3, revenues=tuple(rng.uniform(0.1, 5.0, n)),
+                              choice=Tabular(entries={}, item_probs=tuple(rng.uniform(0.0, 0.02, n))),
+                              patience=1))
+    sets = [frozenset(int(i) for i in rng.choice(n, size=int(rng.integers(0, 9)), replace=False))
+            for _ in range(400)]
+    assert any(list(S) != sorted(S) for S in sets)
+    want = [[sum(ct.revenues[i] * p for i, p in sorted(ct.choice.probs(S))) for S in sets] for ct in types]
+    assert simlab._expected_revenues(types, sets) == want

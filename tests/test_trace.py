@@ -2,14 +2,15 @@
 
 ``draw_type`` and ``draw_choice`` are the running-sum loops the simulators
 used before ``RunSampler``: one ``rng.random()`` per draw, compared against
-the probabilities added up one at a time.  The sampler must return the same
-outcome from the same generator state, including when the uniform lands
-exactly on a partial sum.
+the probabilities added up one at a time.  The sampler's batched draws must
+give every uniform the outcome the loop gives it, including when the uniform
+lands exactly on a partial sum.
 """
 import math
 import random
 from itertools import accumulate
 
+import numpy as np
 import pytest
 
 from mcassort.model import (
@@ -60,6 +61,17 @@ def _bits(S) -> int:
     return sum(1 << i for i in S)
 
 
+def _types(sampler: RunSampler, inst: Instance, t: int, us) -> list:
+    """The sampler's batched arrival draws, with None for no arrival."""
+    return [None if j == inst.m else int(j) for j in sampler.draw_types(t, np.array(us, dtype=float))]
+
+
+def _choices(sampler: RunSampler, j: int, S, us) -> list:
+    """The sampler's batched purchase draws from display ``S`` to type ``j``."""
+    shown = np.full(len(us), sampler.display(j, _bits(S)))
+    return [None if i < 0 else int(i) for i in sampler.draw_purchases(shown, np.array(us, dtype=float))]
+
+
 def _arrival_instance(rng: random.Random, m: int, T: int, n: int = 4) -> Instance:
     """Non-stationary arrivals with zero-probability types and mass below,
     at or just under one."""
@@ -86,10 +98,10 @@ class TestArrivals:
         gen = random.Random(seed)
         inst = _arrival_instance(gen, m=gen.randint(1, 7), T=5)
         sampler = RunSampler(inst)
-        a, b = random.Random(100 + seed), random.Random(100 + seed)
-        for _ in range(400):
-            t = gen.randrange(inst.T)
-            assert sampler.draw_type(t, a) == draw_type(inst, t, b)
+        a = random.Random(100 + seed)
+        for t in range(inst.T):
+            us = [a.random() for _ in range(400)]
+            assert _types(sampler, inst, t, us) == [draw_type(inst, t, _Replay([u])) for u in us]
 
     def test_uniform_on_a_partial_sum(self):
         inst = _arrival_instance(random.Random(7), m=6, T=3)
@@ -98,13 +110,13 @@ class TestArrivals:
             sums = list(accumulate(inst.q(t, j) for j in range(inst.m)))
             probes = [0.0] + sums + [math.nextafter(s, 0.0) for s in sums] + [0.9999999999999999]
             probes = [u for u in probes if 0.0 <= u < 1.0]
-            got = [sampler.draw_type(t, _Replay([u])) for u in probes]
+            got = _types(sampler, inst, t, probes)
             want = [draw_type(inst, t, _Replay([u])) for u in probes]
             assert got == want
             # a uniform equal to a partial sum belongs to the next positive type
             for u in sums:
                 if u < 1.0:
-                    j = sampler.draw_type(t, _Replay([u]))
+                    (j,) = _types(sampler, inst, t, [u])
                     assert j is None or sums[j] > u
 
     def test_stationary_uses_one_row(self):
@@ -114,8 +126,7 @@ class TestArrivals:
                                      family=AssortmentFamily.size_capped(1))
         sampler = RunSampler(inst)
         for t in range(3):
-            assert [sampler.draw_type(t, _Replay([u])) for u in (0.0, 0.25, 0.5, 0.75, 0.9)] == \
-                [0, 1, 1, None, None]
+            assert _types(sampler, inst, t, (0.0, 0.25, 0.5, 0.75, 0.9)) == [0, 1, 1, None, None]
 
 
 class TestPurchases:
@@ -141,16 +152,17 @@ class TestPurchases:
         inst = Instance.single_level(T=2, inventories=[1] * n, types=types,
                                      family=AssortmentFamily.size_capped(n))
         sampler = RunSampler(inst)
-        a, b = random.Random(200 + seed), random.Random(200 + seed)
+        a = random.Random(200 + seed)
         for _ in range(600):
             j = gen.randrange(len(models))
             S = frozenset(i for i in range(n) if gen.random() < 0.5)
-            assert sampler.draw_choice(j, _bits(S), a) == draw_choice(models[j], S, b)
+            us = [a.random() for _ in range(3)]
+            assert _choices(sampler, j, S, us) == [draw_choice(models[j], S, _Replay([u])) for u in us]
         for j, model in enumerate(models):
             for S in AssortmentFamily.size_capped(n).assortments(n):
                 sums = list(accumulate(choice_prob(model, i, S) for i in sorted(S)))
                 probes = [u for u in [0.0] + sums if u < 1.0]
-                got = [sampler.draw_choice(j, _bits(S), _Replay([u])) for u in probes]
+                got = _choices(sampler, j, S, probes)
                 assert got == [draw_choice(model, S, _Replay([u])) for u in probes]
 
     def test_purchase_row(self):
@@ -158,7 +170,11 @@ class TestPurchases:
         ct = CustomerType(id=0, arrival=1.0, revenues=(1.0,) * 3, choice=mnl, patience=1)
         inst = Instance.single_level(T=1, inventories=[1] * 3, types=(ct,),
                                      family=AssortmentFamily.size_capped(3))
-        items, cdf = RunSampler(inst).purchase_row(0, 0b101)
+        sampler = RunSampler(inst)
+        items, cdf = sampler.purchase_row(0, 0b101)
         assert items == (0, 2)
         assert cdf == [1.0 / 8.0, 1.0 / 8.0 + 3.0 / 8.0]
-        assert RunSampler(inst).draw_choice(0, 0, _Replay([0.0])) is None
+        assert _choices(sampler, 0, (0, 2), [0.0, 0.2, 0.6]) == [0, 2, None]
+        assert _choices(sampler, 0, (), [0.0]) == [None]
+        assert sampler.offered == [(0, 2), ()]
+        assert sampler.shown.tolist()[:2] == [[True, False, True], [False, False, False]]
