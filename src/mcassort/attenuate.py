@@ -32,7 +32,7 @@ import numpy as np
 from . import mcdlp
 from .blackbox import CASE_NONE, CASE_SMALL, batch_flip, certified_case
 from .mcdlp import RevenueSamples
-from .model import Instance, Mnl, choice_prob, validate
+from .model import Instance, Mnl, choice_prob, family_probs, slot_sums, validate
 from .trace import check_replicas, check_seed
 
 __all__ = [
@@ -157,6 +157,7 @@ class _Kernel:
         self.mnl = np.zeros(m, dtype=bool)
         self.general = np.zeros(m, dtype=bool)
         self.case: list[str] = []
+        family = [S for S in family if S]
         for j, choice in enumerate(self.choices):
             for k, S in enumerate(sets[j]):
                 order = sorted(S)
@@ -172,7 +173,7 @@ class _Kernel:
             else:
                 self.pw[j] = self.p_full[j]
                 self.general[j] = any(len(S) > 1 for S in sets[j]) and not choice.set_independent
-            masses = [sum(choice_prob(choice, i, S) for i in S) for S in family if S]
+            masses = slot_sums(family_probs(choice, family, n)[1]).tolist()
             self.case.append(certified_case(masses, int(inst.types[j].patience)))
         self.denom0 = np.where(self.mnl, v0, 1.0)
         self.small = np.array([c == CASE_SMALL for c in self.case])

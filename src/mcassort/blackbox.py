@@ -14,13 +14,12 @@ full-patience ordering) but carries no guarantee; callers see the case tag
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .rounding import gkps_round, gkps_round_batch
+from .rounding import gkps_round_batch
 
 CASE_SMALL = "small-probs"
 CASE_FULL = "full-patience"
@@ -31,10 +30,8 @@ _TOL = 1e-9
 __all__ = [
     "CoinSet",
     "certified_case",
-    "FlipOutcome",
     "f",
     "w_value",
-    "run_blackbox",
     "batch_flip",
     "CASE_SMALL",
     "CASE_FULL",
@@ -100,24 +97,6 @@ class CoinSet:
             raise ValueError(f"unknown case {self.case}")
 
 
-@dataclass(frozen=True)
-class FlipOutcome:
-    """Result of one run: flip order, per-coin flags and the first heads."""
-
-    order: tuple[int, ...]          # coins flipped, in flip order
-    flipped: tuple[bool, ...]
-    heads: tuple[bool, ...]
-    winner: int | None
-
-    def __post_init__(self):
-        # flipping must stop right after a heads
-        seen_heads = False
-        for i in self.order:
-            if seen_heads:
-                raise ValueError(f"coin {i} flipped after a heads")
-            seen_heads = self.heads[i]
-
-
 def _key_denom(p, x, small):
     """Coins flip in increasing order of Y / this denominator: 1 - p in the
     small-probs case, 1 - p x otherwise.  Elementwise on arrays."""
@@ -139,36 +118,6 @@ def w_value(coin: int, coins: CoinSet, case: str | None = None) -> float:
 def flip_bound(coin: int, coins: CoinSet) -> float:
     """Guaranteed lower bound x_i * (1 - e^{-w_i}) / w_i on the flip probability."""
     return coins.weights[coin] * f(w_value(coin, coins))
-
-
-def run_blackbox(coins: CoinSet, seed: int | None = None, rng: random.Random | None = None) -> FlipOutcome:
-    """Round the weights, order the survivors and flip until heads or patience."""
-    if rng is None:
-        rng = random.Random(seed)
-    n = len(coins.probs)
-    rounded = gkps_round(coins.weights, rng=rng)
-    survivors = [i for i in range(n) if rounded.values[i]]
-    keyed = []
-    for i in survivors:
-        y = rng.random()
-        denom = float(_key_denom(coins.probs[i], coins.weights[i], coins.case == CASE_SMALL))
-        key = y / denom if denom > _TOL else math.inf
-        keyed.append((key, i))
-    keyed.sort()  # ties (probability-zero under floats) resolve by lower id
-    order: list[int] = []
-    flipped = [False] * n
-    heads = [False] * n
-    winner = None
-    for key, i in keyed:
-        if len(order) >= coins.patience:
-            break
-        order.append(i)
-        flipped[i] = True
-        if rng.random() < coins.probs[i]:
-            heads[i] = True
-            winner = i
-            break
-    return FlipOutcome(tuple(order), tuple(flipped), tuple(heads), winner)
 
 
 def batch_flip(

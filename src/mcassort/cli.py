@@ -21,12 +21,21 @@ from .model import InvalidInstanceError, load_instance, save_instance
 _VARIANTS = {v.value: v for v in McdlpVariant}
 
 
-def _seed(text: str) -> int:
-    """A --seed value: a non-negative integer (argparse exits 2 on anything else)."""
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
-    return seed
+def _checked(kind, ok, rule: str):
+    """An argparse ``type=``: ``kind(text)`` where ``ok`` holds; argparse exits
+    2 with a one-line message on anything else."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_seed = _checked(int, lambda v: v >= 0, "seed must be non-negative")
+_positive_int = _checked(int, lambda v: v >= 1, "must be a positive integer")
+_positive = _checked(float, lambda v: v > 0, "must be positive")
 
 
 def _out(args, text: str) -> None:
@@ -207,7 +216,7 @@ def main(argv=None) -> int:
     g = sub.add_parser("gen-instance", help="write a generated instance to a JSON file")
     g.add_argument("kind", choices=["hardness", "gap", "hotel", "random-matching", "random-norepeat"])
     g.add_argument("out_file")
-    g.add_argument("--n", type=int, default=5)
+    g.add_argument("--n", type=_positive_int, default=5)
     g.add_argument("--M", type=int, default=4)
     g.add_argument("--T", type=int, default=6)
     g.add_argument("--types", type=int, default=6)
@@ -228,31 +237,32 @@ def main(argv=None) -> int:
                             "norepeat-randpatience", "attenuated", "attenuated-assort",
                             "offer-all"])
     r.add_argument("--instance", required=True)
-    r.add_argument("--replicas", type=int, default=1000)
-    r.add_argument("--mc-budget", type=int, default=2000)
+    r.add_argument("--replicas", type=_positive_int, default=1000)
+    r.add_argument("--mc-budget", type=_positive_int, default=2000)
     r.add_argument("--alpha", type=float, default=None)
     r.add_argument("--seed", type=_seed, required=True)
     r.add_argument("--out")
 
     w = sub.add_parser("sweep", help="hotel-like parameter sweep, CSV output")
-    w.add_argument("--loading-factors", type=float, nargs="+", default=[1, 2, 3, 4, 5, 6, 7])
+    w.add_argument("--loading-factors", type=_positive, nargs="+", default=[1, 2, 3, 4, 5, 6, 7])
     w.add_argument("--patience", type=int, default=2)
     w.add_argument("--cap", type=int, default=4)
     w.add_argument("--scale-factor", type=float, default=2.0)
-    w.add_argument("--types", type=int, default=12)
-    w.add_argument("--replicas", type=int, default=100)
+    w.add_argument("--types", type=_positive_int, default=12)
+    w.add_argument("--replicas", type=_checked(int, lambda v: v >= 30, "need at least 30 replicas per cell"),
+                   default=100)
     w.add_argument("--seed", type=_seed, required=True)
     w.add_argument("--out")
 
     c = sub.add_parser("colgen", help="column generation on an instance")
     c.add_argument("--variant", choices=["mcdlp-nr", "mcdlp-r"], required=True)
     c.add_argument("--oracle", choices=["brute", "mnl-exact", "mnl-fptas"], default="brute")
-    c.add_argument("--eps", type=float, default=0.1)
+    c.add_argument("--eps", type=_checked(float, lambda v: 0 < v < 1, "eps must lie in (0,1)"), default=0.1)
     c.add_argument("--instance", required=True)
     c.add_argument("--out")
 
     v = sub.add_parser("verify-gamma", help="gamma schedule summary and h(1) check")
-    v.add_argument("--T", type=int, default=100000)
+    v.add_argument("--T", type=_positive_int, default=100000)
     v.add_argument("--out")
 
     f = sub.add_parser("fit-mnl", help="fit per-type MNL weights from transactions CSV")

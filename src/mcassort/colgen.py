@@ -24,7 +24,8 @@ from typing import Protocol
 import numpy as np
 
 from . import lpcore, mcdlp
-from .model import MAX_TABULAR_FAMILY, Instance, Mnl, choice_prob
+# choice_prob is unused here but stays bound: perfbench's tracer rebinds it in every importer
+from .model import MAX_TABULAR_FAMILY, Instance, Mnl, choice_prob, family_probs, slot_sums  # noqa: F401
 
 TOL_RC = 1e-7
 
@@ -81,12 +82,13 @@ class FamilyTable:
     """One choice model's purchase probabilities on every set of a family,
     padded so that ``values`` prices the whole family in one numpy pass.
 
-    Row r is the r-th set of ``family.assortments(n_products)``.  Its slots
-    hold the set's members and ``choice.probs`` in the frozenset's own
-    iteration order, which is the order ``SubproblemInstance.value`` sums in.
-    A padding slot names product ``n_products``, priced at w = sigma = 0 with
-    probability 0, so it adds an exact +0.0.  Nothing here depends on the
-    duals; the arrays are built on first use.
+    Row r is the r-th set of ``family.assortments(n_products)``, priced by
+    ``model.family_probs``: its slots hold the set's members in the
+    frozenset's own iteration order, which is the order
+    ``SubproblemInstance.value`` sums in.  A padding slot names product
+    ``n_products``, priced at w = sigma = 0 with probability 0, so it adds an
+    exact +0.0.  Nothing here depends on the duals; the arrays are built on
+    first use.
     """
 
     def __init__(self, choice, family, n_products: int):
@@ -99,24 +101,13 @@ class FamilyTable:
 
     @functools.cached_property
     def _slots(self) -> tuple[np.ndarray, np.ndarray]:
-        rows = [self.choice.probs(S) for S in self.sets]
-        lens = np.array([len(r) for r in rows])
-        filled = np.arange(lens.max()) < lens[:, None]
-        idx = np.full(filled.shape, self.n_products, dtype=np.intp)
-        prob = np.zeros(filled.shape)
-        idx[filled] = [i for r in rows for i, _ in r]
-        prob[filled] = [p for r in rows for _, p in r]
-        return idx, prob
+        return family_probs(self.choice, self.sets, self.n_products)
 
     def values(self, w, sigma) -> np.ndarray:
         """sum_{i in S} (w_i p(i,S) - sigma_i) for every set S, with the same
         float operations, in the same order, as ``SubproblemInstance.value``."""
         idx, prob = self._slots
-        terms = np.append(w, 0.0)[idx] * prob - np.append(sigma, 0.0)[idx]
-        out = np.zeros(len(idx))
-        for col in terms.T:
-            out += col
-        return out
+        return slot_sums(np.append(w, 0.0)[idx] * prob - np.append(sigma, 0.0)[idx])
 
 
 @dataclass(frozen=True)
@@ -144,11 +135,7 @@ class SubproblemInstance:
     def value(self, S: frozenset[int]) -> float:
         if not S:
             return 0.0
-        if isinstance(self.choice, Mnl):
-            return sum(self.w[i] * p - self.sigma[i] for i, p in self.choice.probs(S))
-        return sum(
-            self.w[i] * choice_prob(self.choice, i, S) - self.sigma[i] for i in S
-        )
+        return sum(self.w[i] * p - self.sigma[i] for i, p in self.choice.probs(S))
 
     @staticmethod
     def from_duals(inst: Instance, j: int, duals: DualBundle, table: FamilyTable) -> "SubproblemInstance":

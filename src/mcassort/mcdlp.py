@@ -19,10 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from . import lpcore
-# build takes a set's probabilities from ``probs`` and calls no choice_prob;
-# the name stays bound because perfbench's tracer rebinds choice_prob in every
-# module that imported it, and perfbench/test_perfbench.py expects it here.
-from .model import CustomerType, Instance, choice_prob, validate  # noqa: F401
+# build prices its sets with family_probs and calls no choice_prob; the name
+# stays bound only because perfbench/test_perfbench.py lists this module among
+# those whose choice_prob copy its tracer rebinds.
+from .model import CustomerType, Instance, choice_prob, family_probs, slot_sums, validate  # noqa: F401
 
 INT_TOL = 1e-9
 
@@ -128,32 +128,26 @@ def build(
     n_items = inst.n_items
     F = len(fam)
     Q = [ct.total_rate(inst.T) for ct in inst.types]
-    item_of = {p.id: p.item for p in inst.products if 0 <= p.item < n_items}
+    item_of = np.array([p.item if 0 <= p.item < n_items else n_items for p in inst.products] + [n_items])
 
     nvars = m * F
     var = lambda j, k: j * F + k
-    objective = [0.0] * nvars
+    nonzeros = lambda a, j: list(zip((j * F + np.flatnonzero(a)).tolist(), a[a != 0].tolist()))
+    objective: list[float] = []
     upper = [1.0] * nvars
 
-    # one pass per (type, assortment): each sum below runs over the same
-    # products in the same order as a row-by-row build, so every float agrees
+    # every coefficient is a slot-by-slot sum from 0.0 over the set's members
+    # in frozenset order, as a row-by-row build's ``sum`` adds them
     inventory: list[list[tuple[int, float]]] = [[] for _ in range(n_items)]
-    sell_one: list[list[tuple[int, float]]] = [[] for _ in range(m)]
+    sell_one: list[list[tuple[int, float]]] = []
     for j, ct in enumerate(inst.types):
-        for k, S in enumerate(fam):
-            probs = ct.choice.probs(S)
-            objective[var(j, k)] = Q[j] * sum(ct.revenues[i] * p for i, p in probs)
-            by_item: dict[int, list[float]] = {}
-            for i, p in probs:
-                if i in item_of:
-                    by_item.setdefault(item_of[i], []).append(p)
-            for item, ps in by_item.items():
-                a = Q[j] * sum(ps)
-                if a:
-                    inventory[item].append((var(j, k), a))
-            a = sum(p for _, p in probs)
-            if a:
-                sell_one[j].append((var(j, k), a))
+        members, probs = family_probs(ct.choice, fam, inst.n_products)
+        objective += (Q[j] * slot_sums(np.append(ct.revenues, 0.0)[members] * probs)).tolist()
+        by_item = np.zeros((n_items + 1, F))  # row n_items takes padding and itemless products
+        np.add.at(by_item, (item_of[members], np.arange(F)[:, None]), probs)  # in slot order
+        for item, coeffs in enumerate(Q[j] * by_item[:n_items]):
+            inventory[item] += nonzeros(coeffs, j)
+        sell_one.append(nonzeros(slot_sums(probs), j))
 
     rows: list[tuple[list[tuple[int, float]], float, lpcore.RowTag]] = [
         (inventory[item], float(inst.items[item].inventory), ("inventory", item)) for item in range(n_items)

@@ -14,6 +14,8 @@ from dataclasses import dataclass, replace
 from numbers import Integral, Real
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 PROB_TOL = 1e-9
 MAX_TABULAR_FAMILY = 1 << 16
 
@@ -28,7 +30,8 @@ __all__ = [
     "ValidationReport",
     "InvalidInstanceError",
     "choice_prob",
-    "no_purchase_prob",
+    "family_probs",
+    "slot_sums",
     "validate",
     "split_inventory",
     "load_instance",
@@ -116,14 +119,32 @@ def choice_prob(model: ChoiceModel, product: int, assortment: frozenset[int] | I
     return model.prob(product, assortment)
 
 
-def no_purchase_prob(model: ChoiceModel, assortment: frozenset[int] | Iterable[int]) -> float:
-    """Probability that nothing is purchased from the displayed assortment."""
-    if not isinstance(assortment, frozenset):
-        assortment = frozenset(assortment)
-    if isinstance(model, Mnl):
-        denom = model.no_purchase + sum(model.weights[k] for k in assortment)
-        return model.no_purchase / denom
-    return 1.0 - sum(model.prob(k, assortment) for k in assortment)
+def family_probs(choice: ChoiceModel, sets: Sequence[frozenset[int]], n_products: int) -> tuple[np.ndarray, np.ndarray]:
+    """(members, probs), each (F, k_max): row r holds ``sets[r]``'s products in
+    the frozenset's own iteration order, padded with product ``n_products`` at
+    probability 0.  MNL rows take ``Mnl.probs``' float operations (weights
+    summed slot by slot, plus the no-purchase weight, one division per slot);
+    other models go through ``choice.probs``."""
+    slots = list(itertools.zip_longest(*sets, fillvalue=n_products))
+    members = np.array(slots, dtype=np.intp).reshape(len(slots), len(sets)).T
+    if members.min(initial=0) < 0 or members.max(initial=0) > n_products or any(n_products in S for S in sets):
+        raise ValueError(f"a set names a product outside 0..{n_products - 1}")
+    filled = members < n_products
+    if isinstance(choice, Mnl):
+        w = np.append(choice.weights, 0.0)[members]
+        return members, w / (choice.no_purchase + slot_sums(w))[:, None]
+    probs = np.zeros(filled.shape)
+    probs[filled] = [p for S in sets for _, p in choice.probs(S)]
+    return members, probs
+
+
+def slot_sums(terms: np.ndarray) -> np.ndarray:
+    """Each row of ``terms`` summed left to right from 0.0 along its last axis,
+    as ``sum`` adds a set's terms; padding slots add +0.0."""
+    out = np.zeros(terms.shape[:-1])
+    for s in range(terms.shape[-1]):
+        out += terms[..., s]
+    return out
 
 
 @dataclass(frozen=True)

@@ -13,81 +13,18 @@ a seed; GKPS permits any order.
 """
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-
 import numpy as np
 
 SNAP_TOL = 1e-12
 
-__all__ = ["RoundingOutput", "gkps_round", "gkps_round_batch"]
-
-
-@dataclass(frozen=True)
-class RoundingOutput:
-    values: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.values)
-
-
-def _snap(z: float) -> float:
-    if abs(z) <= SNAP_TOL:
-        return 0.0
-    if abs(z - 1.0) <= SNAP_TOL:
-        return 1.0
-    return min(max(z, 0.0), 1.0)
-
-
-def gkps_round(weights, rng: random.Random | None = None, seed: int | None = None) -> RoundingOutput:
-    """Round a weight vector in [0,1]^N to 0/1 with the dependent-rounding guarantees."""
-    if rng is None:
-        rng = random.Random(seed)
-    for w in weights:
-        if w < -SNAP_TOL or w > 1 + SNAP_TOL:
-            raise ValueError(f"weight {w} outside [0,1]")
-    z = [_snap(float(w)) for w in weights]
-    out = [0] * len(z)
-    carry_idx = -1
-    for i, zi in enumerate(z):
-        if zi in (0.0, 1.0):
-            out[i] = int(zi)
-            continue
-        if carry_idx < 0:
-            carry_idx = i
-            continue
-        a, b = z[carry_idx], zi
-        up = min(1.0 - a, b)     # shift mass onto the carrier
-        down = min(a, 1.0 - b)   # shift mass off the carrier
-        if rng.random() * (up + down) < down:
-            a, b = _snap(a + up), _snap(b - up)
-        else:
-            a, b = _snap(a - down), _snap(b + down)
-        z[carry_idx], z[i] = a, b
-        if a in (0.0, 1.0):
-            out[carry_idx] = int(a)
-            carry_idx = -1
-        if b in (0.0, 1.0):
-            out[i] = int(b)
-        elif carry_idx < 0:
-            carry_idx = i
-        # when both stay fractional the mass shift was degenerate, which the
-        # min() choices rule out: at least one endpoint is hit every time
-    if carry_idx >= 0:
-        out[carry_idx] = 1 if rng.random() < z[carry_idx] else 0
-    result = RoundingOutput(tuple(out))
-    ceil_sum = int(np.ceil(sum(_snap(float(w)) for w in weights) - SNAP_TOL))
-    if result.total > max(ceil_sum, 0):
-        raise RuntimeError(f"degree preservation violated: {result.total} ones, cap {ceil_sum}")
-    return result
+__all__ = ["gkps_round_batch"]
 
 
 def gkps_round_batch(z_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Vectorized rounding of many weight vectors at once (rows are independent).
 
-    Implements the same lowest-index pairwise scan as :func:`gkps_round`, one
-    column at a time across all rows.
+    Runs the lowest-index pairwise scan one column at a time across all rows
+    (``tests/scalar_oracles.py`` keeps the scalar scan as its oracle).
     """
     given = np.asarray(z_rows, dtype=float)
     if given.ndim != 2:

@@ -27,6 +27,8 @@ from .model import (  # noqa: F401
     Product,
     Tabular,
     choice_prob,
+    family_probs,
+    slot_sums,
     validate,
 )
 from .trace import PolicyTrace, RunSampler, check_replicas, check_seed, memo_lookup, record_step, serve_batches
@@ -87,7 +89,7 @@ class _GreedyChooser:
         listed = ((tuple(sorted(S)), sum(1 << i for i in S)) for S in inst.family.assortments(inst.n_products))
         self.sets = [(S, bits) for S, bits in listed if S and not bits & self.low]
         shown = [frozenset(S) for S, _ in self.sets]
-        self.values = _expected_revenues(inst.types, shown)
+        self.values = [self.revenues(ct, shown, inst.n_products) for ct in inst.types]
         self.cache: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
 
     def choose(self, j: int, mask: int) -> tuple[tuple[int, ...], int]:
@@ -107,44 +109,13 @@ class _GreedyChooser:
         self.cache[key] = best
         return best
 
-
-def _expected_revenues(types, sets: list[frozenset[int]]) -> list[list[float]]:
-    """Per type, ``sum(r_i p(i, S))`` on each set over its products in
-    sorted order, with the floats of the type's ``choice.probs``.
-
-    The MNL types are priced together in numpy, set size by set size, with
-    the float operations of ``Mnl.probs`` in its order: the weights summed
-    over the frozenset's own iteration order, the no-purchase weight added,
-    one division per product.  Other models are priced through ``probs``.
-    """
-    out = [[sum(ct.revenues[i] * p for i, p in sorted(ct.choice.probs(S))) for S in sets]
-           if not isinstance(ct.choice, Mnl) else None for ct in types]
-    mnl = [j for j, ct in enumerate(types) if isinstance(ct.choice, Mnl)]
-    if not mnl:
-        return out
-    w = np.array([types[j].choice.weights for j in mnl])
-    r = np.array([types[j].revenues for j in mnl])
-    v0 = np.array([[types[j].choice.no_purchase] for j in mnl])
-    values = np.zeros((len(mnl), len(sets)))
-    by_size: dict[int, list[int]] = {}
-    for k, S in enumerate(sets):
-        by_size.setdefault(len(S), []).append(k)
-    for size, ks in by_size.items():
-        if not size:
-            continue
-        order = np.array([list(sets[k]) for k in ks])
-        members = np.sort(order, axis=1)
-        total = w[:, order[:, 0]]
-        for col in order.T[1:]:
-            total = total + w[:, col]
-        denom = v0 + total
-        value = r[:, members[:, 0]] * (w[:, members[:, 0]] / denom)
-        for col in members.T[1:]:
-            value = value + r[:, col] * (w[:, col] / denom)
-        values[:, ks] = value
-    for j, row in zip(mnl, values.tolist()):
-        out[j] = row
-    return out
+    @staticmethod
+    def revenues(ct: CustomerType, sets: list[frozenset[int]], n_products: int) -> list[float]:
+        """``sum(r_i p(i, S))`` on each set, over its products in sorted order,
+        with the floats of ``model.family_probs``."""
+        members, probs = family_probs(ct.choice, sets, n_products)
+        terms = np.append(ct.revenues, 0.0)[members] * probs
+        return slot_sums(np.take_along_axis(terms, np.argsort(members, axis=1), axis=1)).tolist()
 
 
 def run_benchmark(

@@ -10,16 +10,14 @@ from mcassort.blackbox import (
     CASE_NONE,
     CASE_SMALL,
     CoinSet,
-    FlipOutcome,
     batch_flip,
     certified_case,
     f,
     flip_bound,
-    run_blackbox,
     w_value,
 )
 from mcassort.model import AssortmentFamily, CustomerType, Instance, Mnl, Tabular, validate
-from mcassort.rounding import gkps_round
+from scalar_oracles import FlipOutcome, gkps_round, run_blackbox
 
 
 def run_blackbox_assort(assortments, weights, patience, choice_prob, seed=None, rng=None, case=None):

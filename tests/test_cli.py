@@ -77,6 +77,35 @@ class TestCli:
         assert "seed must be non-negative, got -1" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--policy", "greedy", "--replicas", "0"], "--replicas: must be a positive integer, got 0"),
+        (["simulate", "--policy", "attenuated", "--mc-budget", "0"], "--mc-budget: must be a positive integer, got 0"),
+        (["sweep", "--replicas", "5"], "--replicas: need at least 30 replicas per cell, got 5"),
+        (["sweep", "--loading-factors", "2", "-1"], "--loading-factors: must be positive, got -1"),
+        (["sweep", "--types", "0"], "--types: must be a positive integer, got 0"),
+        (["verify-gamma", "--T", "0"], "--T: must be a positive integer, got 0"),
+        (["gen-instance", "hardness", "OUT", "--n", "0"], "--n: must be a positive integer, got 0"),
+        (["colgen", "--variant", "mcdlp-nr", "--oracle", "mnl-fptas", "--eps", "2"],
+         "--eps: eps must lie in (0,1), got 2"),
+    ], ids=["simulate-replicas", "simulate-mc-budget", "sweep-replicas", "sweep-loading-factor",
+            "sweep-types", "verify-gamma-T", "gen-instance-n", "colgen-eps"])
+    def test_out_of_range_number_exits_2(self, tmp_path, capsys, argv, message):
+        # refused by the argument parser with one line, before any work starts
+        path = str(tmp_path / "i.json")
+        save_instance(simlab.random_norepeat_instance(seed=6, n=4, cap=2, m=2) if argv[0] == "colgen"
+                      else simlab.random_matching_instance(seed=4, n=4, m=3, T=4), path)
+        argv = [str(tmp_path / "out.json") if a == "OUT" else a for a in argv]
+        if argv[0] in ("simulate", "colgen"):
+            argv += ["--instance", path]
+        if argv[0] in ("simulate", "sweep", "gen-instance"):
+            argv += ["--seed", "1"]
+        with pytest.raises(SystemExit) as refused:
+            _run(argv)
+        assert refused.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == f"mcassort {argv[0]}: error: argument {message}"
+
     def test_seed_required(self, tmp_path):
         path = str(tmp_path / "x.json")
         with pytest.raises(SystemExit):

@@ -144,6 +144,26 @@ class TestOnePassBuild:
         for variant in (McdlpVariant.MMCDLP_NR, McdlpVariant.MCDLP_R):
             self._same(inst, variant)
 
+    # past 8 products a frozenset does not iterate in sorted order, so only
+    # here can a summation-order slip show (the hotel sets all iterate sorted)
+    @pytest.fixture(scope="class")
+    def unsorted_inst(self):
+        inst = simlab.random_norepeat_instance(seed=7, n=14, cap=3, m=10)
+        fam = inst.family.assortments(inst.n_products)
+        assert sum(list(S) != sorted(S) for S in fam) == 257
+        return inst
+
+    @pytest.mark.parametrize("colgen_master", [False, True])
+    def test_unsorted_sets_full_family(self, unsorted_inst, colgen_master):
+        for variant in (McdlpVariant.MCDLP_NR, McdlpVariant.MCDLP_R):
+            self._same(unsorted_inst, variant, colgen_master=colgen_master)
+
+    def test_unsorted_sets_restricted(self, unsorted_inst):
+        fam = unsorted_inst.family.assortments(unsorted_inst.n_products)
+        restricted = [S for S in fam if list(S) != sorted(S)][::3] + list(fam[:15])
+        for variant in (McdlpVariant.MCDLP_NR, McdlpVariant.MCDLP_R):
+            self._same(unsorted_inst, variant, restricted, colgen_master=True)
+
 
 class TestBuild:
     def test_toy_single_item_opt(self):

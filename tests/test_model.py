@@ -18,14 +18,15 @@ from mcassort.model import (
     Product,
     Tabular,
     choice_prob,
+    family_probs,
     instance_from_dict,
     instance_to_dict,
     load_instance,
-    no_purchase_prob,
     save_instance,
     split_inventory,
     validate,
 )
+from scalar_oracles import no_purchase_prob
 
 
 def _single_type_instance(probs, q=1.0, patience=1, revenues=None, T=1):
@@ -180,6 +181,16 @@ class TestChoiceProb:
             extra = outside[0]
             for i in S:
                 assert choice_prob(m, i, S) >= choice_prob(m, i, S | {extra})
+
+    def test_family_probs_pads_and_refuses_unknown_products(self):
+        model = Mnl(weights=(1.0, 2.0, 0.5), no_purchase=1.0)
+        sets = [frozenset(), frozenset({2, 0}), frozenset({1})]
+        members, probs = family_probs(model, sets, 3)
+        assert members.tolist() == [[3, 3], list(sets[1]), [1, 3]]
+        assert probs.tolist() == [[0.0, 0.0], [p for _, p in model.probs(sets[1])], [model.prob(1, sets[2]), 0.0]]
+        for bad in ({3}, {-1, 0}, {4}):
+            with pytest.raises(ValueError, match=r"outside 0\.\.2"):
+                family_probs(model, [frozenset(bad)], 3)
 
 
 class TestSplitInventory:

@@ -525,9 +525,9 @@ def test_runners_refuse_instances_validate_rejects(runner, defect, message, monk
 
 @pytest.mark.parametrize("seed", range(4))
 def test_mnl_expected_revenues_are_the_probs_floats(seed):
-    # numpy pricing of MNL sets gives the floats of summing probs in sorted
-    # order, also past 8 products, where a frozenset's order is not sorted;
-    # a tabular type in the same instance is priced through probs
+    # greedy's values from the family_probs table give the floats of summing
+    # probs in sorted order, also past 8 products, where a frozenset's order
+    # is not sorted; a tabular type in the same instance is priced through probs
     rng = np.random.default_rng(seed)
     n = 40
     types = [CustomerType(id=j, arrival=0.3, revenues=tuple(rng.uniform(0.1, 500.0, n)),
@@ -541,4 +541,4 @@ def test_mnl_expected_revenues_are_the_probs_floats(seed):
             for _ in range(400)]
     assert any(list(S) != sorted(S) for S in sets)
     want = [[sum(ct.revenues[i] * p for i, p in sorted(ct.choice.probs(S))) for S in sets] for ct in types]
-    assert simlab._expected_revenues(types, sets) == want
+    assert [simlab._GreedyChooser.revenues(ct, sets, n) for ct in types] == want
