@@ -1,9 +1,10 @@
 """Offline randomized flipping procedures for one arriving customer.
 
 A coin set carries success probabilities, fractional weights and a patience
-cap.  The run rounds the weights with dependent rounding, draws one uniform
-per surviving coin, sorts by the case-appropriate key and flips in order
-until the first heads or the patience cap.  Under either hypothesis
+cap.  The run rounds the weights with dependent rounding and draws one uniform
+per surviving coin, which gives it a case-appropriate key.  Survivors are
+flipped in increasing (key, index) order until the first heads or the
+patience cap.  Under either hypothesis
 (sum of probabilities at most one, or patience covering the whole set) every
 coin is flipped with probability at least x_i * (1 - e^{-w_i}) / w_i.
 
@@ -99,7 +100,12 @@ class CoinSet:
 
 def _key_denom(p, x, small):
     """Coins flip in increasing order of Y / this denominator: 1 - p in the
-    small-probs case, 1 - p x otherwise.  Elementwise on arrays."""
+    small-probs case, 1 - p x otherwise.  Elementwise on arrays; a branch that
+    no element takes is not computed."""
+    if np.all(small):
+        return 1.0 - p
+    if not np.any(small):
+        return -(p * x) + 1.0  # 1 - p x exactly; numpy reuses the product's buffer
     return np.where(small, 1.0 - p, 1.0 - p * x)
 
 
@@ -129,38 +135,43 @@ def batch_flip(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized black-box across many independent runs.
 
-    ``x_rows`` has one weight vector per row (zero rows are skipped wholesale);
+    ``x_rows`` has one weight vector per row (a zero row has no survivors);
     ``probs`` is one shared vector or a per-row matrix (used when stripping
     makes heads probabilities replica-dependent).  ``patience`` and ``case``
     may also vary per row (an int array, and a boolean array marking rows
     that use the small-probs ordering key).  Returns (flipped, winner): a
     boolean matrix of flipped coins per row and the winning coin per row
     (-1 when no heads occurred).
+
+    A survivor is reachable when fewer than ``patience`` survivors precede it
+    in (key, index) order.  The winner is the reachable heads coin with the
+    smallest (key, index); a reachable coin is flipped when no reachable coin
+    came up heads, or when its (key, index) is at most the winner's.  Only
+    rows with more survivors than patience need their survivors ranked.
     """
     x_rows = np.asarray(x_rows, dtype=float)
     B, n = x_rows.shape
     p = np.asarray(probs, dtype=float)
-    p_rows = np.broadcast_to(p, (B, n)) if p.ndim == 1 else p
-    if isinstance(case, str):
-        small_rows = np.full(B, case == CASE_SMALL)
-    else:
-        small_rows = np.asarray(case, dtype=bool)
+    small = np.asarray(case == CASE_SMALL if isinstance(case, str) else case, dtype=bool)
     ell_rows = np.broadcast_to(np.asarray(patience, dtype=np.int64), (B,))
-    in_set = gkps_round_batch(x_rows, rng)
-    Y = rng.random((B, n))
-    denom = _key_denom(p_rows, x_rows, small_rows[:, None])
-    keys = np.where(denom > _TOL, Y / np.maximum(denom, _TOL), np.inf)
-    keys = np.where(in_set, keys, np.nan)  # NaN sorts last, after any inf
-    order = np.argsort(keys, axis=1, kind="stable")
-    heads_draw = rng.random((B, n)) < p_rows
-    in_sorted = np.take_along_axis(in_set, order, axis=1)
-    heads_sorted = np.take_along_axis(heads_draw, order, axis=1) & in_sorted
-    ranks = np.arange(n)[None, :]
-    first_heads = np.where(heads_sorted.any(axis=1), heads_sorted.argmax(axis=1), n)
-    allowed = np.minimum(first_heads, ell_rows - 1)
-    flip_sorted = in_sorted & (ranks <= allowed[:, None])
-    flipped = np.zeros_like(in_set)
-    np.put_along_axis(flipped, order, flip_sorted, axis=1)
-    won = first_heads <= np.minimum(ell_rows - 1, n - 1)
-    winner = np.where(won, np.take_along_axis(order, np.minimum(first_heads, n - 1)[:, None], axis=1)[:, 0], -1)
-    return flipped, winner.astype(np.int64)
+    reach = gkps_round_batch(x_rows, rng)
+    keys = rng.random((B, n))
+    denom = _key_denom(p, x_rows, np.broadcast_to(small, (B,))[:, None])
+    np.divide(keys, denom, out=keys, where=denom > _TOL)
+    np.copyto(keys, np.inf, where=denom <= _TOL)
+    heads = rng.random((B, n)) < p
+    short = np.nonzero(ell_rows < n)[0]
+    crowded = short[reach[short].sum(axis=1) > ell_rows[short]]
+    if crowded.size:
+        sub = reach[crowded]
+        order = np.argsort(np.where(sub, keys[crowded], np.nan), axis=1, kind="stable")  # NaN sorts last
+        rank = np.empty_like(order)
+        np.put_along_axis(rank, order, np.arange(n)[None, :], axis=1)
+        reach[crowded] = sub & (rank < ell_rows[crowded, None])
+    hit = reach & heads
+    best = keys.min(axis=1, where=hit, initial=np.inf)[:, None]
+    tie = keys == best
+    idx = np.arange(n)
+    win = np.broadcast_to(idx, (B, n)).min(axis=1, where=hit & tie, initial=n)
+    flipped = reach & ((keys < best) | (tie & (idx <= win[:, None])))
+    return flipped, np.where(win < n, win, -1)

@@ -217,13 +217,14 @@ def main(argv=None) -> int:
     g.add_argument("kind", choices=["hardness", "gap", "hotel", "random-matching", "random-norepeat"])
     g.add_argument("out_file")
     g.add_argument("--n", type=_positive_int, default=5)
-    g.add_argument("--M", type=int, default=4)
-    g.add_argument("--T", type=int, default=6)
-    g.add_argument("--types", type=int, default=6)
-    g.add_argument("--cap", type=int, default=3)
-    g.add_argument("--patience", type=int, default=2)
-    g.add_argument("--loading-factor", type=float, default=2.0)
-    g.add_argument("--scale-factor", type=float, default=2.0)
+    g.add_argument("--M", type=_checked(int, lambda v: v >= 4 and v % 2 == 0, "M must be an even integer >= 4"),
+                   default=4)
+    g.add_argument("--T", type=_positive_int, default=6)
+    g.add_argument("--types", type=_positive_int, default=6)
+    g.add_argument("--cap", type=_positive_int, default=3)
+    g.add_argument("--patience", type=_positive_int, default=2)
+    g.add_argument("--loading-factor", type=_positive, default=2.0)
+    g.add_argument("--scale-factor", type=_positive, default=2.0)
     g.add_argument("--seed", type=_seed, required=True)
 
     s = sub.add_parser("solve-lp", help="solve an LP relaxation and print plan and duals")
@@ -245,9 +246,9 @@ def main(argv=None) -> int:
 
     w = sub.add_parser("sweep", help="hotel-like parameter sweep, CSV output")
     w.add_argument("--loading-factors", type=_positive, nargs="+", default=[1, 2, 3, 4, 5, 6, 7])
-    w.add_argument("--patience", type=int, default=2)
-    w.add_argument("--cap", type=int, default=4)
-    w.add_argument("--scale-factor", type=float, default=2.0)
+    w.add_argument("--patience", type=_positive_int, default=2)
+    w.add_argument("--cap", type=_positive_int, default=4)
+    w.add_argument("--scale-factor", type=_positive, default=2.0)
     w.add_argument("--types", type=_positive_int, default=12)
     w.add_argument("--replicas", type=_checked(int, lambda v: v >= 30, "need at least 30 replicas per cell"),
                    default=100)
@@ -268,7 +269,7 @@ def main(argv=None) -> int:
     f = sub.add_parser("fit-mnl", help="fit per-type MNL weights from transactions CSV")
     f.add_argument("--data", required=True,
                    help="CSV: feature columns, then offered ('1;3;5'), then chosen ('' = none)")
-    f.add_argument("--products", type=int, required=True)
+    f.add_argument("--products", type=_positive_int, required=True)
     f.add_argument("--out")
 
     args = ap.parse_args(argv)

@@ -23,28 +23,27 @@ __all__ = ["gkps_round_batch"]
 def gkps_round_batch(z_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Vectorized rounding of many weight vectors at once (rows are independent).
 
-    Runs the lowest-index pairwise scan one column at a time across all rows
-    (``tests/scalar_oracles.py`` keeps the scalar scan as its oracle).
+    Runs the lowest-index pairwise scan one column at a time across all rows,
+    visiting only the columns that hold a fractional entry, so 0/1 input
+    draws nothing (``tests/scalar_oracles.py`` keeps the scalar scan as its
+    oracle).
     """
     given = np.asarray(z_rows, dtype=float)
     if given.ndim != 2:
         raise ValueError("z_rows must be 2-d")
     if np.any(given < -SNAP_TOL) or np.any(given > 1 + SNAP_TOL):
         raise ValueError("weights outside [0,1]")
-    B, N = given.shape
-    z = np.clip(given, 0.0, 1.0)
-    near0 = z <= SNAP_TOL
-    near1 = z >= 1 - SNAP_TOL
-    z[near0] = 0.0
-    z[near1] = 1.0
-    out = np.zeros((B, N), dtype=bool)
-    out[near1] = True
+    B = given.shape[0]
+    out = given >= 1 - SNAP_TOL
+    # an entry within SNAP_TOL of 0 or 1 is already rounded; the scan reads
+    # only the others, which clipping and snapping would leave unchanged
+    fractional = (given > SNAP_TOL) & (given < 1 - SNAP_TOL)
     carry_idx = np.full(B, -1, dtype=np.int64)
     carry_val = np.zeros(B)
     rows = np.arange(B)
-    for i in range(N):
-        zi = z[:, i]
-        frac = (zi > 0.0) & (zi < 1.0)
+    for i in np.nonzero(fractional.any(axis=0))[0]:
+        zi = given[:, i]
+        frac = fractional[:, i]
         fresh = frac & (carry_idx < 0)
         carry_idx[fresh] = i
         carry_val[fresh] = zi[fresh]

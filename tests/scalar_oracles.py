@@ -2,8 +2,9 @@
 
 Each one is the readable, draw-by-draw or formula-by-formula version of a
 library routine, kept as its differential oracle: ``gkps_round`` for
-``rounding.gkps_round_batch``, ``run_blackbox`` for ``blackbox.batch_flip``,
-and ``no_purchase_prob`` for the complement of ``model.choice_prob`` sums.
+``rounding.gkps_round_batch``, ``run_blackbox`` for ``blackbox.batch_flip``'s
+distribution, ``sorted_batch_flip`` for ``batch_flip``'s exact draws, and
+``no_purchase_prob`` for the complement of ``model.choice_prob`` sums.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from mcassort.blackbox import _TOL, CASE_SMALL, CoinSet, _key_denom
 from mcassort.model import ChoiceModel, Mnl
-from mcassort.rounding import SNAP_TOL
+from mcassort.rounding import SNAP_TOL, gkps_round_batch
 
 
 @dataclass(frozen=True)
@@ -127,6 +128,39 @@ def run_blackbox(coins: CoinSet, seed: int | None = None, rng: random.Random | N
             winner = i
             break
     return FlipOutcome(tuple(order), tuple(flipped), tuple(heads), winner)
+
+
+def sorted_batch_flip(probs, x_rows, patience, case, rng: np.random.Generator):
+    """``batch_flip`` by sorting: every row's survivors are put in stable
+    key order (non-survivors last), flipped up to the first heads or the
+    patience cap, and scattered back.  Draws in ``batch_flip``'s order."""
+    x_rows = np.asarray(x_rows, dtype=float)
+    B, n = x_rows.shape
+    p = np.asarray(probs, dtype=float)
+    p_rows = np.broadcast_to(p, (B, n)) if p.ndim == 1 else p
+    if isinstance(case, str):
+        small_rows = np.full(B, case == CASE_SMALL)
+    else:
+        small_rows = np.asarray(case, dtype=bool)
+    ell_rows = np.broadcast_to(np.asarray(patience, dtype=np.int64), (B,))
+    in_set = gkps_round_batch(x_rows, rng)
+    Y = rng.random((B, n))
+    denom = _key_denom(p_rows, x_rows, small_rows[:, None])
+    keys = np.where(denom > _TOL, Y / np.maximum(denom, _TOL), np.inf)
+    keys = np.where(in_set, keys, np.nan)  # NaN sorts last, after any inf
+    order = np.argsort(keys, axis=1, kind="stable")
+    heads_draw = rng.random((B, n)) < p_rows
+    in_sorted = np.take_along_axis(in_set, order, axis=1)
+    heads_sorted = np.take_along_axis(heads_draw, order, axis=1) & in_sorted
+    ranks = np.arange(n)[None, :]
+    first_heads = np.where(heads_sorted.any(axis=1), heads_sorted.argmax(axis=1), n)
+    allowed = np.minimum(first_heads, ell_rows - 1)
+    flip_sorted = in_sorted & (ranks <= allowed[:, None])
+    flipped = np.zeros_like(in_set)
+    np.put_along_axis(flipped, order, flip_sorted, axis=1)
+    won = first_heads <= np.minimum(ell_rows - 1, n - 1)
+    winner = np.where(won, np.take_along_axis(order, np.minimum(first_heads, n - 1)[:, None], axis=1)[:, 0], -1)
+    return flipped, winner.astype(np.int64)
 
 
 def no_purchase_prob(model: ChoiceModel, assortment: frozenset[int] | Iterable[int]) -> float:

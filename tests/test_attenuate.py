@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from exact_chains import hardness_edge_chain
 from mcassort import attenuate, mcdlp, simlab
 from mcassort.attenuate import gamma_schedule, h_limit
 from mcassort.mcdlp import McdlpVariant
@@ -134,6 +135,41 @@ class TestHardnessFifty:
         ratio = res.revenue_mean / sol.objective
         assert ratio >= 0.51 - 0.02
         assert res.revenue_mean <= sol.objective + 3 * res.revenue_se
+
+
+class TestHardnessChain:
+    """Algorithm 1 on hardness-14 against the exact chain over K."""
+
+    N = 14
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        inst = simlab.gen_hardness_instance(self.N)
+        return inst, mcdlp.solve_variant(inst, McdlpVariant.SINGLE_ITEM), hardness_edge_chain(self.N)
+
+    def test_estimated_edge_factors_match_exact(self, setup):
+        inst, sol, (offer, edge) = setup
+        B = 2000
+        factors = attenuate.compute_attenuation_factors(inst, sol, mc_budget=B, seed=0)
+        est = factors.edge.reshape(self.N, -1)
+        # each estimate is target / (a mean of B flip indicators), clipped at 1
+        se = edge * np.sqrt((1 - offer) / (offer * B))
+        assert (np.abs(est - edge[:, None]) <= 4 * se[:, None]).all()
+        # the per-step means carry the availability bias of the vertex factors
+        assert (np.abs(est.mean(axis=1) - edge) <= se).all()
+
+    def test_exact_factors_reach_the_schedule_ratio(self, setup):
+        inst, sol, (_, edge) = setup
+        n, R = self.N, 20_000
+        exact = attenuate.AttenuationFactors(
+            np.broadcast_to(edge[:, None, None], (n, n, n)).copy(), np.ones((n, n)), np.zeros((n, n)), 0)
+        res = attenuate.run_algorithm1(inst, sol, replicas=R, seed=0, factors=exact)
+        sched = gamma_schedule(n)
+        assert sched.ratio == pytest.approx(0.517010, abs=5e-7)
+        assert abs(res.revenue_mean / sol.objective - sched.ratio) <= 3 * res.revenue_se / sol.objective
+        # survival before vertex attenuation is exactly gamma_{t+1}
+        g = np.array(sched.values[1:])[:, None]
+        assert (np.abs(res.avail_freq[1:] - g) <= 4 * np.sqrt(g * (1 - g) / R)).all()
 
 
 class TestHypothesisGate:

@@ -17,7 +17,8 @@ from mcassort.blackbox import (
     w_value,
 )
 from mcassort.model import AssortmentFamily, CustomerType, Instance, Mnl, Tabular, validate
-from scalar_oracles import FlipOutcome, gkps_round, run_blackbox
+from mcassort.rounding import gkps_round_batch
+from scalar_oracles import FlipOutcome, gkps_round, run_blackbox, sorted_batch_flip
 
 
 def run_blackbox_assort(assortments, weights, patience, choice_prob, seed=None, rng=None, case=None):
@@ -211,6 +212,82 @@ class TestRunBlackbox:
         freq = fl[:, 2].mean()
         sigma = math.sqrt(max(freq * (1 - freq), 1e-9) / R)
         assert freq >= eps * f(w3) - 3 * sigma
+
+
+def _flip_case(seed, case_kind):
+    """One seeded ``batch_flip`` input: rows mix 0/1, fractional and all-zero
+    weights; some coins have p = 1 at weight 1 (an infinite key); patience
+    falls below, at and above the survivor count."""
+    rng = np.random.default_rng(seed)
+    B = 0 if seed % 37 == 0 else int(rng.integers(1, 25))
+    n = int(rng.integers(1, 10))
+    kind = rng.integers(0, 3, size=(B, 1))  # 0/1, fractional, all-zero
+    x = np.where(kind == 0, rng.random((B, n)) < 0.7, rng.random((B, n)) * (kind == 1))
+    p = rng.random(n) if seed % 2 else rng.random((B, n))
+    sure = rng.random(p.shape) < 0.25
+    p[sure] = 1.0
+    if p.ndim == 2:
+        x[sure & (kind[:, 0] != 2)[:, None]] = 1.0
+    patience = int(rng.integers(1, n + 2)) if seed % 3 == 0 else rng.integers(1, n + 2, size=B)
+    case = {
+        "small": CASE_SMALL,
+        "full": CASE_FULL,
+        "none": CASE_NONE,
+        "all-small-rows": np.ones(B, dtype=bool),
+        "all-full-rows": np.zeros(B, dtype=bool),
+        "mixed-rows": rng.random(B) < 0.5,
+    }[case_kind]
+    return p, x, patience, case
+
+
+class TestFlipMatchesSortedOracle:
+    """``batch_flip`` against the sort-based ``sorted_batch_flip``: the same
+    flips, winners and dtypes, and the generator left in the same state."""
+
+    CASES = ("small", "full", "none", "all-small-rows", "all-full-rows", "mixed-rows")
+
+    @pytest.mark.parametrize("case_kind", CASES)
+    def test_equal_on_seeded_cases(self, case_kind):
+        for seed in range(60):
+            p, x, patience, case = _flip_case(seed, case_kind)
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            flipped, winner = batch_flip(p, x, patience, case, ours)
+            want_flipped, want_winner = sorted_batch_flip(p, x, patience, case, theirs)
+            assert flipped.dtype == want_flipped.dtype and winner.dtype == want_winner.dtype
+            np.testing.assert_array_equal(flipped, want_flipped, err_msg=f"seed {seed}")
+            np.testing.assert_array_equal(winner, want_winner, err_msg=f"seed {seed}")
+            assert ours.random() == theirs.random(), seed
+
+    def test_cases_cover_every_regime(self):
+        seen = set()
+        for seed in range(60):
+            p, x, patience, _ = _flip_case(seed, "full")
+            B, n = x.shape
+            survivors = gkps_round_batch(x, np.random.default_rng(seed)).sum(axis=1)
+            ell = np.broadcast_to(patience, (B,))
+            seen.update(np.sign(survivors - ell)[survivors > 0].tolist())  # patience above, at, below
+            if B == 0:
+                seen.add("B=0")
+            if p.ndim == 2 and ((p == 1.0) & (x == 1.0)).any():
+                seen.add("inf key")
+            for row in x:
+                seen.add("zero row" if not row.any() else "0/1 row" if np.isin(row, (0.0, 1.0)).all()
+                         else "fractional row")
+        assert seen >= {-1, 0, 1, "B=0", "inf key", "zero row", "0/1 row", "fractional row"}, seen
+
+    def test_no_coins(self):
+        flipped, winner = batch_flip(np.zeros(0), np.zeros((3, 0)), 1, CASE_FULL, np.random.default_rng(0))
+        assert flipped.shape == (3, 0) and flipped.dtype == bool
+        np.testing.assert_array_equal(winner, [-1, -1, -1])
+
+    @pytest.mark.parametrize("small", [False, True])
+    def test_scalar_bool_case_broadcasts_like_patience(self, small):
+        p = np.array([0.3, 0.5, 0.2, 0.9])
+        x = np.tile([1.0, 0.5, 0.5, 1.0], (50, 1))
+        got = batch_flip(p, x, 2, np.bool_(small), np.random.default_rng(5))
+        want = batch_flip(p, x, 2, CASE_SMALL if small else CASE_FULL, np.random.default_rng(5))
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
 
 
 class TestAssortmentBlackbox:

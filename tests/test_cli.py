@@ -87,14 +87,29 @@ class TestCli:
         (["gen-instance", "hardness", "OUT", "--n", "0"], "--n: must be a positive integer, got 0"),
         (["colgen", "--variant", "mcdlp-nr", "--oracle", "mnl-fptas", "--eps", "2"],
          "--eps: eps must lie in (0,1), got 2"),
+        (["sweep", "--cap", "0"], "--cap: must be a positive integer, got 0"),
+        (["sweep", "--patience", "0"], "--patience: must be a positive integer, got 0"),
+        (["sweep", "--scale-factor", "0"], "--scale-factor: must be positive, got 0"),
+        (["gen-instance", "gap", "OUT", "--M", "0"], "--M: M must be an even integer >= 4, got 0"),
+        (["gen-instance", "gap", "OUT", "--M", "5"], "--M: M must be an even integer >= 4, got 5"),
+        (["gen-instance", "hotel", "OUT", "--types", "0"], "--types: must be a positive integer, got 0"),
+        (["gen-instance", "hotel", "OUT", "--cap", "0"], "--cap: must be a positive integer, got 0"),
+        (["gen-instance", "hotel", "OUT", "--patience", "0"], "--patience: must be a positive integer, got 0"),
+        (["gen-instance", "hotel", "OUT", "--loading-factor", "0"], "--loading-factor: must be positive, got 0"),
+        (["gen-instance", "hotel", "OUT", "--scale-factor", "-1"], "--scale-factor: must be positive, got -1"),
+        (["gen-instance", "random-matching", "OUT", "--T", "0"], "--T: must be a positive integer, got 0"),
+        (["fit-mnl", "--data", "DATA", "--products", "0"], "--products: must be a positive integer, got 0"),
     ], ids=["simulate-replicas", "simulate-mc-budget", "sweep-replicas", "sweep-loading-factor",
-            "sweep-types", "verify-gamma-T", "gen-instance-n", "colgen-eps"])
+            "sweep-types", "verify-gamma-T", "gen-instance-n", "colgen-eps", "sweep-cap", "sweep-patience",
+            "sweep-scale-factor", "gen-instance-M-zero", "gen-instance-M-odd", "gen-instance-types",
+            "gen-instance-cap", "gen-instance-patience", "gen-instance-loading-factor",
+            "gen-instance-scale-factor", "gen-instance-T", "fit-mnl-products"])
     def test_out_of_range_number_exits_2(self, tmp_path, capsys, argv, message):
         # refused by the argument parser with one line, before any work starts
         path = str(tmp_path / "i.json")
         save_instance(simlab.random_norepeat_instance(seed=6, n=4, cap=2, m=2) if argv[0] == "colgen"
                       else simlab.random_matching_instance(seed=4, n=4, m=3, T=4), path)
-        argv = [str(tmp_path / "out.json") if a == "OUT" else a for a in argv]
+        argv = [str(tmp_path / "out.json") if a == "OUT" else path if a == "DATA" else a for a in argv]
         if argv[0] in ("simulate", "colgen"):
             argv += ["--instance", path]
         if argv[0] in ("simulate", "sweep", "gen-instance"):

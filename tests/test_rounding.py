@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcassort.rounding import gkps_round_batch
+from mcassort.rounding import SNAP_TOL, gkps_round_batch
 from scalar_oracles import gkps_round
 
 
@@ -35,6 +35,15 @@ class TestDeterministicProperties:
         got = gkps_round_batch(rows, np.random.default_rng(4))
         want = gkps_round_batch(np.array(rows), np.random.default_rng(4))
         np.testing.assert_array_equal(got, want)
+
+    def test_integral_rows_draw_nothing(self):
+        # entries within SNAP_TOL of 0 or 1 are already rounded: no column is scanned
+        z = np.array([[0.0, 1.0, 1e-13, 1 - 1e-13], [-1e-13, 1 + 1e-13, 1.0, 0.0]])
+        rng = np.random.default_rng(6)
+        before = rng.bit_generator.state
+        Z = gkps_round_batch(z, rng)
+        assert rng.bit_generator.state == before
+        np.testing.assert_array_equal(Z, z >= 1 - SNAP_TOL)
 
     def test_weight_outside_range_rejected(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from exact_chains import hardness_offer_all_fraction
 from mcassort import attenuate, lpcore, mcdlp, norepeat, simlab
 from mcassort.mcdlp import McdlpVariant, MonteCarloEstimate, verify_policy_upper_bound
 from mcassort.model import (
@@ -240,6 +241,13 @@ class TestGenerators:
         # n = 1: the single offer sells with probability 1
         fractions = simlab.hardness_sold_fraction(1, replicas=500, seed=0)
         assert (fractions == 1.0).all()
+
+    def test_hardness_sold_fraction_matches_exact_chain(self):
+        want = hardness_offer_all_fraction(14)
+        assert want == pytest.approx(0.52551, abs=5e-6)
+        fractions = simlab.hardness_sold_fraction(14, replicas=40_000, seed=0)
+        se = fractions.std(ddof=1) / math.sqrt(len(fractions))
+        assert abs(fractions.mean() - want) <= 3 * se
 
     def test_gap_structure(self):
         inst = simlab.gen_gap_instance(4)
