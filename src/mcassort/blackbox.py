@@ -100,10 +100,8 @@ class CoinSet:
 
 def _key_denom(p, x, small):
     """Coins flip in increasing order of Y / this denominator: 1 - p in the
-    small-probs case, 1 - p x otherwise.  Elementwise on arrays; a branch that
-    no element takes is not computed."""
-    if np.all(small):
-        return 1.0 - p
+    small-probs case, 1 - p x otherwise.  Elementwise on arrays; when no
+    element is small-probs, the small-probs branch is not computed."""
     if not np.any(small):
         return -(p * x) + 1.0  # 1 - p x exactly; numpy reuses the product's buffer
     return np.where(small, 1.0 - p, 1.0 - p * x)
