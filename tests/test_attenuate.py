@@ -31,13 +31,43 @@ def _toy_instance(p=0.5, r=1.0):
                                  matching_with_timeouts=True)
 
 
+def _repeated_offer_instance():
+    """Three MNL types over six unit items and five overlapping sets; every
+    patience covers the family, so each type is in the certified full case."""
+    weights = ((1.0, 0.6, 0.8, 1.2, 0.5, 0.9), (0.7, 1.1, 0.4, 0.9, 1.3, 0.6),
+               (1.2, 0.5, 1.0, 0.6, 0.8, 1.1))
+    revenues = ((1.0, 1.5, 0.8, 1.2, 2.0, 0.9), (1.4, 0.7, 1.1, 1.0, 0.6, 1.8),
+                (0.9, 1.3, 1.6, 0.8, 1.2, 1.0))
+    sets = [[0, 1, 2], [2, 3], [3, 4, 5], [0, 4], [1, 5]]
+    types = tuple(CustomerType(id=j, arrival=1 / 3, revenues=r, choice=Mnl(weights=w, no_purchase=1.5),
+                               patience=len(sets))
+                  for j, (w, r) in enumerate(zip(weights, revenues)))
+    return Instance.single_level(T=8, inventories=[1] * 6, types=types,
+                                 family=AssortmentFamily.explicit(sets), repeated_offers_allowed=True)
+
+
+def _count_kernel_calls(monkeypatch):
+    """Count calls to ``_Kernel.advance`` and ``_Kernel.offer_estimates``;
+    the counts fill in place."""
+    counts = {"advance": 0, "offer_estimates": 0}
+    for name in counts:
+        def counted(self, *args, _name=name, _orig=getattr(attenuate._Kernel, name), **kwargs):
+            counts[_name] += 1
+            return _orig(self, *args, **kwargs)
+        monkeypatch.setattr(attenuate._Kernel, name, counted)
+    return counts
+
+
 def _kernel_estimates(inst, plan, factors, t, budget, seed):
     """Availability at the start of step ``t`` and the (type, item)
     pre-attenuation offer estimates there, from one fresh engine ensemble of
     ``budget`` replicas run through the attenuated steps 1..t-1."""
     kern = attenuate._matching_kernel(inst, plan, allow_uncertified=False)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    avail = kern.prefix(kern.edge_factors(factors), factors.vertex, t, budget, rng)
+    edge = kern.edge_factors(factors)
+    avail = np.ones((budget, kern.n), dtype=bool)
+    for s in range(1, t):
+        kern.advance(avail, edge[s - 1], factors.vertex[s - 1], rng)
     return avail.mean(axis=0), kern.offer_estimates(avail, rng)[0][:, :, 0]
 
 
@@ -172,6 +202,61 @@ class TestHardnessChain:
         assert (np.abs(res.avail_freq[1:] - g) <= 4 * np.sqrt(g * (1 - g) / R)).all()
 
 
+class TestCarriedEnsemble:
+    """Factor estimation carries one ensemble through the horizon."""
+
+    def test_matching_estimation_is_linear_in_T(self, monkeypatch):
+        inst = simlab.gen_hardness_instance(14)
+        sol = mcdlp.solve_variant(inst, McdlpVariant.SINGLE_ITEM)
+        counts = _count_kernel_calls(monkeypatch)
+        attenuate.compute_attenuation_factors(inst, sol, mc_budget=50, seed=0)
+        # linear in T: re-simulating each step's prefix would take T(T+1)/2 advances
+        assert counts == {"advance": inst.T, "offer_estimates": inst.T}
+
+    def test_assortment_estimation_is_linear_in_T(self, monkeypatch):
+        inst = _repeated_offer_instance()
+        sol = mcdlp.solve_variant(inst, McdlpVariant.MCDLP_R)
+        counts = _count_kernel_calls(monkeypatch)
+        at_evaluation = {}
+        evaluate = attenuate._evaluate
+
+        def snapshot(*args, **kwargs):
+            at_evaluation.update(counts)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(attenuate, "_evaluate", snapshot)
+        attenuate.run_algorithm6(inst, sol, mc_budget=50, replicas=100, seed=0)
+        assert at_evaluation == {"advance": inst.T, "offer_estimates": inst.T}
+
+    @staticmethod
+    def _check_ensemble_avail(factors, T, n):
+        sched = gamma_schedule(T)
+        ens = factors.ensemble_avail
+        assert ens.shape == (T + 1, n)
+        assert (ens[0] == 1.0).all()
+        # retiring with v = gamma/p leaves each item Binomial(survivors, v)
+        # over B rows, whose variance p v (1 - v) / B is below gamma(1 - gamma) / B
+        B = factors.mc_budget
+        for t in range(1, T + 1):
+            g = sched.gamma(t + 1)
+            damped = factors.vertex[t - 1] < 1.0
+            assert (np.abs(ens[t, damped] - g) <= 4 * math.sqrt(g * (1 - g) / B)).all(), t
+
+    def test_ensemble_avail_tracks_gamma_matching(self):
+        inst = simlab.gen_hardness_instance(14)
+        sol = mcdlp.solve_variant(inst, McdlpVariant.SINGLE_ITEM)
+        factors = attenuate.compute_attenuation_factors(inst, sol, mc_budget=2000, seed=1)
+        assert (factors.vertex < 1).any()
+        self._check_ensemble_avail(factors, inst.T, inst.n_products)
+
+    def test_ensemble_avail_tracks_gamma_assortment(self):
+        inst = _repeated_offer_instance()
+        sol = mcdlp.solve_variant(inst, McdlpVariant.MCDLP_R)
+        _, factors = attenuate.run_algorithm6(inst, sol, mc_budget=2000, replicas=100, seed=4)
+        assert (factors.vertex < 1).any()
+        self._check_ensemble_avail(factors, inst.T, inst.n_products)
+
+
 class TestHypothesisGate:
     def test_uncertified_instance_rejected(self):
         # sum p = 1.8 > 1 and patience < n for the single type
@@ -276,6 +361,14 @@ class TestAlgorithm6:
         assert res.factors is factors
         assert factors.edge.shape[:2] == (inst.T, inst.m) and factors.edge.shape[3] == 2
         assert res.accept_freq.shape == (inst.T, inst.m, inst.n_products)
+
+    def test_availability_tracks_gamma(self):
+        inst = _repeated_offer_instance()
+        sol = mcdlp.solve_variant(inst, McdlpVariant.MCDLP_R)
+        res, _ = attenuate.run_algorithm6(inst, sol, mc_budget=2000, replicas=40_000, seed=5)
+        for t in range(1, inst.T + 2):
+            dev = np.abs(res.avail_freq[t - 1] - res.schedule.gamma(t))
+            assert (dev <= 4 * res.avail_sigma(t) + 1e-9).all(), (t, dev.max())
 
     def test_general_tabular_path_reproduces_mnl(self):
         # a table holding an MNL's probabilities on every set and stripped
