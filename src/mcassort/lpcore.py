@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -65,9 +65,11 @@ RowTag = str | tuple
 
 @dataclass(frozen=True)
 class LpRow:
-    """One <= constraint given as a sparse coefficient list."""
+    """One constraint ``sum(vals[i] * x[cols[i]]) <= rhs``: parallel column
+    indices and coefficients, a column repeated within a row adding up."""
 
-    coeffs: tuple[tuple[int, float], ...]
+    cols: tuple[int, ...]
+    vals: tuple[float, ...]
     rhs: float
     tag: RowTag | None = None
 
@@ -85,6 +87,9 @@ class LpModel:
             raise LpError("objective length mismatch")
         if len(self.lower) != self.num_vars or len(self.upper) != self.num_vars:
             raise LpError("bound length mismatch")
+        for r, row in enumerate(self.rows):
+            if len(row.cols) != len(row.vals):
+                raise LpError(f"row {r} ({row.tag!r}) has {len(row.cols)} columns and {len(row.vals)} values")
         if not np.isfinite(np.asarray(self.objective, dtype=float)).all():
             raise LpError("objective coefficients must be finite")
         lo = np.asarray(self.lower, dtype=float)
@@ -113,38 +118,19 @@ class LpModel:
             if bad_rhs[r]:
                 raise LpError("row rhs must be finite")
             k = int(np.flatnonzero(bad_coef & (row_of == r))[0])
-            j, _ = self.rows[r].coeffs[k - int(np.searchsorted(row_of, r))]
             if bad_col[k]:
-                raise LpError(f"row references unknown variable {j}")
+                j = cols[k]
+                raise LpError(f"row references unknown variable {int(j) if j.is_integer() else j}")
             raise LpError("row coefficients must be finite")
 
     @cached_property
     def _triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every row coefficient as flat (row, column, value) arrays in row order."""
-        counts = np.fromiter((len(row.coeffs) for row in self.rows), dtype=np.intp, count=len(self.rows))
-        flat = np.fromiter(
-            chain.from_iterable(chain.from_iterable(row.coeffs for row in self.rows)),
-            dtype=float,
-            count=2 * int(counts.sum()),
-        )
-        return np.repeat(np.arange(len(self.rows)), counts), flat[0::2], flat[1::2]
-
-    @staticmethod
-    def build(
-        objective: Sequence[float],
-        rows: Iterable[tuple[Sequence[tuple[int, float]], float, RowTag | None]],
-        upper: Sequence[float],
-        lower: Sequence[float] | None = None,
-    ) -> "LpModel":
-        n = len(objective)
-        lo = tuple(lower) if lower is not None else (0.0,) * n
-        return LpModel(
-            num_vars=n,
-            objective=tuple(float(c) for c in objective),
-            rows=tuple(LpRow(tuple((j, float(a)) for j, a in cs), float(rhs), tag) for cs, rhs, tag in rows),
-            lower=lo,
-            upper=tuple(float(u) for u in upper),
-        )
+        counts = np.fromiter((len(row.cols) for row in self.rows), dtype=np.intp, count=len(self.rows))
+        total = int(counts.sum())
+        cols = np.fromiter(chain.from_iterable(row.cols for row in self.rows), dtype=float, count=total)
+        vals = np.fromiter(chain.from_iterable(row.vals for row in self.rows), dtype=float, count=total)
+        return np.repeat(np.arange(len(self.rows)), counts), cols, vals
 
     def dense(self) -> tuple[np.ndarray, np.ndarray]:
         row_of, cols, coefs = self._triplets

@@ -86,6 +86,12 @@ def _patience_rhs(ct: CustomerType) -> float:
     return 1.0 / ct.leave_prob
 
 
+def _nonzero_row(coeffs: np.ndarray, first: int, rhs: float, tag: lpcore.RowTag) -> lpcore.LpRow:
+    """The row of ``coeffs``' nonzeros, ``coeffs[k]`` in column ``first + k``."""
+    nz = np.flatnonzero(coeffs)
+    return lpcore.LpRow(tuple((first + nz).tolist()), tuple(coeffs[nz].tolist()), rhs, tag)
+
+
 def _check_preconditions(inst: Instance, variant: McdlpVariant) -> None:
     if variant == McdlpVariant.SINGLE_ITEM:
         if not inst.family.is_singleton_family(inst.n_products):
@@ -131,57 +137,43 @@ def build(
     item_of = np.array([p.item if 0 <= p.item < n_items else n_items for p in inst.products] + [n_items])
 
     nvars = m * F
-    var = lambda j, k: j * F + k
-    nonzeros = lambda a, j: list(zip((j * F + np.flatnonzero(a)).tolist(), a[a != 0].tolist()))
-    objective: list[float] = []
-    upper = [1.0] * nvars
-
     # every coefficient is a slot-by-slot sum from 0.0 over the set's members
     # in frozenset order, as a row-by-row build's ``sum`` adds them
-    inventory: list[list[tuple[int, float]]] = [[] for _ in range(n_items)]
-    sell_one: list[list[tuple[int, float]]] = []
+    objective = np.empty((m, F))
+    inventory = np.empty((n_items, m, F))  # per item, its row's (type, set) block
+    sell_one = np.empty((m, F))
     for j, ct in enumerate(inst.types):
         members, probs = family_probs(ct.choice, fam, inst.n_products)
-        objective += (Q[j] * slot_sums(np.append(ct.revenues, 0.0)[members] * probs)).tolist()
+        objective[j] = Q[j] * slot_sums(np.append(ct.revenues, 0.0)[members] * probs)
         by_item = np.zeros((n_items + 1, F))  # row n_items takes padding and itemless products
         np.add.at(by_item, (item_of[members], np.arange(F)[:, None]), probs)  # in slot order
-        for item, coeffs in enumerate(Q[j] * by_item[:n_items]):
-            inventory[item] += nonzeros(coeffs, j)
-        sell_one.append(nonzeros(slot_sums(probs), j))
+        inventory[:, j] = Q[j] * by_item[:n_items]
+        sell_one[j] = slot_sums(probs)
 
-    rows: list[tuple[list[tuple[int, float]], float, lpcore.RowTag]] = [
-        (inventory[item], float(inst.items[item].inventory), ("inventory", item)) for item in range(n_items)
-    ]
-    rows += [(sell_one[j], 1.0, ("sell_one", j)) for j in range(m)]
-    for j in range(m):
-        coeffs = [(var(j, k), 1.0) for k in range(F)]
-        rows.append((coeffs, _patience_rhs(inst.types[j]), ("patience", j)))
+    rows = [_nonzero_row(inventory[item].ravel(), 0, float(inst.items[item].inventory), ("inventory", item))
+            for item in range(n_items)]
+    rows += [_nonzero_row(sell_one[j], j * F, 1.0, ("sell_one", j)) for j in range(m)]
+    rows += [lpcore.LpRow(tuple(range(j * F, j * F + F)), (1.0,) * F, _patience_rhs(ct), ("patience", j))
+             for j, ct in enumerate(inst.types)]
     if variant.no_repeat:
-        holders = [[k for k, S in enumerate(fam) if prod in S] for prod in range(inst.n_products)]
-        for j in range(m):
-            for prod in range(inst.n_products):
-                rows.append(([(var(j, k), 1.0) for k in holders[prod]], 1.0, ("overlap", j, prod)))
+        holders = [np.array([k for k, S in enumerate(fam) if prod in S], dtype=np.intp)
+                   for prod in range(inst.n_products)]
+        rows += [lpcore.LpRow(tuple((j * F + ks).tolist()), (1.0,) * len(ks), 1.0, ("overlap", j, prod))
+                 for j in range(m) for prod, ks in enumerate(holders)]
 
-    caps_are_real = variant in (McdlpVariant.SINGLE_ITEM, McdlpVariant.MCDLP_R)
+    upper = np.ones((m, F))
     if variant == McdlpVariant.SINGLE_ITEM:
         # aggregated copies of a multi-unit item admit weights up to the stock
-        for j in range(m):
-            for k, S in enumerate(fam):
-                if len(S) == 1:
-                    (i,) = tuple(S)
-                    upper[var(j, k)] = float(inst.items[inst.products[i].item].inventory)
+        upper[:] = [float(inst.items[inst.products[min(S)].item].inventory) if len(S) == 1 else 1.0 for S in fam]
 
     if colgen_master:
-        if caps_are_real:
-            for j in range(m):
-                for k in range(F):
-                    rows.append(([(var(j, k), 1.0)], upper[var(j, k)], ("xcap", j, k)))
-        for j in range(m):
-            slack = 2.0 * _patience_rhs(inst.types[j]) + 2.0
-            for k in range(F):
-                upper[var(j, k)] = slack
+        if variant in (McdlpVariant.SINGLE_ITEM, McdlpVariant.MCDLP_R):  # caps that really bind
+            rows += [lpcore.LpRow((j * F + k,), (1.0,), cap, ("xcap", j, k))
+                     for j in range(m) for k, cap in enumerate(upper[j].tolist())]
+        upper[:] = [[2.0 * _patience_rhs(ct) + 2.0] for ct in inst.types]
 
-    return lpcore.LpModel.build(objective, rows, upper)
+    return lpcore.LpModel(nvars, tuple(objective.ravel().tolist()), tuple(rows), (0.0,) * nvars,
+                          tuple(upper.ravel().tolist()))
 
 
 def solve_variant(

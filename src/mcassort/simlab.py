@@ -221,6 +221,8 @@ def hardness_sold_fraction(n: int, replicas: int, seed: int = 0) -> np.ndarray:
     Each step one customer arrives and sees every available item, so a sale
     happens with probability 1 - (1 - 1/n)^{N_t}; only the count N_t matters.
     """
+    if n < 1:
+        raise ValueError("n must be positive")
     check_replicas(replicas)
     check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -491,8 +493,14 @@ class SweepSpec:
     def __post_init__(self):
         if self.replicas < 30:
             raise ValueError("need at least 30 replicas per cell")
-        if any(lf <= 0 for lf in self.loading_factors):
+        if not all(lf > 0 for lf in self.loading_factors):
             raise ValueError("loading factors must be positive")
+        if any(p < 1 for p in self.patiences):
+            raise ValueError(f"patiences must be at least 1, got {self.patiences}")
+        if any(c < 1 for c in self.caps):
+            raise ValueError(f"caps must be at least 1, got {self.caps}")
+        if not all(sf > 0 for sf in self.scale_factors):
+            raise ValueError(f"scale factors must be positive, got {self.scale_factors}")
         check_seed(self.seed)
 
 

@@ -5,6 +5,8 @@ library routine, kept as its differential oracle: ``gkps_round`` for
 ``rounding.gkps_round_batch``, ``run_blackbox`` for ``blackbox.batch_flip``'s
 distribution, ``sorted_batch_flip`` for ``batch_flip``'s exact draws, and
 ``no_purchase_prob`` for the complement of ``model.choice_prob`` sums.
+``pair_model`` writes an ``LpModel`` from ``(column, value)`` pair lists, the
+form hand-written test LPs and the row-by-row MCDLP build use.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from mcassort.blackbox import _TOL, CASE_SMALL, CoinSet, _key_denom
+from mcassort.lpcore import LpModel, LpRow
 from mcassort.model import ChoiceModel, Mnl
 from mcassort.rounding import SNAP_TOL, gkps_round_batch
 
@@ -171,3 +174,17 @@ def no_purchase_prob(model: ChoiceModel, assortment: frozenset[int] | Iterable[i
         denom = model.no_purchase + sum(model.weights[k] for k in assortment)
         return model.no_purchase / denom
     return 1.0 - sum(model.prob(k, assortment) for k in assortment)
+
+
+def pair_model(objective, rows, upper, lower=None) -> LpModel:
+    """The LP with ``rows`` given as ``(pairs, rhs, tag)``, ``pairs`` a list
+    of ``(column, value)``; lower bounds default to zero."""
+    n = len(objective)
+    return LpModel(
+        num_vars=n,
+        objective=tuple(float(c) for c in objective),
+        rows=tuple(LpRow(tuple(j for j, _ in pairs), tuple(float(a) for _, a in pairs), float(rhs), tag)
+                   for pairs, rhs, tag in rows),
+        lower=tuple(lower) if lower is not None else (0.0,) * n,
+        upper=tuple(float(u) for u in upper),
+    )

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from mcassort import lpcore, mcdlp, simlab
 from mcassort.lpcore import LpError, LpModel, LpStats, solve
 from mcassort.mcdlp import McdlpVariant
+from scalar_oracles import pair_model
 
 
 def brute_force_lp(objective, rows, upper, lower=None):
@@ -51,7 +52,7 @@ def brute_force_lp(objective, rows, upper, lower=None):
 
 class TestSolve:
     def test_single_variable_binding_row(self):
-        m = LpModel.build([1.0], [([(0, 1.0)], 0.7, ("cap",))], [1.0])
+        m = pair_model([1.0], [([(0, 1.0)], 0.7, ("cap",))], [1.0])
         s = solve(m)
         assert s.status == "optimal"
         assert s.objective == pytest.approx(0.7)
@@ -59,7 +60,7 @@ class TestSolve:
 
     def test_toy_matching_lp(self):
         # one item, one type, T=1, q=1, p=0.5, r=2, patience 1
-        m = LpModel.build(
+        m = pair_model(
             [1.0],
             [([(0, 0.5)], 1.0, ("inventory", 0)),
              ([(0, 0.5)], 1.0, ("sell_one", 0)),
@@ -71,11 +72,11 @@ class TestSolve:
         assert s.x[0] == pytest.approx(1.0)
 
     def test_infeasible(self):
-        m = LpModel.build([1.0], [([(0, 1.0)], -1.0, None)], [1.0])
+        m = pair_model([1.0], [([(0, 1.0)], -1.0, None)], [1.0])
         assert solve(m).status == "infeasible"
 
     def test_slack_row_dual_is_zero(self):
-        m = LpModel.build(
+        m = pair_model(
             [1.0],
             [([(0, 1.0)], 0.5, ("tight",)), ([(0, 1.0)], 10.0, ("slack",))],
             [1.0],
@@ -88,7 +89,7 @@ class TestSolve:
         rows = [([(0, 1.0), (1, 1.0)], 1.0, ("a",)),
                 ([(0, 1.0), (1, 1.0)], 1.0, ("b",)),
                 ([(0, 1.0)], 0.6, ("c",))]
-        m = LpModel.build([2.0, 1.0], rows, [1.0, 1.0])
+        m = pair_model([2.0, 1.0], rows, [1.0, 1.0])
         s = solve(m)
         ref, _ = brute_force_lp([2.0, 1.0], rows, [1.0, 1.0])
         assert s.objective == pytest.approx(ref, abs=1e-7)
@@ -96,14 +97,14 @@ class TestSolve:
         # strong duality: c.x == y.b + bound terms, checked inside solve()
 
     def test_unknown_row_tag_raises(self):
-        m = LpModel.build([1.0], [([(0, 1.0)], 0.7, ("cap",))], [1.0])
+        m = pair_model([1.0], [([(0, 1.0)], 0.7, ("cap",))], [1.0])
         s = solve(m)
         with pytest.raises(LpError):
             s.dual(("nope",))
 
     def test_requires_finite_upper_bound(self):
         with pytest.raises(LpError):
-            LpModel.build([1.0], [], [float("inf")])
+            pair_model([1.0], [], [float("inf")])
 
 
 class TestRandomAgainstOracle:
@@ -119,7 +120,7 @@ class TestRandomAgainstOracle:
                 rhs = float(rng.uniform(0.2, 2.5))
                 rows.append((coeffs, rhs, None))
             upper = [float(u) for u in rng.uniform(0.5, 2.0, n)]
-            m = LpModel.build(list(obj), rows, upper)
+            m = pair_model(list(obj), rows, upper)
             s = solve(m)
             ref, _ = brute_force_lp(list(obj), rows, upper)
             assert s.status == "optimal"
@@ -132,7 +133,7 @@ class TestRandomAgainstOracle:
         rows = [([(j, float(rng.uniform(0, 1.5))) for j in range(n)],
                  float(rng.uniform(0.5, 2.0)), None) for _ in range(k)]
         upper = [1.0] * n
-        m = LpModel.build(obj, rows, upper)
+        m = pair_model(obj, rows, upper)
         s1, s2 = solve(m), solve(m)
         assert s1.x == s2.x
         assert s1.duals == s2.duals
@@ -140,11 +141,16 @@ class TestRandomAgainstOracle:
 
 def scalar_model_error(num_vars, objective, rows, lower, upper):
     """The per-coefficient validation loop the vectorized checks replaced:
-    the message of the first violation, or None."""
+    the message of the first violation, or None.  Shapes are checked before
+    values: a row whose columns and values differ in length comes right
+    after the bound lengths."""
     if len(objective) != num_vars:
         return "objective length mismatch"
     if len(lower) != num_vars or len(upper) != num_vars:
         return "bound length mismatch"
+    for r, row in enumerate(rows):
+        if len(row.cols) != len(row.vals):
+            return f"row {r} ({row.tag!r}) has {len(row.cols)} columns and {len(row.vals)} values"
     for v in objective:
         if not np.isfinite(v):
             return "objective coefficients must be finite"
@@ -158,7 +164,7 @@ def scalar_model_error(num_vars, objective, rows, lower, upper):
     for row in rows:
         if not np.isfinite(row.rhs):
             return "row rhs must be finite"
-        for j, a in row.coeffs:
+        for j, a in zip(row.cols, row.vals):
             if j < 0 or j >= num_vars:
                 return f"row references unknown variable {j}"
             if not np.isfinite(a):
@@ -178,10 +184,12 @@ class TestModelValidation:
             upper = [lo + 1.0 for lo in lower]
             rows = []
             for r in range(int(rng.integers(0, 6))):
-                coeffs = [(int(j), float(rng.uniform(-1, 1))) for j in rng.integers(0, n, size=rng.integers(0, 4))]
-                rows.append(lpcore.LpRow(tuple(coeffs), float(rng.uniform(0, 2))))
+                k = int(rng.integers(0, 4))
+                cols = tuple(int(j) for j in rng.integers(0, n, size=k))
+                rows.append(lpcore.LpRow(cols, tuple(float(a) for a in rng.uniform(-1, 1, k)),
+                                         float(rng.uniform(0, 2)), ("row", r)))
             for _ in range(int(rng.integers(0, 4))):  # plant up to three violations anywhere
-                kind = int(rng.integers(0, 7))
+                kind = int(rng.integers(0, 8))
                 j = int(rng.integers(0, n))
                 if kind == 0:
                     objective[j] = bad_values[rng.integers(0, 3)]
@@ -195,11 +203,15 @@ class TestModelValidation:
                     r = int(rng.integers(0, len(rows)))
                     row = rows[r]
                     if kind == 4:
-                        rows[r] = lpcore.LpRow(row.coeffs, bad_values[rng.integers(0, 3)])
+                        rows[r] = dataclasses.replace(row, rhs=bad_values[rng.integers(0, 3)])
+                    elif kind == 7:  # one value too many or too few
+                        vals = row.vals[:-1] if row.vals and rng.random() < 0.5 else row.vals + (1.0,)
+                        rows[r] = dataclasses.replace(row, vals=vals)
                     else:
-                        bad = (int(rng.choice([-1, n, n + 3])), 1.0) if kind == 5 else (j, bad_values[rng.integers(0, 3)])
-                        k = int(rng.integers(0, len(row.coeffs) + 1))
-                        rows[r] = lpcore.LpRow(row.coeffs[:k] + (bad,) + row.coeffs[k:], row.rhs)
+                        col, val = (int(rng.choice([-1, n, n + 3])), 1.0) if kind == 5 else (j, bad_values[rng.integers(0, 3)])
+                        k = int(rng.integers(0, min(len(row.cols), len(row.vals)) + 1))
+                        rows[r] = dataclasses.replace(row, cols=row.cols[:k] + (col,) + row.cols[k:],
+                                                      vals=row.vals[:k] + (val,) + row.vals[k:])
             args = (n, tuple(objective), tuple(rows), tuple(lower), tuple(upper))
             expected = scalar_model_error(*args)
             seen.add(expected)
@@ -209,22 +221,30 @@ class TestModelValidation:
                 with pytest.raises(LpError) as err:
                     LpModel(*args)
                 assert str(err.value) == expected
-        assert len(seen) >= 8  # every message, several unknown-variable indices, and valid models
+        # valid models and every message, those naming a variable or a row several times over
+        numbered = [e for e in seen if e and (e.startswith("row references") or " columns and " in e)]
+        assert len(seen) - len(numbered) == 7
+        assert sum(" columns and " in e for e in numbered) >= 3 and len(numbered) >= 6
 
     def test_names_first_unknown_variable_in_row_order(self):
         rows = (
-            lpcore.LpRow(((0, 1.0), (1, 2.0)), 1.0),
-            lpcore.LpRow(((1, 1.0), (5, np.inf), (7, 1.0), (6, 1.0)), 1.0),
-            lpcore.LpRow(((9, 1.0),), np.inf),
+            lpcore.LpRow((0, 1), (1.0, 2.0), 1.0),
+            lpcore.LpRow((1, 5, 7, 6), (1.0, np.inf, 1.0, 1.0), 1.0),
+            lpcore.LpRow((9,), (1.0,), np.inf),
         )
         with pytest.raises(LpError, match="^row references unknown variable 5$"):
             LpModel(2, (1.0, 1.0), rows, (0.0, 0.0), (1.0, 1.0))
-        rows = (rows[0], lpcore.LpRow(((1, np.nan), (5, 1.0)), 1.0), rows[2])
+        rows = (rows[0], lpcore.LpRow((1, 5), (np.nan, 1.0), 1.0), rows[2])
         with pytest.raises(LpError, match="^row coefficients must be finite$"):
             LpModel(2, (1.0, 1.0), rows, (0.0, 0.0), (1.0, 1.0))
 
+    def test_names_a_row_whose_columns_and_values_differ_in_length(self):
+        rows = (lpcore.LpRow((0, 1), (1.0, 2.0), 1.0, ("a",)), lpcore.LpRow((0, 1, 1), (1.0, 2.0), 1.0, ("b", 3)))
+        with pytest.raises(LpError, match=r"^row 1 \(\('b', 3\)\) has 3 columns and 2 values$"):
+            LpModel(2, (1.0, 1.0), rows, (0.0, 0.0), (1.0, 1.0))
+
     def test_dense_adds_repeated_entries_in_row_order(self):
-        m = LpModel.build([1.0, 1.0], [([(1, 0.1), (0, 2.0), (1, 0.2), (1, 0.3)], 1.0, None)], [1.0, 1.0])
+        m = LpModel(2, (1.0, 1.0), (lpcore.LpRow((1, 0, 1, 1), (0.1, 2.0, 0.2, 0.3), 1.0),), (0.0, 0.0), (1.0, 1.0))
         A, b = m.dense()
         assert A[0, 1] == (0.1 + 0.2) + 0.3
         assert A[0, 0] == 2.0 and b[0] == 1.0
@@ -387,7 +407,7 @@ class TestStats:
     def test_counters_for_a_two_phase_solve(self):
         # x0 + x1 >= 1 needs an artificial, so phase 1 pivots at least once
         rows = [([(0, -1.0), (1, -1.0)], -1.0, ("cover",)), ([(0, 1.0), (1, 2.0)], 1.5, ("cap",))]
-        s = solve(LpModel.build([1.0, 2.0], rows, [1.0, 1.0]))
+        s = solve(pair_model([1.0, 2.0], rows, [1.0, 1.0]))
         assert s.optimal
         stats = s.stats
         # phase 1 flips x0 to its upper bound and pivots x1 in for the
@@ -398,7 +418,7 @@ class TestStats:
         assert 0.0 <= stats.certificate_error <= lpcore.TOL_FEAS
 
     def test_stats_left_out_of_equality_and_repr(self):
-        m = LpModel.build([1.0], [([(0, 1.0)], 0.7, ("cap",))], [1.0])
+        m = pair_model([1.0], [([(0, 1.0)], 0.7, ("cap",))], [1.0])
         s = solve(m)
         assert dataclasses.replace(s, stats=LpStats()) == s
         assert "stats" not in repr(s)
@@ -411,7 +431,7 @@ class TestStats:
         assert stats.pricings == 2
 
     def test_infeasible_has_no_certificate(self):
-        s = solve(LpModel.build([1.0], [([(0, 1.0)], -1.0, None)], [1.0]))
+        s = solve(pair_model([1.0], [([(0, 1.0)], -1.0, None)], [1.0]))
         assert s.status == "infeasible"
         assert s.stats.certificate_error is None
 
@@ -428,7 +448,7 @@ def _sparse_lp(rng, n, m):
             coeffs.append((int(cols[0]), float(rng.uniform(-1, 1))))
         rhs = float(rng.uniform(-1.0, 2.0)) if r % 3 == 0 else float(rng.uniform(0.5, 3.0))
         rows.append((coeffs, rhs, None))
-    return LpModel.build(list(rng.uniform(-1, 2, n)), rows, list(rng.uniform(0.5, 2.0, n)))
+    return pair_model(list(rng.uniform(-1, 2, n)), rows, list(rng.uniform(0.5, 2.0, n)))
 
 
 class TestSparsePricing:
@@ -523,5 +543,5 @@ class TestAgainstHighs:
         for _ in range(k):
             coeffs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), half), max_size=n))
             rows.append((coeffs, data.draw(st.integers(-2, 12).map(lambda v: v / 2)), None))
-        model = LpModel.build(objective, rows, [lo + w for lo, w in zip(lower, width)], lower)
+        model = pair_model(objective, rows, [lo + w for lo, w in zip(lower, width)], lower)
         _cross_certify(model, solve(model))

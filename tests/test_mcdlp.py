@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mcassort import lpcore, mcdlp, simlab
+from mcassort import mcdlp, simlab
 from mcassort.mcdlp import (
     McdlpVariant,
     MonteCarloEstimate,
@@ -22,6 +23,7 @@ from mcassort.model import (
     choice_prob,
     validate,
 )
+from scalar_oracles import pair_model
 
 
 def _toy_matching():
@@ -88,7 +90,7 @@ def row_by_row_build(inst, variant, assortments=None, colgen_master=False):
             slack = 2.0 * mcdlp._patience_rhs(inst.types[j]) + 2.0
             for k in range(F):
                 upper[var(j, k)] = slack
-    return lpcore.LpModel.build(objective, rows, upper)
+    return pair_model(objective, rows, upper)
 
 
 def _two_level_tabular():
@@ -124,6 +126,16 @@ class TestOnePassBuild:
 
     def test_hardness_single_item(self):
         self._same(simlab.gen_hardness_instance(14), McdlpVariant.SINGLE_ITEM)
+
+    @pytest.mark.parametrize("colgen_master", [False, True])
+    def test_single_item_multi_unit_stock(self, colgen_master):
+        # a singleton's weight is capped by its item's stock: in the bounds,
+        # or in the xcap rows of a colgen master
+        inst = replace(simlab.random_matching_instance(seed=5, n=5, m=4, T=6),
+                       items=tuple(Item(i, b) for i, b in enumerate((3, 1, 2, 1, 4))))
+        model = self._same(inst, McdlpVariant.SINGLE_ITEM, colgen_master=colgen_master)
+        caps = [row.rhs for row in model.rows if row.tag[0] == "xcap"] if colgen_master else model.upper
+        assert len(caps) == model.num_vars and sorted(set(caps)) == [1.0, 2.0, 3.0, 4.0]
 
     def test_attenuated_online_mcdlp_r(self, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))

@@ -242,6 +242,11 @@ class TestGenerators:
         fractions = simlab.hardness_sold_fraction(1, replicas=500, seed=0)
         assert (fractions == 1.0).all()
 
+    def test_hardness_sold_fraction_refuses_an_empty_instance(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="^n must be positive$"):
+                simlab.hardness_sold_fraction(n, 10)
+
     def test_hardness_sold_fraction_matches_exact_chain(self):
         want = hardness_offer_all_fraction(14)
         assert want == pytest.approx(0.52551, abs=5e-6)
@@ -415,6 +420,21 @@ class TestSweep:
     def test_replica_floor(self):
         with pytest.raises(ValueError, match="replicas"):
             simlab.SweepSpec(replicas=10)
+
+    # unchecked, each fails inside the first cell: a zero cap gives an LP
+    # optimum of 0 to divide by, a negative scale a math domain error, a zero
+    # patience or scale a per-type InvalidInstanceError, and a NaN loading
+    # factor a NaN-to-integer ValueError
+    @pytest.mark.parametrize("field, values, message", [
+        ("loading_factors", (1.0, math.nan), "^loading factors must be positive$"),
+        ("patiences", (2, 0), r"^patiences must be at least 1, got \(2, 0\)$"),
+        ("caps", (0,), r"^caps must be at least 1, got \(0,\)$"),
+        ("scale_factors", (-1.0,), r"^scale factors must be positive, got \(-1.0,\)$"),
+        ("scale_factors", (2.0, 0.0), r"^scale factors must be positive, got \(2.0, 0.0\)$"),
+    ])
+    def test_refuses_a_cell_parameter_out_of_range(self, field, values, message):
+        with pytest.raises(ValueError, match=message):
+            simlab.SweepSpec(**{field: values})
 
 
 def _solved(inst, variant):

@@ -4,6 +4,8 @@ import importlib
 import inspect
 from pathlib import Path
 
+from mcassort import mcdlp, simlab
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "mcassort"
 
 
@@ -53,6 +55,21 @@ SIZE_ARGS = {
 }
 
 
+# The name each tracer size function gives the LP model it reads attributes
+# of: lpcore.solve's bound ``model`` argument, and mcdlp.build's result.
+MODEL_NAMES = {"_lp_size": "m", "_build_size": "res"}
+
+
+def _model_attrs() -> set[str]:
+    """The attributes the tracer's size functions read off an LP model."""
+    attrs = set()
+    for fn in ast.parse((PERFBENCH / "tracer.py").read_text()).body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in MODEL_NAMES:
+            attrs |= {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name) and node.value.id == MODEL_NAMES[fn.name]}
+    return attrs
+
+
 def _module_tuples(path: Path, name: str):
     """The ``(module, "attr", ...)`` tuples assigned or appended to ``name``."""
     out = []
@@ -70,9 +87,9 @@ def _module_tuples(path: Path, name: str):
 
 
 def test_benchmark_bindings_resolve():
-    # perfbench's tracer rebinds these names and reads these arguments, and
-    # its tests expect these from-import copies; a rename in src/ breaks the
-    # benchmark without failing any library test
+    # perfbench's tracer rebinds these names and reads these arguments and
+    # model attributes, and its tests expect these from-import copies; a
+    # rename in src/ breaks the benchmark without failing any library test
     bindings = _module_tuples(PERFBENCH / "tracer.py", "LAYERS")
     bindings += _module_tuples(PERFBENCH / "tracer.py", "COUNTED")
     copies = _module_tuples(PERFBENCH / "test_perfbench.py", "COPIES")
@@ -94,4 +111,8 @@ def test_benchmark_bindings_resolve():
         missing += [f"{mod_name}.{attr}({arg}=)" for arg in sorted(wanted - set(params))]
         checked += bool(wanted)
     assert checked, "no layer's bound arguments were parsed"
+    attrs = _model_attrs()
+    assert {"rows", "objective"} <= attrs, attrs
+    model = mcdlp.build(simlab.gen_hardness_instance(3), mcdlp.McdlpVariant.SINGLE_ITEM)
+    missing += [f"LpModel.{attr}" for attr in sorted(attrs) if not hasattr(model, attr)]
     assert not missing, f"names the benchmark binds that do not resolve: {missing}"
