@@ -33,6 +33,7 @@ from . import mcdlp
 from .blackbox import CASE_NONE, CASE_SMALL, batch_flip, certified_case
 from .mcdlp import RevenueSamples
 from .model import Instance, Mnl, choice_prob, family_probs, slot_sums, validate
+from .rounding import _fold_last
 from .trace import check_replicas, check_seed
 
 __all__ = [
@@ -195,30 +196,36 @@ class _Kernel:
 
     def _coins(self, avail: np.ndarray, types: np.ndarray) -> _Coins:
         if self.identity:  # set k is {k}: nothing to gather, a singleton keeps p_j(k, {k})
-            weight = self.weights[types]
+            weight = self.weights.take(types, axis=0)
             weight *= avail
-            return _Coins(types, avail[:, :, None], None, self.p_full[types, :, 0], weight)
-        rows = np.arange(len(types))[:, None]
-        av = avail[rows, self.items[types].reshape(len(types), -1)].reshape(-1, self.K, self.L)
-        v = np.einsum("bkl,bkl->bk", self.pw[types], av)
+            return _Coins(types, avail[:, :, None], None, self.p_full[:, :, 0].take(types, axis=0), weight)
+        flat = self.items.reshape(self.m, -1).take(types, axis=0) + np.arange(len(types))[:, None] * self.n
+        av = avail.take(flat).reshape(-1, self.K, self.L)  # a gather from avail's flat rows
+        v = np.einsum("bkl,bkl->bk", self.pw.take(types, axis=0), av)
         denom = self.denom0[types][:, None] + self.mnl[types][:, None] * v
         mass = np.divide(v, denom, out=np.zeros_like(v), where=denom > 0)
-        weight = self.weights[types]
-        weight *= av.any(axis=2)
+        weight = self.weights.take(types, axis=0)
+        weight *= _fold_last(np.logical_or, av, False)
         c = _Coins(types, av, denom, mass, weight)
         general = np.nonzero(self.general[types])[0]
-        mass[general] = self.stripped_probs(c, general).sum(axis=2)
+        mass[general] = self._general_mass(c, general)
         return c
 
-    def stripped_probs(self, c: _Coins, rows: np.ndarray) -> np.ndarray:
+    def _general_mass(self, c: _Coins, rows: np.ndarray) -> np.ndarray:
+        """Set masses of rows whose model has no closed form; numpy's slot sum keeps their order."""
+        return self.stripped_probs(c, rows).sum(axis=2)
+
+    def stripped_probs(self, c: _Coins, rows: np.ndarray, k: np.ndarray | None = None) -> np.ndarray:
         """p_j(i, stripped S) for every (set, slot) of row ``rows[w]``, shape
-        (len(rows), K, L); 0 on unavailable and padding slots."""
+        (len(rows), K, L); 0 on unavailable and padding slots.  Given ``k``,
+        only set ``k[w]`` of each row, shape (len(rows), L)."""
         types = c.types[rows]
-        val = self.pw[types]
-        val *= c.av[rows]
-        val /= c.denom[rows][:, :, None]
+        at = (rows,) if k is None else (rows, k)
+        val = self.pw[(types,) + at[1:]]
+        val *= c.av[at]
+        val /= c.denom[at][..., None]
         for w in np.nonzero(self.general[types])[0]:  # no closed form: row by row
-            val[w] = self._general_probs(types[w], c.av[rows[w]])
+            val[w] = self._general_probs(types[w], c.av[rows[w]])[() if k is None else k[w]]
         return val
 
     def _general_probs(self, j: int, av: np.ndarray) -> np.ndarray:
@@ -247,7 +254,7 @@ class _Kernel:
         """The bought slot of set ``k[w]`` in row ``rows[w]``, given a sale."""
         if self.L == 1:
             return np.zeros(len(rows), dtype=np.intp)
-        cum = self.stripped_probs(c, rows)[np.arange(len(rows)), k].cumsum(axis=1)
+        cum = self.stripped_probs(c, rows, k).cumsum(axis=1)
         u = rng.random(len(rows)) * cum[:, -1]
         return (cum > u[:, None]).argmax(axis=1)
 

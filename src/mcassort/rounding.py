@@ -20,6 +20,16 @@ SNAP_TOL = 1e-12
 __all__ = ["gkps_round_batch"]
 
 
+def _fold_last(ufunc, a: np.ndarray, initial) -> np.ndarray:
+    """``ufunc.reduce(a, axis=-1, initial=initial)`` as a loop over the last
+    axis, which numpy reduces row by row, slowly when it is short.  Exact for
+    min, max, OR and counts; a float add sums left to right, not pairwise."""
+    out = np.full(a.shape[:-1], initial)
+    for j in range(a.shape[-1]):
+        ufunc(out, a[..., j], out=out)
+    return out
+
+
 def gkps_round_batch(z_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Vectorized rounding of many weight vectors at once (rows are independent).
 
@@ -31,19 +41,21 @@ def gkps_round_batch(z_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray
     given = np.asarray(z_rows, dtype=float)
     if given.ndim != 2:
         raise ValueError("z_rows must be 2-d")
-    if np.any(given < -SNAP_TOL) or np.any(given > 1 + SNAP_TOL):
+    if given.size and (given.min() < -SNAP_TOL or given.max() > 1 + SNAP_TOL):
         raise ValueError("weights outside [0,1]")
     B = given.shape[0]
     out = given >= 1 - SNAP_TOL
-    # an entry within SNAP_TOL of 0 or 1 is already rounded; the scan reads
-    # only the others, which clipping and snapping would leave unchanged
-    fractional = (given > SNAP_TOL) & (given < 1 - SNAP_TOL)
+    # an entry within SNAP_TOL of 0 or 1 is already rounded (each of ``out`` exceeds SNAP_TOL,
+    # so the XOR drops it); the scan reads only the others, which snapping leaves unchanged
+    fractional = (given > SNAP_TOL) ^ out
     carry_idx = np.full(B, -1, dtype=np.int64)
     carry_val = np.zeros(B)
     rows = np.arange(B)
-    for i in np.nonzero(fractional.any(axis=0))[0]:
-        zi = given[:, i]
+    for i in range(given.shape[1]) if fractional.any() else ():
         frac = fractional[:, i]
+        if not frac.any():
+            continue
+        zi = given[:, i]
         fresh = frac & (carry_idx < 0)
         carry_idx[fresh] = i
         carry_val[fresh] = zi[fresh]
@@ -74,8 +86,9 @@ def gkps_round_batch(z_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray
     if np.any(left):
         u = rng.random(int(left.sum()))
         out[rows[left], carry_idx[left]] = u < carry_val[left]
-    totals = out.sum(axis=1)
-    caps = np.ceil(given.sum(axis=1) - SNAP_TOL)
+    # the row sums' order does not matter: SNAP_TOL dwarfs their rounding error
+    totals = _fold_last(np.add, out, 0)
+    caps = np.ceil(_fold_last(np.add, given, 0.0) - SNAP_TOL)
     bad = np.nonzero(totals > np.maximum(caps, 0))[0]
     if bad.size:
         raise RuntimeError(f"degree preservation violated in row {bad[0]}: "

@@ -424,6 +424,8 @@ class TestAlgorithm6:
         rows = rng.permutation(300)[:200]
         got = kern.stripped_probs(coins, rows)
         assert got.shape == (200, kern.K, kern.L)
+        k = rng.integers(0, len(sets), len(rows))  # one set per row, as draw_slot asks
+        np.testing.assert_array_equal(kern.stripped_probs(coins, rows, k), got[np.arange(len(rows)), k])
         for w, b in enumerate(rows):
             j = coins.types[b]
             for k, S in enumerate(sets):
@@ -503,6 +505,31 @@ class TestMatchingGoldens:
         for got, key in ((edge, "edge"), (f.vertex, "vertex"), (f.surv_rel_var, "surv_rel_var")):
             np.testing.assert_allclose(got, golden[f"{name}_{key}"], rtol=1e-12, atol=0)
         assert f.diagnostics == golden[f"{name}_diagnostics"].tolist()
+
+
+class TestAssortmentGoldens:
+    """Algorithm 6 draw for draw on the six-item MNL instance (K = 3 support
+    sets of up to L = 3 items, fractional weights), recorded with
+    ``mc_budget=300, replicas=2000, seed=4``."""
+
+    WANT = {
+        "revenues": "1678b593c0f7b6e0207f46d94d5ae8141157cfdb8665b26a742252b548497232",
+        "avail_freq": "bb0c52b6becb1011eeb7c2d5e4b5d553b55f8161f1f336a8afd12deab54ba9b0",
+        "accept_freq": "46d928593964fdb873ca42007356d09c09729661104e3b274e6fbab6b34ef98e",
+        "edge": "c136576be939439225c396044f2d0e9b18cbc0015969dfd6d897a445d1dc1fba",
+        "vertex": "9d976efcbf9b90b574b918774a02ff7013f044ece61070b340f7a72fdcc643c5",
+    }
+
+    def test_run_bit_identical(self):
+        inst = _repeated_offer_instance()
+        sol = mcdlp.solve_variant(inst, McdlpVariant.MCDLP_R)
+        res, factors = attenuate.run_algorithm6(inst, sol, mc_budget=300, replicas=2000, seed=4)
+        assert factors.edge.shape == (inst.T, inst.m, 3, 3)
+        assert 0 < factors.edge.min() < 1  # the fractional-weight offer estimates are exercised
+        got = {"revenues": res.revenues, "avail_freq": res.avail_freq, "accept_freq": res.accept_freq,
+               "edge": factors.edge, "vertex": factors.vertex}
+        for key, want in self.WANT.items():
+            assert _sha(got[key]) == want, key
 
 
 class TestInvariantsRaise:

@@ -275,6 +275,34 @@ class TestFlipMatchesSortedOracle:
                          else "fractional row")
         assert seen >= {-1, 0, 1, "B=0", "inf key", "zero row", "0/1 row", "fractional row"}, seen
 
+    @staticmethod
+    def _benchmark_block(kind, rng):
+        """The block shapes the attenuated benchmark flips."""
+        if kind == "hardness":  # availability-masked unit weights, p = 1/n, full patience
+            x = (rng.random((16_000, 14)) < 0.7).astype(float)
+            return np.full(14, 1 / 14), x, 14, CASE_FULL
+        if kind == "fractional":  # per-row set masses and fractional plan weights
+            x = rng.random((2_000, 3)) * (rng.random((2_000, 1)) < 0.9)
+            return rng.random((2_000, 3)) * 0.4, x, 3, CASE_FULL
+        x = (rng.random((3_000, 8)) < 0.8).astype(float)  # crowded: survivors outnumber patience
+        x[::7] = rng.random((len(x[::7]), 8))
+        return rng.random(8) * 0.3, x, rng.integers(1, 4, size=3_000), rng.random(3_000) < 0.5
+
+    @pytest.mark.parametrize("kind", ["hardness", "fractional", "crowded"])
+    def test_equal_at_benchmark_shape(self, kind):
+        p, x, patience, case = self._benchmark_block(kind, np.random.default_rng(11))
+        ours, theirs = np.random.default_rng(12), np.random.default_rng(12)
+        flipped, winner = batch_flip(p, x, patience, case, ours)
+        want_flipped, want_winner = sorted_batch_flip(p, x, patience, case, theirs)
+        assert flipped.dtype == want_flipped.dtype and winner.dtype == want_winner.dtype
+        np.testing.assert_array_equal(flipped, want_flipped)
+        np.testing.assert_array_equal(winner, want_winner)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert (winner >= 0).any() and (winner < 0).any()
+        if kind == "crowded":
+            survivors = gkps_round_batch(x, np.random.default_rng(12)).sum(axis=1)
+            assert (survivors > patience).mean() > 0.5
+
     def test_no_coins(self):
         flipped, winner = batch_flip(np.zeros(0), np.zeros((3, 0)), 1, CASE_FULL, np.random.default_rng(0))
         assert flipped.shape == (3, 0) and flipped.dtype == bool

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcassort.rounding import SNAP_TOL, gkps_round_batch
+from mcassort.rounding import SNAP_TOL, _fold_last, gkps_round_batch
 from scalar_oracles import gkps_round
 
 
@@ -50,6 +50,18 @@ class TestDeterministicProperties:
             gkps_round((1.2, 0.5), seed=0)
         with pytest.raises(ValueError):
             gkps_round((-0.1,), seed=0)
+
+    @pytest.mark.parametrize("bad", [1.2, 1 + 2 * SNAP_TOL, -0.1, -2 * SNAP_TOL])
+    def test_batch_weight_outside_range_rejected(self, bad):
+        z = np.full((4, 3), 0.5)
+        z[2, 1] = bad
+        with pytest.raises(ValueError):
+            gkps_round_batch(z, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_blocks(self, shape):
+        Z = gkps_round_batch(np.zeros(shape), np.random.default_rng(0))
+        assert Z.shape == shape and Z.dtype == bool
 
 
 class TestStatisticalProperties:
@@ -141,3 +153,47 @@ class TestArbitraryWeights:
         Z = gkps_round_batch(rows, np.random.default_rng(seed))
         assert Z.shape == rows.shape
         _check_rounding(z, Z.astype(int))
+
+
+class TestFoldLast:
+    """``_fold_last`` against numpy's own reduction over the last axis."""
+
+    @staticmethod
+    def _blocks():
+        rng = np.random.default_rng(3)
+        keys = rng.random((40, 6))
+        keys[rng.random(keys.shape) < 0.2] = np.inf
+        keys[5] = np.inf  # a row of inf keys
+        keys[7, 2] = 0.0
+        hit = rng.random(keys.shape) < 0.4
+        hit[7, 2] = False  # a tails key of 0: keys / hit is NaN there
+        hit[:3] = False  # all-false rows
+        blocks = [(keys, hit), (keys[:, :1], hit[:, :1]), (keys[:0], hit[:0]), (keys[:, :0], hit[:, :0])]
+        return blocks + [(rng.random((30, 4, 3)), rng.random((30, 4, 3)) < 0.3)]
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_matches_numpy_reduce(self, case):
+        keys, hit = self._blocks()[case]
+        for ufunc, a, initial in ((np.minimum, keys, np.inf), (np.maximum, keys, -np.inf),
+                                  (np.minimum, np.where(hit, keys, np.inf), np.inf),
+                                  (np.add, hit, 0), (np.logical_or, hit, False)):
+            got = _fold_last(ufunc, a, initial)
+            want = ufunc.reduce(a, axis=-1, initial=initial)
+            assert got.shape == want.shape == a.shape[:-1]
+            assert got.dtype == want.dtype, ufunc
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_fmin_skips_the_nan_of_masked_keys(self, case):
+        # batch_flip's best heads key: keys / hit is NaN where a tails key is 0
+        keys, hit = self._blocks()[case]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            masked = keys / hit
+        want = np.minimum.reduce(keys, axis=-1, where=hit, initial=np.inf)
+        np.testing.assert_array_equal(_fold_last(np.fmin, masked, np.inf), want)
+
+    def test_float_sum_agrees_with_numpy_to_rounding(self):
+        # the degree check's row sums: left to right rather than numpy's
+        # pairwise order, which SNAP_TOL dwarfs
+        a = np.random.default_rng(4).random((500, 14))
+        np.testing.assert_allclose(_fold_last(np.add, a, 0.0), a.sum(axis=-1), rtol=1e-13, atol=0)

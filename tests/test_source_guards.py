@@ -116,3 +116,47 @@ def test_benchmark_bindings_resolve():
     model = mcdlp.build(simlab.gen_hardness_instance(3), mcdlp.McdlpVariant.SINGLE_ITEM)
     missing += [f"LpModel.{attr}" for attr in sorted(attrs) if not hasattr(model, attr)]
     assert not missing, f"names the benchmark binds that do not resolve: {missing}"
+
+
+# The flip path's hot functions reduce their (rows x coins) blocks with
+# column loops (``rounding._fold_last``); numpy's reduction along a short row
+# axis is several times slower there.
+FLIP_PATH = {"blackbox.py": ["batch_flip"], "rounding.py": ["gkps_round_batch"],
+             "attenuate.py": ["_Kernel", "_coins"]}
+ROW_REDUCTIONS = {"min", "max", "sum", "any", "all"}
+
+
+def _row_axis_reductions(fn: ast.AST) -> list[str]:
+    """``.min/.max/.sum/.any/.all`` calls in ``fn`` with axis 1, 2 or -1,
+    by keyword or positionally."""
+    found = []
+    for node in ast.walk(fn):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ROW_REDUCTIONS):
+            continue
+        axes = [kw.value for kw in node.keywords if kw.arg == "axis"] + list(node.args)
+        for axis in axes:
+            try:
+                value = ast.literal_eval(axis)
+            except (ValueError, TypeError):
+                continue
+            if isinstance(value, int) and value in (1, 2, -1):
+                found.append(f"line {node.lineno}: .{node.func.attr}(axis={value})")
+    return found
+
+
+def _function(tree: ast.AST, path: list[str]) -> ast.AST:
+    for name in path:
+        tree = next(node for node in tree.body if getattr(node, "name", None) == name)
+    return tree
+
+
+def test_flip_path_has_no_row_axis_reductions():
+    assert _row_axis_reductions(ast.parse("a.min(axis=1); np.sum(b, -1); c.any(2); d.max(axis=0)")) == [
+        "line 1: .min(axis=1)", "line 1: .sum(axis=-1)", "line 1: .any(axis=2)"]
+    found = {}
+    for module, path in FLIP_PATH.items():
+        fn = _function(ast.parse((SRC / module).read_text()), path)
+        if hits := _row_axis_reductions(fn):
+            found[f"{module}:{'.'.join(path)}"] = hits
+    assert not found, f"row-axis reductions on the flip path: {found}"
