@@ -160,8 +160,6 @@ class _Kernel:
         v0 = np.zeros(m)
         self.mnl = np.zeros(m, dtype=bool)
         self.general = np.zeros(m, dtype=bool)
-        self.case: list[str] = []
-        family = [S for S in family if S]
         for j, choice in enumerate(self.choices):
             for k, S in enumerate(sets[j]):
                 order = sorted(S)
@@ -177,8 +175,8 @@ class _Kernel:
             else:
                 self.pw[j] = self.p_full[j]
                 self.general[j] = any(len(S) > 1 for S in sets[j]) and not choice.set_independent
-            masses = slot_sums(family_probs(choice, family, n)[1]).tolist()
-            self.case.append(certified_case(masses, int(inst.types[j].patience)))
+        masses = slot_sums(family_probs(self.choices, [S for S in family if S], n)[1]).tolist()
+        self.case = [certified_case(mass, int(ct.patience)) for mass, ct in zip(masses, inst.types)]
         self.denom0 = np.where(self.mnl, v0, 1.0)
         self.small = np.array([c == CASE_SMALL for c in self.case])
         uncertified = [j for j, c in enumerate(self.case) if c == CASE_NONE]

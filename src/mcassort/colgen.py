@@ -101,7 +101,8 @@ class FamilyTable:
 
     @functools.cached_property
     def _slots(self) -> tuple[np.ndarray, np.ndarray]:
-        return family_probs(self.choice, self.sets, self.n_products)
+        members, probs = family_probs([self.choice], self.sets, self.n_products)
+        return members, probs[0]
 
     def values(self, w, sigma) -> np.ndarray:
         """sum_{i in S} (w_i p(i,S) - sigma_i) for every set S, with the same
@@ -481,7 +482,8 @@ def column_generate(
     whose cap dual hides their reduced cost; when the oracle lands on one and
     the family is enumerable the loop re-prices by exhaustive search over the
     absent columns, otherwise it stops and records an uncertified-termination
-    warning.
+    warning.  The plan is the standard-form LP's on the final family; a
+    no-repeat master is that LP, so its last solution is the plan.
     """
     singles = [frozenset({i}) for i in range(inst.n_products) if frozenset({i}) in inst.family]
     restricted: list[frozenset[int]] = [frozenset()] + singles
@@ -529,8 +531,7 @@ def column_generate(
                 )
         if not new_cols:
             per_iteration.append(0)
-            # report the plan of the standard-form LP on the final family
-            final = mcdlp.solve_variant(inst, variant, assortments=restricted)
+            final = sol if no_repeat else mcdlp.solve_variant(inst, variant, assortments=restricted)
             return ColgenResult(final, it, added, family_size, duals, history, warns,
                                 pricing_s, per_iteration)
         before = len(added)

@@ -121,12 +121,13 @@ def build(
     """Emit the LP for ``variant``; ``assortments`` restricts the columns
     (used by column generation), defaulting to the whole enumerated family.
 
-    With ``colgen_master`` the per-variable caps move out of the bound vector:
-    variables get a slack bound that can never bind (the patience row binds
-    first), and the variants whose formulation really caps x at 1 (repeated
-    offers, single-item) carry explicit ("xcap", j, k) rows instead.  Pricing
-    then sees every dual it needs; a nonbasic-at-bound column would otherwise
-    hide its reduced cost in a bound dual invisible to the subproblem.
+    No-repeat variables get the bound 2 · patience + 2, which never binds: an
+    ("overlap", j, i) row caps a set holding product i at 1, and the patience
+    row caps the empty set; x <= 1 there would only add degenerate vertices,
+    and a no-repeat ``colgen_master`` is the standard build.  Repeated-offer
+    and single-item caps bind: they stay bounds, or with ``colgen_master``
+    become ("xcap", j, k) rows under the slack bound, whose duals pricing
+    needs (a column nonbasic at a bound hides its reduced cost from it).
     """
     _check_preconditions(inst, variant)
     fam = tuple(assortments) if assortments is not None else inst.family.assortments(inst.n_products)
@@ -141,14 +142,13 @@ def build(
     # in frozenset order, as a row-by-row build's ``sum`` adds them
     objective = np.empty((m, F))
     inventory = np.empty((n_items, m, F))  # per item, its row's (type, set) block
-    sell_one = np.empty((m, F))
+    members, probs = family_probs([ct.choice for ct in inst.types], fam, inst.n_products)
     for j, ct in enumerate(inst.types):
-        members, probs = family_probs(ct.choice, fam, inst.n_products)
-        objective[j] = Q[j] * slot_sums(np.append(ct.revenues, 0.0)[members] * probs)
+        objective[j] = Q[j] * slot_sums(np.append(ct.revenues, 0.0)[members] * probs[j])
         by_item = np.zeros((n_items + 1, F))  # row n_items takes padding and itemless products
-        np.add.at(by_item, (item_of[members], np.arange(F)[:, None]), probs)  # in slot order
+        np.add.at(by_item, (item_of[members], np.arange(F)[:, None]), probs[j])  # in slot order
         inventory[:, j] = Q[j] * by_item[:n_items]
-        sell_one[j] = slot_sums(probs)
+    sell_one = slot_sums(probs)
 
     rows = [_nonzero_row(inventory[item].ravel(), 0, float(inst.items[item].inventory), ("inventory", item))
             for item in range(n_items)]
@@ -166,10 +166,10 @@ def build(
         # aggregated copies of a multi-unit item admit weights up to the stock
         upper[:] = [float(inst.items[inst.products[min(S)].item].inventory) if len(S) == 1 else 1.0 for S in fam]
 
-    if colgen_master:
-        if variant in (McdlpVariant.SINGLE_ITEM, McdlpVariant.MCDLP_R):  # caps that really bind
-            rows += [lpcore.LpRow((j * F + k,), (1.0,), cap, ("xcap", j, k))
-                     for j in range(m) for k, cap in enumerate(upper[j].tolist())]
+    if colgen_master and not variant.no_repeat:
+        rows += [lpcore.LpRow((j * F + k,), (1.0,), cap, ("xcap", j, k))
+                 for j in range(m) for k, cap in enumerate(upper[j].tolist())]
+    if colgen_master or variant.no_repeat:
         upper[:] = [[2.0 * _patience_rhs(ct) + 2.0] for ct in inst.types]
 
     return lpcore.LpModel(nvars, tuple(objective.ravel().tolist()), tuple(rows), (0.0,) * nvars,

@@ -119,22 +119,24 @@ def choice_prob(model: ChoiceModel, product: int, assortment: frozenset[int] | I
     return model.prob(product, assortment)
 
 
-def family_probs(choice: ChoiceModel, sets: Sequence[frozenset[int]], n_products: int) -> tuple[np.ndarray, np.ndarray]:
-    """(members, probs), each (F, k_max): row r holds ``sets[r]``'s products in
-    the frozenset's own iteration order, padded with product ``n_products`` at
-    probability 0.  MNL rows take ``Mnl.probs``' float operations (weights
-    summed slot by slot, plus the no-purchase weight, one division per slot);
-    other models go through ``choice.probs``."""
+def family_probs(choices: Sequence[ChoiceModel], sets: Sequence[frozenset[int]],
+                 n_products: int) -> tuple[np.ndarray, np.ndarray]:
+    """(members, probs): row r of members, (F, k_max), holds ``sets[r]``'s
+    products in frozenset iteration order, padded with product ``n_products``;
+    probs[c] their purchase probabilities under ``choices[c]``, 0 on padding:
+    ``Mnl.probs``' floats for MNL (weights summed slot by slot, plus the
+    no-purchase weight, one division per slot), ``choice.probs`` otherwise."""
     slots = list(itertools.zip_longest(*sets, fillvalue=n_products))
     members = np.array(slots, dtype=np.intp).reshape(len(slots), len(sets)).T
     if members.min(initial=0) < 0 or members.max(initial=0) > n_products or any(n_products in S for S in sets):
         raise ValueError(f"a set names a product outside 0..{n_products - 1}")
-    filled = members < n_products
-    if isinstance(choice, Mnl):
-        w = np.append(choice.weights, 0.0)[members]
-        return members, w / (choice.no_purchase + slot_sums(w))[:, None]
-    probs = np.zeros(filled.shape)
-    probs[filled] = [p for S in sets for _, p in choice.probs(S)]
+    probs = np.zeros((len(choices),) + members.shape)
+    for out, choice in zip(probs, choices):
+        if isinstance(choice, Mnl):
+            w = np.append(choice.weights, 0.0)[members]
+            out[:] = w / (choice.no_purchase + slot_sums(w))[:, None]
+        else:
+            out[members < n_products] = [p for S in sets for _, p in choice.probs(S)]
     return members, probs
 
 

@@ -88,8 +88,7 @@ class _GreedyChooser:
         self.low = sum(1 << p.id for p in inst.products if p.level != high) if high_only else 0
         listed = ((tuple(sorted(S)), sum(1 << i for i in S)) for S in inst.family.assortments(inst.n_products))
         self.sets = [(S, bits) for S, bits in listed if S and not bits & self.low]
-        shown = [frozenset(S) for S, _ in self.sets]
-        self.values = [self.revenues(ct, shown, inst.n_products) for ct in inst.types]
+        self.values = self.revenues(inst.types, [frozenset(S) for S, _ in self.sets], inst.n_products)
         self.cache: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
 
     def choose(self, j: int, mask: int) -> tuple[tuple[int, ...], int]:
@@ -110,12 +109,12 @@ class _GreedyChooser:
         return best
 
     @staticmethod
-    def revenues(ct: CustomerType, sets: list[frozenset[int]], n_products: int) -> list[float]:
-        """``sum(r_i p(i, S))`` on each set, over its products in sorted order,
-        with the floats of ``model.family_probs``."""
-        members, probs = family_probs(ct.choice, sets, n_products)
-        terms = np.append(ct.revenues, 0.0)[members] * probs
-        return slot_sums(np.take_along_axis(terms, np.argsort(members, axis=1), axis=1)).tolist()
+    def revenues(types: tuple[CustomerType, ...], sets: list[frozenset[int]], n_products: int) -> list[list[float]]:
+        """Each type's ``sum(r_i p(i, S))`` on each set, over its products in
+        sorted order, with the floats of ``model.family_probs``."""
+        members, probs = family_probs([ct.choice for ct in types], sets, n_products)
+        terms = np.array([np.append(ct.revenues, 0.0) for ct in types])[:, members] * probs
+        return slot_sums(np.take_along_axis(terms, np.argsort(members, axis=1)[None], axis=2)).tolist()
 
 
 def run_benchmark(
@@ -524,7 +523,7 @@ def run_sweep(
                     inst = build_hotel_instance(template, lf, sf, pat, cap, seed=spec.seed + cell_id)
                     try:
                         lp = mcdlp.solve_variant(inst, McdlpVariant.MMCDLP_NR)
-                    except lpcore.LpError as exc:  # pragma: no cover - reported, cell skipped
+                    except lpcore.LpError as exc:
                         warnings.warn(f"LP failed on cell lf={lf} pat={pat} cap={cap} sf={sf}: {exc}")
                         continue
                     for policy in policies:

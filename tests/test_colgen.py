@@ -417,6 +417,26 @@ class TestColumnGeneration:
         res = column_generate(inst, McdlpVariant.MCDLP_NR, BruteForceOracle())
         assert res.iterations > 1 and calls == [5]
 
+    def test_no_repeat_plan_is_the_last_master(self):
+        # a no-repeat master is the standard-form LP on its family, so the
+        # last master's solution is returned without a re-solve
+        inst = simlab.random_norepeat_instance(seed=3, n=5, cap=2, m=4)
+        res = column_generate(inst, McdlpVariant.MCDLP_NR, BruteForceOracle())
+        assert res.iterations > 1 and res.objective == res.objective_history[-1]
+        fresh = mcdlp.solve_variant(inst, McdlpVariant.MCDLP_NR, res.solution.assortments)
+        assert res.solution == fresh
+        assert (np.array(res.solution.lp.x).tobytes(), np.array(res.solution.lp.duals).tobytes()) == (
+            np.array(fresh.lp.x).tobytes(), np.array(fresh.lp.duals).tobytes())
+
+    def test_repeated_variant_plan_is_re_solved_in_standard_form(self):
+        # MCDLP-R's master carries its caps as xcap rows; the plan comes from
+        # the standard form, caps as bounds, on the final family
+        inst = simlab.random_norepeat_instance(seed=5, n=4, cap=4, m=3)
+        res = column_generate(inst, McdlpVariant.MCDLP_R, MnlExactOracle())
+        fam = res.solution.assortments
+        assert res.solution == mcdlp.solve_variant(inst, McdlpVariant.MCDLP_R, fam)
+        assert res.solution.lp != mcdlp.solve_variant(inst, McdlpVariant.MCDLP_R, fam, colgen_master=True).lp
+
     def test_complete_start_terminates_immediately(self):
         # family = empty set + singletons: the starting set is everything
         inst = simlab.random_norepeat_instance(seed=4, n=4, cap=1, m=3)

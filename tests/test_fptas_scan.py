@@ -140,10 +140,10 @@ GOLDEN = [
 # n = 4 + k % 3, m = 2 + k % 3) under MnlFptasOracle(0.1):
 # (k, repr(objective), iterations, added columns in order)
 GOLDEN_PLANS = [
-    (7, '3.9095444362981704', 6,
+    (7, '3.9095444362981713', 6,
      [(0, 1, 2), (0, 3, 4), (2, 3, 4), (1, 3), (2, 4), (3, 4), (0, 3), (0, 4), (0, 1),
       (2, 3), (0, 2)]),
-    (8, '2.9455639865572274', 11,
+    (8, '2.945563986557229', 11,
      [(1, 2, 3, 4, 5), (1, 2, 3, 4), (0, 3, 4, 5), (0, 1, 3, 5), (1, 2, 4), (0, 4, 5),
       (2, 3, 4), (1, 3, 4), (3, 4), (0, 1), (1, 4), (3, 5), (1, 3), (1, 5), (2, 4), (0, 4),
       (2, 3), (0, 1, 3), (0, 3), (0, 2)]),

@@ -343,18 +343,17 @@ for lf, cell_seed in ((1.0, 1), (4.0, 2), (7.0, 3)):
 class TestHotelGolden:
     # MMCDLP-NR on the 24-type hotel template, sweep seed 0, patience 2, cap 4,
     # scale 2: (loading factor, cell seed, repr(objective), sha256 of x, sha256
-    # of the duals), recorded from the per-row ratio test and the full
-    # nonbasic product this solver replaced
+    # of the duals), recorded with the no-repeat build's slack bounds
     GOLDEN = [
-        [1.0, 1, "12126.617364881025",
-         "53f85c6cdec83696d62dbfa772481897fd309481901d88c88b1499377b0f9ed9",
-         "39af1d556a14698c3139bcf91d3cd591ffc42770eeb3f34e9bc7a254e165b1b0"],
-        [4.0, 2, "4702.550817119733",
-         "4e35e3245ed86cfd794d79a00adde2eb38969953b52b09e3b5d4eef3c824d4d3",
-         "4838a52678cb307b6afc3c475fe2224c50ffe9d77bfeee18fc192411edb61100"],
+        [1.0, 1, "12126.61736488102",
+         "d37e4615bd5e20390adb711e32ffd24bf49722fcb8a71a104b4987ac44a29617",
+         "285bbe17320c5c61a2658975a10ef93e46b9164355576bd40b376608126c001d"],
+        [4.0, 2, "4702.5508171197325",
+         "b933bfd357a412912d18761c4f679a61e487da74884a51e8b2bdde63a73cfa38",
+         "64bde80eb0f5343081f63e4b2741743292802c2b553adf62b0f789fd528b52f6"],
         [7.0, 3, "2236.9174876328557",
-         "afc279180f5d0cdcf765351b43b86daaafaed5a50e9bcf485bb248e3bb436842",
-         "fd6f89cb81b12b02a881b305a8a357f9d79bd8453ca741523c9543c13b73aa40"],
+         "eba0b8eb70e5da84ebb5d11f59c1a96625562fc21f2a73ef78fef4d002e9a675",
+         "51aba11302ca8210ce0240b47054eedbfb298f622a8e7ce21797814f53ab4b84"],
     ]
 
     def test_hotel24_cells_bit_identical(self):
@@ -388,11 +387,12 @@ class TestHotelPivotCounts:
     # The same cells as TestHotelGolden: (loading factor, phase-2 pivots,
     # bound flips, reduced-cost passes).  Every cell starts from a slack
     # basis that needs no phase 1; it prices once per basis it visits and
-    # once more for the certificate, never after a bound flip.  The counts
-    # ride on the same pivot path as the pinned bits, so they are solved in
-    # a one-thread child process too: with pricing off the BLAS, the basis
-    # inverse from LAPACK still moves last bits with the thread count.
-    COUNTS = [[1.0, 778, 33, 780], [4.0, 178, 15, 180], [7.0, 57, 12, 59]]
+    # once more for the certificate, and never flips a bound: the no-repeat
+    # build's slack bounds never bind.  The counts ride on the same pivot
+    # path as the pinned bits, so they are solved in a one-thread child
+    # process too: with pricing off the BLAS, the basis inverse from LAPACK
+    # still moves last bits with the thread count.
+    COUNTS = [[1.0, 711, 0, 713], [4.0, 127, 0, 129], [7.0, 44, 0, 46]]
 
     def test_hotel24_pivots_flips_and_pricings(self):
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -492,6 +492,8 @@ def _variant_models():
 
 
 _VARIANT_MODELS = _variant_models()
+_NO_REPEAT_MODELS = [(name, model) for name, model in _VARIANT_MODELS
+                     if any(row.tag[0] == "overlap" for row in model.rows)]
 
 
 def _highs(model):
@@ -522,6 +524,27 @@ def _cross_certify(model, home):
     y_highs = -res.ineqlin.marginals if len(b) else np.zeros(0)
     assert checker._certificate_error(full(home.x), y_highs) <= lpcore.TOL_FEAS
     assert checker._certificate_error(full(res.x), np.array(home.duals)) <= lpcore.TOL_FEAS
+
+
+class TestImpliedUnitBounds:
+    """A no-repeat LP's overlap rows cap every non-empty set's weight at 1, so
+    forcing its slack bounds back to 1 leaves the optimum where it was."""
+
+    @staticmethod
+    def _same_optimum(model):
+        unit = dataclasses.replace(model, upper=(1.0,) * model.num_vars)
+        assert unit != model
+        assert solve(model).objective == pytest.approx(solve(unit).objective, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("model", [m for _, m in _NO_REPEAT_MODELS], ids=[name for name, _ in _NO_REPEAT_MODELS])
+    def test_variant_models(self, model):
+        self._same_optimum(model)
+
+    def test_hotel24_cells(self):
+        template = simlab.gen_hotel_like(seed=0, n_types=24)
+        for lf, cell_seed in ((1.0, 1), (4.0, 2), (7.0, 3)):
+            inst = simlab.build_hotel_instance(template, lf, 2.0, 2, 4, seed=cell_seed)
+            self._same_optimum(mcdlp.build(inst, McdlpVariant.MMCDLP_NR))
 
 
 class TestAgainstHighs:

@@ -36,7 +36,9 @@ def _toy_matching():
 
 def row_by_row_build(inst, variant, assortments=None, colgen_master=False):
     """The LP build as it was before the one-pass builder: probabilities
-    cached per (type, assortment), then each row assembled on its own."""
+    cached per (type, assortment), then each row assembled on its own.  The
+    bounds follow the builder's rule: slack for the no-repeat variants and
+    for every colgen master."""
     mcdlp._check_preconditions(inst, variant)
     fam = tuple(assortments) if assortments is not None else inst.family.assortments(inst.n_products)
     m = inst.m
@@ -81,11 +83,12 @@ def row_by_row_build(inst, variant, assortments=None, colgen_master=False):
                 if len(S) == 1:
                     (i,) = tuple(S)
                     upper[var(j, k)] = float(inst.items[inst.products[i].item].inventory)
-    if colgen_master:
-        if caps_are_real:
-            for j in range(m):
-                for k in range(F):
-                    rows.append(([(var(j, k), 1.0)], upper[var(j, k)], ("xcap", j, k)))
+    if colgen_master and caps_are_real:
+        for j in range(m):
+            for k in range(F):
+                rows.append(([(var(j, k), 1.0)], upper[var(j, k)], ("xcap", j, k)))
+    # no-repeat overlap rows already cap every non-empty set at 1
+    if colgen_master or not caps_are_real:
         for j in range(m):
             slack = 2.0 * mcdlp._patience_rhs(inst.types[j]) + 2.0
             for k in range(F):
@@ -175,6 +178,59 @@ class TestOnePassBuild:
         restricted = [S for S in fam if list(S) != sorted(S)][::3] + list(fam[:15])
         for variant in (McdlpVariant.MCDLP_NR, McdlpVariant.MCDLP_R):
             self._same(unsorted_inst, variant, restricted, colgen_master=True)
+
+
+def _no_repeat_builds():
+    norepeat = simlab.random_norepeat_instance(seed=3, n=6, cap=3, m=4)
+    homog = simlab.random_homog_instance(seed=1, n=5, cap=2, m=4)
+    hotel = simlab.build_hotel_instance(simlab.gen_hotel_like(seed=2, n_types=6), 2.0, 2.0, 2, 3, seed=1)
+    nr_fam = norepeat.family.assortments(norepeat.n_products)
+    homog_fam = homog.family.assortments(homog.n_products)
+    return [
+        ("mcdlp-nr", norepeat, McdlpVariant.MCDLP_NR, None),
+        ("mcdlp-nr-restricted", norepeat, McdlpVariant.MCDLP_NR, nr_fam[::7]),
+        ("mcdlp-nr-no-empty-set", norepeat, McdlpVariant.MCDLP_NR, nr_fam[1::3]),
+        ("mcdlp-nrs", homog, McdlpVariant.MCDLP_NRS, None),
+        ("mcdlp-nrs-restricted", homog, McdlpVariant.MCDLP_NRS, homog_fam[::2]),
+        ("mmcdlp-nr-hotel", hotel, McdlpVariant.MMCDLP_NR, None),
+        ("mmcdlp-nr-tabular", _two_level_tabular(), McdlpVariant.MMCDLP_NR, None),
+    ]
+
+
+_NO_REPEAT_BUILDS = _no_repeat_builds()
+
+
+class TestImpliedBounds:
+    """A no-repeat LP's x <= 1 bounds are implied by its overlap rows, so its
+    builds carry a bound that never binds, and its colgen master is its
+    standard build.  The capped variants keep caps that bind."""
+
+    @pytest.mark.parametrize("inst, variant, fam", [case[1:] for case in _NO_REPEAT_BUILDS],
+                             ids=[case[0] for case in _NO_REPEAT_BUILDS])
+    def test_every_nonempty_set_in_a_unit_overlap_row(self, inst, variant, fam):
+        model = mcdlp.build(inst, variant, fam)
+        sets = fam if fam is not None else inst.family.assortments(inst.n_products)
+        F = len(sets)
+        in_unit_row = set()
+        for row in model.rows:
+            if row.tag[0] == "overlap" and row.rhs == 1.0:
+                in_unit_row.update(c for c, v in zip(row.cols, row.vals) if v == 1.0)
+        assert in_unit_row == {j * F + k for j in range(inst.m) for k, S in enumerate(sets) if S}
+        # the empty set's column is held by its patience row alone
+        for j, ct in enumerate(inst.types):
+            assert min(model.upper[j * F:(j + 1) * F]) > mcdlp._patience_rhs(ct) >= 1.0
+        assert model == mcdlp.build(inst, variant, fam, colgen_master=True)
+
+    def test_capped_variants_move_their_caps_into_rows(self):
+        matching = replace(simlab.random_matching_instance(seed=5, n=5, m=4, T=6),
+                           items=tuple(Item(i, b) for i, b in enumerate((3, 1, 2, 1, 4))))
+        norepeat = simlab.random_norepeat_instance(seed=3, n=6, cap=3, m=4)
+        for inst, variant in ((matching, McdlpVariant.SINGLE_ITEM), (norepeat, McdlpVariant.MCDLP_R)):
+            standard = mcdlp.build(inst, variant)
+            master = mcdlp.build(inst, variant, colgen_master=True)
+            assert standard != master
+            assert standard.upper == tuple(row.rhs for row in master.rows if row.tag[0] == "xcap")
+            assert min(standard.upper) == 1.0
 
 
 class TestBuild:

@@ -184,13 +184,15 @@ class TestChoiceProb:
 
     def test_family_probs_pads_and_refuses_unknown_products(self):
         model = Mnl(weights=(1.0, 2.0, 0.5), no_purchase=1.0)
+        table = Tabular(entries={}, item_probs=(0.1, 0.2, 0.3))
         sets = [frozenset(), frozenset({2, 0}), frozenset({1})]
-        members, probs = family_probs(model, sets, 3)
+        members, probs = family_probs([model, table], sets, 3)
         assert members.tolist() == [[3, 3], list(sets[1]), [1, 3]]
-        assert probs.tolist() == [[0.0, 0.0], [p for _, p in model.probs(sets[1])], [model.prob(1, sets[2]), 0.0]]
+        for choice, got in zip((model, table), probs):
+            assert got.tolist() == [[0.0, 0.0], [p for _, p in choice.probs(sets[1])], [choice.prob(1, sets[2]), 0.0]]
         for bad in ({3}, {-1, 0}, {4}):
             with pytest.raises(ValueError, match=r"outside 0\.\.2"):
-                family_probs(model, [frozenset(bad)], 3)
+                family_probs([model], [frozenset(bad)], 3)
 
 
 class TestSplitInventory:

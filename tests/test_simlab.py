@@ -569,4 +569,4 @@ def test_mnl_expected_revenues_are_the_probs_floats(seed):
             for _ in range(400)]
     assert any(list(S) != sorted(S) for S in sets)
     want = [[sum(ct.revenues[i] * p for i, p in sorted(ct.choice.probs(S))) for S in sets] for ct in types]
-    assert [simlab._GreedyChooser.revenues(ct, sets, n) for ct in types] == want
+    assert simlab._GreedyChooser.revenues(tuple(types), sets, n) == want
