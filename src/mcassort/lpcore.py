@@ -8,15 +8,21 @@ degenerate streak.  Every optimal solve returns row duals and is checked for
 primal feasibility and strong duality before being handed back, with its
 pivot, bound-flip, refactor and pricing counts on ``LpSolution.stats``.
 
-Pricing works on sparse columns: the solver keeps the constraint matrix's
-nonzeros sorted by column and forms the reduced costs with one ``bincount``
-over them (Maros, *Computational Techniques of the Simplex Method*, 2003,
-ch. 9), only when the basis has changed; a bound flip keeps them.  Each pivot
-refreshes the basic solution from the nonbasic variables that sit at a
-nonzero bound only (most sit at a zero lower bound), runs the ratio test in
-vector form (every row's step cap in one pass, then the sequential tie rule
-over the rows near the smallest cap, see ``_ratio_test``), and updates the
-basis inverse on the rows that the entering column touches.
+Pricing works on sparse columns (Maros, *Computational Techniques of the
+Simplex Method*, 2003, ch. 9), only when the basis has changed; a bound flip
+keeps the reduced costs.  The matrix sits in K column slots, K the largest
+column count: slot s holds each column's s-th nonzero (rows ascending,
+repeated entries in row order), and a shorter column pads with value 0.0 on
+an extra zero entry of y.  One gather, one product and a fold over the slots
+into zeros add each column's products to 0.0 in order, as a ``bincount``
+over the column-sorted nonzeros does: the reduced costs equal its bit for
+bit, signed zeros included (padding adds +0.0, which such a sum absorbs),
+and a non-finite dual reaches only its row's columns.  Each pivot refreshes
+the basic solution from the nonbasic variables at a nonzero bound only (most
+sit at a zero lower bound), runs the ratio test in vector form (every row's
+step cap in one pass, then the sequential tie rule over the rows near the
+smallest cap, see ``_ratio_test``), and updates the basis inverse on the
+rows that the entering column touches.
 
 ``solve`` uses fixed pivot rules and no randomness, and concurrent solves on
 distinct models are safe.  Its last bits are not a function of the model
@@ -145,18 +151,20 @@ class LpStats:
 
     ``phase1_pivots`` and ``phase2_pivots`` count basis changes (phase 2
     includes any refinement pass after a failed certificate check),
-    ``bound_flips`` entering variables that ran to their opposite bound
-    instead, ``refactors`` explicit basis inversions, ``pricings``
-    reduced-cost passes (one per basis the pivot loop prices, plus one per
-    certificate check: bound flips reuse them), ``bland`` whether a
-    degenerate streak switched pricing to Bland's rule, and
-    ``certificate_error`` the scaled certificate error of the returned optimum
-    (None when none was checked: the solve ended infeasible or unbounded, or
-    the model has no rows).
+    ``degenerate_pivots`` the basis changes of either phase whose step was
+    at most the 1e-9 pivot tolerance, ``bound_flips`` entering variables
+    that ran to their opposite bound instead, ``refactors`` explicit basis
+    inversions, ``pricings`` reduced-cost passes (one per basis the pivot
+    loop prices, plus one per certificate check: bound flips reuse them),
+    ``bland`` whether a degenerate streak switched pricing to Bland's rule,
+    and ``certificate_error`` the scaled certificate error of the returned
+    optimum (None when none was checked: the solve ended infeasible or
+    unbounded, or the model has no rows).
     """
 
     phase1_pivots: int = 0
     phase2_pivots: int = 0
+    degenerate_pivots: int = 0
     bound_flips: int = 0
     refactors: int = 0
     pricings: int = 0
@@ -233,33 +241,39 @@ class _Simplex:
     """Bounded-variable primal simplex on max c.x, A x <= b, lo <= x <= hi."""
 
     def __init__(self, model: LpModel):
-        A, b = model.dense()
-        m, n = A.shape
+        m, n = len(model.rows), model.num_vars
         self.m, self.n_struct = m, n
-        # columns: structural | slacks | artificials (phase 1 only)
-        cols = n + m
-        self.A = np.zeros((m, cols))
-        self.A[:, :n] = A
-        self.A[:, n : n + m] = np.eye(m)
-        # the same columns as flat nonzeros sorted by column, rows ascending
-        # within a column: the structural coefficients, then one 1 per slack
         row_of, col_of, coefs = model._triplets
+        col_of = col_of.astype(np.intp)
+        # columns: structural | slacks | artificials (phase 1 only); the
+        # structural block is written as LpModel.dense() writes it
+        self.A = np.zeros((m, n + m))
+        np.add.at(self.A, (row_of, col_of), coefs)
+        self.A[np.arange(m), np.arange(n, n + m)] = 1.0
+        # the same columns in slots: slot s holds each column's s-th nonzero
+        # (rows ascending, repeated entries in row order, then one 1 per
+        # slack); a column with fewer nonzeros is padded with row m and 0.0
         order = np.argsort(col_of, kind="stable")
-        self.nz_rows = np.concatenate([row_of[order], np.arange(m)])
-        self.nz_cols = np.concatenate([col_of[order].astype(np.intp), np.arange(n, n + m)])
-        self.nz_vals = np.concatenate([coefs[order], np.ones(m)])
-        self.b = b
+        rows = np.concatenate([row_of[order], np.arange(m)])
+        cols = np.concatenate([col_of[order], np.arange(n, n + m)])
+        counts = np.bincount(cols, minlength=n + m)
+        slot = np.arange(cols.size) - (np.cumsum(counts) - counts)[cols]
+        self.slot_rows = np.full((int(counts.max(initial=0)), n + m), m)
+        self.slot_rows[slot, cols] = rows
+        self.slot_vals = np.zeros(self.slot_rows.shape)
+        self.slot_vals[slot, cols] = np.concatenate([coefs[order], np.ones(m)])
+        self._y = np.zeros(m + 1)  # y, then the 0.0 that padding reads
+        self.b = np.array([row.rhs for row in model.rows], dtype=float)
         self.lo = np.concatenate([np.array(model.lower), np.zeros(m)])
         self.hi = np.concatenate([np.array(model.upper), np.full(m, np.inf)])
         self.c = np.concatenate([np.array(model.objective), np.zeros(m)])
         self.art: list[int] = []
         self.model = model
-        self.pivots = self.phase1_pivots = self.flips = self.refactors = self.pricings = 0
+        self.pivots = self.phase1_pivots = self.degenerate = self.flips = self.refactors = self.pricings = 0
         self.bland = False
 
     def _install_artificials(self) -> None:
-        start = np.array(self.lo[: self.n_struct])
-        resid = self.b - self.A[:, : self.n_struct] @ start
+        resid = self.b - self.A[:, : self.n_struct] @ self.lo[: self.n_struct]
         art_rows = (resid < -TOL_FEAS).nonzero()[0]  # rows the slack alone cannot satisfy
         k = len(art_rows)
         basis = self.n_struct + np.arange(self.m)  # slacks basic
@@ -270,14 +284,16 @@ class _Simplex:
             art = np.zeros((self.m, k))
             art[art_rows, np.arange(k)] = -1.0
             self.A = np.hstack([self.A, art])
-            self.nz_rows = np.concatenate([self.nz_rows, art_rows])
-            self.nz_cols = np.concatenate([self.nz_cols, self.art])
-            self.nz_vals = np.concatenate([self.nz_vals, np.full(k, -1.0)])
+            pad = len(self.slot_rows) - 1  # every slack fills slot 0
+            self.slot_rows = np.hstack([self.slot_rows, np.vstack([art_rows, np.full((pad, k), self.m)])])
+            self.slot_vals = np.hstack([self.slot_vals, np.vstack([np.full(k, -1.0), np.zeros((pad, k))])])
             self.lo = np.concatenate([self.lo, np.zeros(k)])
             self.hi = np.concatenate([self.hi, np.full(k, np.inf)])
             self.c = np.concatenate([self.c, np.zeros(k)])
         self.basis = basis
         self.at_upper = np.zeros(self.A.shape[1], dtype=bool)
+        self.xN = np.array(self.lo)  # nonbasic values (lo or hi), 0 where basic; pivots and flips keep it
+        self.xN[basis] = 0.0
 
     def _refactor(self) -> None:
         self.refactors += 1
@@ -287,23 +303,22 @@ class _Simplex:
         except np.linalg.LinAlgError as exc:
             raise LpNumericalError(f"singular basis: {exc}") from exc
 
-    def _x_nonbasic(self) -> np.ndarray:
-        x = np.where(self.at_upper, self.hi, self.lo)
-        x[self.basis] = 0.0
-        return x
-
     def _xB(self) -> np.ndarray:
-        # most nonbasics sit at a zero lower bound and contribute nothing
-        xN = self._x_nonbasic()
-        nz = xN.nonzero()[0]
-        return self.Binv @ (self.b - self.A[:, nz] @ xN[nz])
+        # most nonbasics sit at a zero lower bound; with all there, b - 0 is b bit for bit
+        nz = self.xN.nonzero()[0]
+        return self.Binv @ (self.b - self.A[:, nz] @ self.xN[nz] if nz.size else self.b)
 
     def _reduced_costs(self, cvec: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """``cvec - y A`` from the column-sorted nonzeros: each column's
-        products are summed in row order."""
+        """``cvec - y A`` from the column slots, each column's products
+        added to 0.0 in slot order (see the module docstring)."""
         self.pricings += 1
-        yA = np.bincount(self.nz_cols, weights=y[self.nz_rows] * self.nz_vals, minlength=len(cvec))
-        return cvec - yA
+        self._y[:-1] = y
+        prod = np.take(self._y, self.slot_rows)
+        prod *= self.slot_vals
+        yA = np.zeros(prod.shape[1])
+        for p in prod:
+            yA += p
+        return np.subtract(cvec, yA, out=yA)
 
     def _iterate(self, cvec: np.ndarray, max_iter: int) -> str:
         bland = False
@@ -321,14 +336,12 @@ class _Simplex:
                 d = self._reduced_costs(cvec, y)
             viol = np.where(self.at_upper, -d, d)
             viol[self.basis] = 0.0
-            candidates = (viol > TOL_DUAL).nonzero()[0]
-            if candidates.size == 0:
+            best = np.fmax.reduce(viol)  # skips a NaN, which is never a candidate
+            if not best > TOL_DUAL:
                 return "optimal"
-            if bland:
-                e = int(candidates[0])
-            else:
-                best = viol[candidates].max()
-                e = int(candidates[viol[candidates] >= best - 1e-15][0])
+            # Bland takes the lowest candidate index, Dantzig the lowest within 1e-15 of the best
+            cand = viol > TOL_DUAL
+            e = int((cand if bland else cand & (viol >= best - 1e-15)).argmax())
             sigma = -1.0 if self.at_upper[e] else 1.0
             w = self.Binv @ self.A[:, e]
             # ratio test: entering moves by delta >= 0 in direction sigma
@@ -341,16 +354,16 @@ class _Simplex:
             if bound_gap <= delta:
                 # bound flip: entering variable runs to its opposite bound
                 self.at_upper[e] = not self.at_upper[e]
+                self.xN[e] = self.hi[e] if self.at_upper[e] else self.lo[e]
                 self.flips += 1
-                if bound_gap <= _PIVOT_TOL:
-                    degen_streak += 1
-                else:
-                    degen_streak = 0
+                degen_streak = degen_streak + 1 if bound_gap <= _PIVOT_TOL else 0
             else:
                 leaving = self.basis[leave_pos]
                 self.basis[leave_pos] = e
                 self.at_upper[leaving] = leave_to_upper
                 self.at_upper[e] = False
+                self.xN[leaving] = self.hi[leaving] if leave_to_upper else self.lo[leaving]
+                self.xN[e] = 0.0
                 # product-form update of Binv, on the rows that w touches.
                 # A skipped row i (w_i == 0) keeps its entries, where the
                 # full update would subtract 0 * row and could turn a -0.0
@@ -372,6 +385,7 @@ class _Simplex:
                 self.pivots += 1
                 since_refactor += 1
                 degen_streak = degen_streak + 1 if delta <= _PIVOT_TOL else 0
+                self.degenerate += delta <= _PIVOT_TOL
             if degen_streak > 2 * (self.m + 10):
                 bland = self.bland = True
         raise LpNumericalError("simplex iteration limit reached")
@@ -404,7 +418,7 @@ class _Simplex:
         return self._certified_solution(tags, tag_index)
 
     def _assemble_x(self) -> np.ndarray:
-        x = self._x_nonbasic()
+        x = np.array(self.xN)
         x[self.basis] = self._xB()
         return x
 
@@ -427,6 +441,7 @@ class _Simplex:
         return LpStats(
             phase1_pivots=self.phase1_pivots,
             phase2_pivots=self.pivots - self.phase1_pivots,
+            degenerate_pivots=self.degenerate,
             bound_flips=self.flips,
             refactors=self.refactors,
             pricings=self.pricings,

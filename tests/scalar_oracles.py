@@ -3,8 +3,9 @@
 Each one is the readable, draw-by-draw or formula-by-formula version of a
 library routine, kept as its differential oracle: ``gkps_round`` for
 ``rounding.gkps_round_batch``, ``run_blackbox`` for ``blackbox.batch_flip``'s
-distribution, ``sorted_batch_flip`` for ``batch_flip``'s exact draws, and
-``no_purchase_prob`` for the complement of ``model.choice_prob`` sums.
+distribution, ``sorted_batch_flip`` for ``batch_flip``'s exact draws,
+``no_purchase_prob`` for the complement of ``model.choice_prob`` sums, and
+``bincount_reduced_costs`` for the simplex's slot pricing.
 ``pair_model`` writes an ``LpModel`` from ``(column, value)`` pair lists, the
 form hand-written test LPs and the row-by-row MCDLP build use.
 """
@@ -188,3 +189,19 @@ def pair_model(objective, rows, upper, lower=None) -> LpModel:
         lower=tuple(lower) if lower is not None else (0.0,) * n,
         upper=tuple(float(u) for u in upper),
     )
+
+
+def bincount_reduced_costs(simplex, cvec, y) -> np.ndarray:
+    """``cvec - y A`` for an ``lpcore._Simplex`` as one ``bincount`` over its
+    nonzeros sorted by column: the structural coefficients in row order
+    (repeated entries in triplet order), then one 1 per slack and one -1 per
+    artificial.  ``bincount`` adds each column's products to 0.0 in that
+    order, which the column-slot pricing must reproduce bit for bit."""
+    m, n = simplex.m, simplex.n_struct
+    row_of, col_of, coefs = simplex.model._triplets
+    order = np.argsort(col_of, kind="stable")
+    art_rows = [int(np.flatnonzero(simplex.A[:, j])[0]) for j in simplex.art]
+    rows = np.concatenate([row_of[order], np.arange(m), art_rows]).astype(np.intp)
+    cols = np.concatenate([col_of[order], np.arange(n, n + m), simplex.art]).astype(np.intp)
+    vals = np.concatenate([coefs[order], np.ones(m), np.full(len(art_rows), -1.0)])
+    return cvec - np.bincount(cols, weights=y[rows] * vals, minlength=len(cvec))

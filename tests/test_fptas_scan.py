@@ -187,7 +187,8 @@ class TestGolden:
         assert (tuple(sorted(S)), repr(float(v))) == ((0, 1, 2), '0.3042857142857144')
         assert reference_fptas(_tie_heavy(), 0.1) == (S, v)
 
-    @pytest.mark.parametrize("k, objective, iterations, added", GOLDEN_PLANS)
+    @pytest.mark.parametrize("k, objective, iterations, added", GOLDEN_PLANS,
+                             ids=[f"k={k}" for k, *_ in GOLDEN_PLANS])
     def test_criterion_10_fptas_plans(self, k, objective, iterations, added):
         n = 4 + k % 3
         inst = simlab.random_norepeat_instance(seed=1000 + k, n=n, cap=n, m=2 + k % 3)

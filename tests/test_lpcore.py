@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from mcassort import lpcore, mcdlp, simlab
 from mcassort.lpcore import LpError, LpModel, LpStats, solve
 from mcassort.mcdlp import McdlpVariant
-from scalar_oracles import pair_model
+from scalar_oracles import bincount_reduced_costs, pair_model
 
 
 def brute_force_lp(objective, rows, upper, lower=None):
@@ -321,6 +321,16 @@ class TestRatioTest:
         assert lpcore._ratio_test(*case) == expected
 
 
+def _one_blas_thread(script):
+    """The JSON lines that ``script`` prints in a child process with one BLAS
+    thread, the setting the pinned hotel cells were recorded with."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    src = str(Path(mcdlp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    return [json.loads(line) for line in run.stdout.splitlines()]
+
+
 _HOTEL_CELLS = """
 import hashlib, json
 import numpy as np
@@ -361,12 +371,7 @@ class TestHotelGolden:
         # regroups their sums (the first cell's objective moves by one ulp at
         # two threads), so the cells are solved in a child process with one
         # BLAS thread, as the benchmark runs them.
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        src = str(Path(mcdlp.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        run = subprocess.run([sys.executable, "-c", _HOTEL_CELLS], env=env,
-                             capture_output=True, text=True, check=True)
-        assert [json.loads(line) for line in run.stdout.splitlines()] == self.GOLDEN
+        assert _one_blas_thread(_HOTEL_CELLS) == self.GOLDEN
 
 
 _HOTEL_PIVOTS = """
@@ -379,7 +384,7 @@ template = simlab.gen_hotel_like(seed=0, n_types=24)
 for lf, cell_seed in ((1.0, 1), (4.0, 2), (7.0, 3)):
     stats = solve(mcdlp.build(simlab.build_hotel_instance(template, lf, 2.0, 2, 4, seed=cell_seed),
                               McdlpVariant.MMCDLP_NR)).stats
-    print(json.dumps([lf, stats.phase2_pivots, stats.bound_flips, stats.pricings]))
+    print(json.dumps([lf, stats.phase2_pivots, stats.bound_flips, stats.pricings, stats.degenerate_pivots]))
 """
 
 
@@ -394,13 +399,19 @@ class TestHotelPivotCounts:
     # still moves last bits with the thread count.
     COUNTS = [[1.0, 711, 0, 713], [4.0, 127, 0, 129], [7.0, 44, 0, 46]]
 
-    def test_hotel24_pivots_flips_and_pricings(self):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        src = str(Path(mcdlp.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        run = subprocess.run([sys.executable, "-c", _HOTEL_PIVOTS], env=env,
-                             capture_output=True, text=True, check=True)
-        assert [json.loads(line) for line in run.stdout.splitlines()] == self.COUNTS
+    # (loading factor, degenerate pivots): basis changes whose step is at
+    # most the pivot tolerance, two thirds of them on the first cell
+    DEGENERATE = [[1.0, 474], [4.0, 30], [7.0, 13]]
+
+    @pytest.fixture(scope="class")
+    def counts(self):
+        return _one_blas_thread(_HOTEL_PIVOTS)
+
+    def test_hotel24_pivots_flips_and_pricings(self, counts):
+        assert [row[:4] for row in counts] == self.COUNTS
+
+    def test_hotel24_degenerate_pivots(self, counts):
+        assert [[row[0], row[4]] for row in counts] == self.DEGENERATE
 
 
 class TestStats:
@@ -425,9 +436,10 @@ class TestStats:
 
     def test_bound_flips_reuse_the_reduced_costs(self):
         # hardness-14 reaches its optimum by bound flips alone; the basis
-        # never changes, so it is priced once, plus once for the certificate
+        # never changes, so it is priced once, plus once for the certificate,
+        # and no flip counts as a degenerate pivot
         stats = mcdlp.solve_variant(simlab.gen_hardness_instance(14), McdlpVariant.SINGLE_ITEM).lp.stats
-        assert (stats.phase1_pivots, stats.phase2_pivots, stats.bound_flips) == (0, 0, 196)
+        assert (stats.phase1_pivots, stats.phase2_pivots, stats.bound_flips, stats.degenerate_pivots) == (0, 0, 196, 0)
         assert stats.pricings == 2
 
     def test_infeasible_has_no_certificate(self):
@@ -451,6 +463,13 @@ def _sparse_lp(rng, n, m):
     return pair_model(list(rng.uniform(-1, 2, n)), rows, list(rng.uniform(0.5, 2.0, n)))
 
 
+def _same_bits(got, want):
+    """Equal arrays, NaNs in the same places and every sign bit equal, so
+    that -0.0 and +0.0 count as different."""
+    return (got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
 class TestSparsePricing:
     def test_matches_dense_product_with_artificials(self):
         rng = np.random.default_rng(2024)
@@ -462,14 +481,59 @@ class TestSparsePricing:
             with_art += bool(simplex.art)
             simplex._refactor()
             A = simplex.A
-            for cvec in (simplex.c, rng.normal(size=A.shape[1])):
-                for y in (cvec[simplex.basis] @ simplex.Binv, rng.normal(size=m) * 10.0 ** rng.integers(-3, 4)):
+            cols = A.shape[1]
+            # -0.0 entries in c and y: bincount sums from +0.0, so a column
+            # whose products are all zero prices 0.0 - (+0.0), never - (-0.0)
+            signed_zeros = np.where(rng.random(cols) < 0.3, -0.0, rng.normal(size=cols))
+            for cvec in (simplex.c, rng.normal(size=cols), signed_zeros):
+                y_rand = rng.normal(size=m) * 10.0 ** rng.integers(-3, 4)
+                y_signed = np.where(rng.random(m) < 0.5, -0.0, y_rand)
+                for y in (cvec[simplex.basis] @ simplex.Binv, y_rand, y_signed):
                     got = simplex._reduced_costs(cvec, y)
+                    assert _same_bits(got, bincount_reduced_costs(simplex, cvec, y))
                     dense = cvec - y @ A
                     scale = np.abs(cvec) + np.abs(y) @ np.abs(A)
                     assert got.shape == dense.shape
                     assert (np.abs(got - dense) <= 1e-12 * scale).all()
         assert with_art >= 20
+
+    def test_model_without_rows_prices_the_objective(self):
+        simplex = lpcore._Simplex(pair_model([1.0, -2.0, -0.0], [], [1.0, 1.0, 1.0]))
+        got = simplex._reduced_costs(simplex.c, np.zeros(0))
+        assert _same_bits(got, bincount_reduced_costs(simplex, simplex.c, np.zeros(0)))
+        assert _same_bits(got, simplex.c)  # c - 0.0 keeps every bit of c, -0.0 included
+
+    def test_infinite_dual_reaches_only_the_columns_of_its_row(self):
+        rng = np.random.default_rng(7)
+        for trial in range(10):
+            simplex = lpcore._Simplex(_sparse_lp(rng, int(rng.integers(4, 30)), int(rng.integers(2, 15))))
+            simplex._install_artificials()
+            for r in range(simplex.m):
+                y = rng.normal(size=simplex.m)
+                y[r] = np.inf if (trial + r) % 2 else -np.inf
+                with np.errstate(invalid="ignore"):  # a repeated entry can add inf and -inf
+                    got = simplex._reduced_costs(simplex.c, y)
+                    assert _same_bits(got, bincount_reduced_costs(simplex, simplex.c, y))
+                touching = simplex.A[r] != 0
+                touching[list(simplex.model.rows[r].cols)] = True
+                assert np.isfinite(got[~touching]).all()
+                assert not np.isfinite(got[touching]).any()
+
+    def test_every_hotel24_pricing_matches_bincount(self):
+        template = simlab.gen_hotel_like(seed=0, n_types=24)
+        simplex = lpcore._Simplex(mcdlp.build(simlab.build_hotel_instance(template, 1.0, 2.0, 2, 4, seed=1),
+                                              McdlpVariant.MMCDLP_NR))
+        price, checked = simplex._reduced_costs, []
+
+        def compared(cvec, y):
+            got = price(cvec, y)
+            checked.append(_same_bits(got, bincount_reduced_costs(simplex, cvec, y)))
+            return got
+
+        simplex._reduced_costs = compared
+        sol = simplex.run()
+        assert sol.optimal and len(checked) == sol.stats.pricings > 100
+        assert all(checked)
 
 
 def _variant_models():
