@@ -499,7 +499,8 @@ def _assortment_kernel(inst: Instance, solution: mcdlp.McdlpSolution, allow_unce
         raise ValueError("algorithm 6 needs repeated_offers_allowed")
     if inst.price_levels != 1:
         raise ValueError("algorithm 6 runs on single-price instances")
-    support = [solution.support(j) for j in range(len(solution.plan))]
+    mcdlp._check_plan_fits(solution, inst)
+    support = [solution.support(j) for j in range(inst.m)]
     return _Kernel(inst, "algorithm 6", [[S for S, _ in s] for s in support],
                    [[v for _, v in s] for s in support], solution.assortments, allow_uncertified)
 

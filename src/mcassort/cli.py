@@ -240,7 +240,7 @@ def main(argv=None) -> int:
     r.add_argument("--instance", required=True)
     r.add_argument("--replicas", type=_positive_int, default=1000)
     r.add_argument("--mc-budget", type=_positive_int, default=2000)
-    r.add_argument("--alpha", type=float, default=None)
+    r.add_argument("--alpha", type=_positive, default=None)
     r.add_argument("--seed", type=_seed, required=True)
     r.add_argument("--out")
 

@@ -79,6 +79,15 @@ class McdlpSolution:
         return x
 
 
+def _check_plan_fits(solution: McdlpSolution, inst: Instance) -> None:
+    """Refuse a plan solved for an instance with other types or fewer products."""
+    if len(solution.plan) != inst.m:
+        raise ValueError(f"plan has {len(solution.plan)} customer types, the instance has {inst.m}")
+    named = 1 + max((i for j in range(inst.m) for S, _ in solution.support(j) for i in S), default=-1)
+    if named > inst.n_products:
+        raise ValueError(f"plan names {named} products, the instance has {inst.n_products}")
+
+
 def _patience_rhs(ct: CustomerType) -> float:
     """Patience cap; non-deterministic patience uses its expectation 1/p_out."""
     if ct.patience is not None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mcdlp import McdlpSolution, RevenueSamples
+from .mcdlp import McdlpSolution, RevenueSamples, _check_plan_fits
 # choice_prob is unused here but stays bound: perfbench's tracer rebinds it in every importer
 from .model import Instance, choice_prob, validate  # noqa: F401
 from .trace import PolicyTrace, RunSampler, check_replicas, check_seed, memo_lookup, record_step, serve_batches
@@ -91,11 +91,12 @@ def _run(
     position of every set in the order, the position at which each product
     was first shown and the position at which the customer stopped.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
     check_replicas(replicas)
     check_seed(seed)
     validate(inst).require()
+    _check_plan_fits(solution, inst)
     m, P = inst.m, inst.n_products
     support = [solution.support(j) for j in range(m)]
     sizes = np.array([len(sup) for sup in support])
@@ -106,8 +107,6 @@ def _run(
         for k, (S, v) in enumerate(sup):
             sets[j, k, list(S)] = True
             incl[j, k] = _inclusion_prob(v, alpha)
-    patience = np.array([P + 1 if ct.patience is None else ct.patience for ct in inst.types])
-    leave = np.array([ct.leave_prob or 0.0 for ct in inst.types])
     sampler = RunSampler(inst)
     memo: dict[bytes, int] = {}  # (type * K + set index, stripped mask) -> display index
     timeouts = np.zeros(m * K, dtype=np.int64)
@@ -128,13 +127,14 @@ def _run(
         j, k = divmod(head, K)
         ct = inst.types[j]
         S = support[j][k][0]
-        shown = sampler.purchase_row(j, stripped)[0]
+        idx = sampler.display(j, stripped)
+        shown = sampler.offered[idx]
         full = dict(ct.choice.probs(S))
         for i, p_str in sorted(ct.choice.probs(frozenset(shown))):
             if p_str < full[i] - 1e-9:
                 raise RuntimeError(f"substitutability broken: p({i}, {list(shown)}) = {p_str} "
                                    f"< p({i}, {sorted(S)})")
-        return sampler.display(j, stripped)
+        return idx
 
     def step(rng, t, j, first, avail, traces):
         served = np.flatnonzero(first) if gate_first_arrival else np.arange(len(j))
@@ -154,7 +154,7 @@ def _run(
         head = js[:, None] * K + order
         u_incl, u_buy, u_leave = rng.random((3, n, K))
         go = u_incl < incl.ravel()[head]
-        leaves = u_leave < leave[js][:, None]
+        leaves = u_leave < sampler.leave[js][:, None]
         shows = sets.reshape(m * K, P)[head]
         shown_at = np.full((n, P), K)           # position at which each product was first shown
         stop_at = np.full(n, K)                 # position after which the customer has stopped
@@ -178,7 +178,7 @@ def _run(
                 record_step(traces[c[q]], inst, t, ja[q], offers[c[q]], sampler.offered[shown[q]], choice[q])
             sold = choice >= 0
             bought[c[sold]] = choice[sold]
-            stop = sold | (offers[c] >= patience[ja]) | leaves[c, pos]
+            stop = sold | (offers[c] >= sampler.patience[ja]) | leaves[c, pos]
             stop_at[c[stop]] = pos
             act = act[stop_at[act] == K]
         if gate_first_arrival:

@@ -71,14 +71,15 @@ class BenchmarkResult(RevenueSamples):
 
 
 class _GreedyChooser:
-    """Memoized argmax of immediate expected revenue over feasible displays.
+    """Argmax of immediate expected revenue over feasible displays.
 
     The family's non-empty sets are listed once, in its lexicographic order,
     as (sorted set, bitmask) pairs; conservative mode leaves out every set
     with a product in ``low``, the bits below the highest price level.  Each
-    listed set's expected revenue is computed once per type.  The cache key
-    is (type, candidate-product bitmask).  Ties break to the first set in
-    family order, the empty set losing to any positive-value set.
+    listed set's expected revenue is computed once per type.  Ties break to
+    the first set in family order, the empty set losing to any positive-value
+    set.  It keeps no cache: ``run_benchmark``'s per-run memo asks it once per
+    (type, candidate mask).
     """
 
     def __init__(self, inst: Instance, high_only: bool):
@@ -89,15 +90,10 @@ class _GreedyChooser:
         listed = ((tuple(sorted(S)), sum(1 << i for i in S)) for S in inst.family.assortments(inst.n_products))
         self.sets = [(S, bits) for S, bits in listed if S and not bits & self.low]
         self.values = self.revenues(inst.types, [frozenset(S) for S, _ in self.sets], inst.n_products)
-        self.cache: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
 
     def choose(self, j: int, mask: int) -> tuple[tuple[int, ...], int]:
         """Best display for type ``j`` among the products whose bits are set
         in ``mask``, with its own bitmask."""
-        key = (j, mask)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
         best: tuple[tuple[int, ...], int] = ((), 0)
         best_val = 0.0
         for listed, val in zip(self.sets, self.values[j]):
@@ -105,7 +101,6 @@ class _GreedyChooser:
                 best, best_val = listed, val
         if best[1] & self.low:
             raise RuntimeError(f"conservative greedy displayed low fares in {best[0]}")
-        self.cache[key] = best
         return best
 
     @staticmethod
@@ -140,8 +135,6 @@ def run_benchmark(
     validate(inst).require()
     chooser = _GreedyChooser(inst, high_only=(policy == "conservative"))
     displayable = np.array([not chooser.low >> i & 1 for i in range(inst.n_products)])
-    patience = np.array([inst.n_products + 1 if ct.patience is None else ct.patience for ct in inst.types])
-    leave = np.array([ct.leave_prob or 0.0 for ct in inst.types])
     sampler = RunSampler(inst)
     memo: dict[bytes, int] = {}  # (type, candidate mask) -> display index, -1 for none
 
@@ -167,9 +160,9 @@ def run_benchmark(
                 record_step(traces[act[q]], inst, t, ja[q], stage[act[q]], sampler.offered[shown[q]], choice[q])
             sold = choice >= 0
             bought[act[sold]] = choice[sold]
-            more = ~sold & (stage[act] < patience[ja])
-            if leave.any():
-                more &= rng.random(act.size) >= leave[ja]
+            more = ~sold & (stage[act] < sampler.patience[ja])
+            if sampler.leave.any():
+                more &= rng.random(act.size) >= sampler.leave[ja]
             act = act[more]
         return bought, stage
 
@@ -513,6 +506,9 @@ def run_sweep(
 ) -> list[dict]:
     """Grid of (loading factor, patience, cap, scale) cells; per cell reports
     each policy's mean revenue as a percentage of the MMCDLP-NR optimum."""
+    for policy in policies:
+        if policy not in _SWEEP_POLICIES:
+            raise ValueError(f"unknown sweep policy {policy!r}")
     rows: list[dict] = []
     cell_id = 0
     for lf in spec.loading_factors:
@@ -535,14 +531,12 @@ def run_sweep(
                             r3 = norepeat.run_algorithm3(inst, lp, alpha=1.0,
                                                          replicas=spec.replicas, seed=seed_p)
                             revenues = r3.revenues
-                        elif policy == "modified-algorithm3":
-                            # the ungated policy on heterogeneous revenues, as in the hotel
-                            # experiments (its 0.15 guarantee formally needs homogeneous ones)
+                        else:
+                            # modified-algorithm3: the ungated policy on heterogeneous revenues, as in
+                            # the hotel experiments (its 0.15 guarantee formally needs homogeneous ones)
                             r3 = norepeat._run(inst, lp, alpha=1.0, replicas=spec.replicas,
                                                seed=seed_p, gate_first_arrival=False)
                             revenues = r3.revenues
-                        else:
-                            raise ValueError(f"unknown sweep policy {policy!r}")
                         est = MonteCarloEstimate.from_samples(revenues)
                         pct = 100.0 * est.mean / lp.objective
                         pct_se = 100.0 * est.std_error / lp.objective

@@ -78,11 +78,13 @@ class RunSampler:
     purchase.
 
     Arrival rows are built up front: one for stationary instances, one per
-    time-step otherwise.  A display is a (type, displayed products) pair; its
-    running purchase sum is built on first use by ``purchase_row`` and kept
-    as one row of a padded table, so a batch of purchases is drawn by one
-    gather.  The cache is keyed on the type index, so a sampler serves one
-    instance; build one per simulator call.
+    time-step otherwise.  A display is a (type, displayed products) pair;
+    ``display`` registers it as one new row of a padded table of running
+    purchase sums, so a batch of purchases is drawn by one gather.  The
+    caller's per-run memo decides when a row is registered; a pair registered
+    twice gets two equal rows.  Rows and the per-type ``patience`` and
+    ``leave`` arrays belong to one instance, so build one sampler per
+    simulator call.
     """
 
     def __init__(self, inst: Instance):
@@ -90,8 +92,8 @@ class RunSampler:
                 for t in range(1 if inst.stationary else inst.T)]
         self._arrivals = rows * inst.T if inst.stationary else rows
         self._models = [ct.choice for ct in inst.types]
-        self._purchases: dict[tuple[int, int], tuple[tuple[int, ...], list[float]]] = {}
-        self._displays: dict[tuple[int, int], int] = {}
+        self.patience = np.array([inst.n_products + 1 if ct.patience is None else ct.patience for ct in inst.types])
+        self.leave = np.array([ct.leave_prob or 0.0 for ct in inst.types])
         self.offered: list[tuple[int, ...]] = []     # per display: products in id order
         self.shown = np.zeros((0, inst.n_products), dtype=bool)
         self._cdf = np.zeros((0, 0))                  # padded with 2.0, above every uniform
@@ -101,26 +103,12 @@ class RunSampler:
         """The type each uniform in ``u`` sends at step ``t``; m means no arrival."""
         return np.searchsorted(self._arrivals[t], u, side="right")
 
-    def purchase_row(self, j: int, displayed: int) -> tuple[tuple[int, ...], list[float]]:
-        """(displayed products in id order, their running purchase probability)."""
-        key = (j, displayed)
-        row = self._purchases.get(key)
-        if row is None:
-            items = tuple(i for i in range(displayed.bit_length()) if displayed >> i & 1)
-            shown = frozenset(items)
-            model = self._models[j]
-            row = self._purchases[key] = (items, list(accumulate(choice_prob(model, i, shown) for i in items)))
-        return row
-
     def display(self, j: int, displayed: int) -> int:
-        """Index of the display of the products whose bits are set in
-        ``displayed`` to type ``j``."""
-        key = (j, displayed)
-        idx = self._displays.get(key)
-        if idx is not None:
-            return idx
-        items, cdf = self.purchase_row(j, displayed)
-        idx = self._displays[key] = len(self.offered)
+        """Register the display of the products whose bits are set in
+        ``displayed`` to type ``j`` and return its index."""
+        items = tuple(i for i in range(displayed.bit_length()) if displayed >> i & 1)
+        shown = frozenset(items)
+        idx = len(self.offered)
         self.offered.append(items)
         rows = len(self.shown) if idx < len(self.shown) else max(16, 2 * idx)
         width = max(len(items), self._cdf.shape[1])
@@ -129,7 +117,7 @@ class RunSampler:
             self._cdf = _grown(self._cdf, rows, width, 2.0)
             self._items = _grown(self._items, rows, width + 1, -1)
         self.shown[idx, list(items)] = True
-        self._cdf[idx, :len(items)] = cdf
+        self._cdf[idx, :len(items)] = list(accumulate(choice_prob(self._models[j], i, shown) for i in items))
         self._items[idx, :len(items)] = items
         return idx
 

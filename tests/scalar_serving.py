@@ -8,11 +8,13 @@ and the no-repeat permutation walk) that the library ran before its
 replica-batched engine.  It is the differential oracle for that engine: the
 ``GOLDEN`` digests and ``SWEEP_SHA`` in ``test_sim_goldens.py`` pin its
 outputs, and the batched runs are compared with it in distribution.  It
-builds the library's own result types, memoized greedy chooser and purchase
-rows, so only the serving loop differs.
+builds the library's own result types and greedy chooser, memoizing the
+chooser itself, and adds up its own purchase rows from ``choice_prob``, so
+only the serving loop differs.
 """
 from __future__ import annotations
 
+import functools
 import random
 from bisect import bisect_right
 from itertools import accumulate
@@ -21,20 +23,29 @@ import numpy as np
 
 from mcassort import norepeat, simlab
 from mcassort.model import Instance, choice_prob, validate
-from mcassort.trace import PolicyTrace, RunSampler, StepRecord, check_replicas
+from mcassort.trace import PolicyTrace, StepRecord, check_replicas
 
 
 class ScalarSampler:
-    """One ``rng.random()`` per draw, found in the library's running sums."""
+    """One ``rng.random()`` per draw, found in running sums added up in the
+    library's order: types in index order, displayed products in id order."""
 
     def __init__(self, inst: Instance):
         rows = [list(accumulate(inst.q(t, j) for j in range(inst.m)))
                 for t in range(1 if inst.stationary else inst.T)]
         self._arrivals = rows * inst.T if inst.stationary else rows
-        self.rows = RunSampler(inst)
+        self._models = [ct.choice for ct in inst.types]
+        self._rows: dict[tuple[int, int], tuple[tuple[int, ...], list[float]]] = {}
 
     def purchase_row(self, j: int, displayed: int):
-        return self.rows.purchase_row(j, displayed)
+        """(displayed products in id order, their running purchase probability)."""
+        row = self._rows.get((j, displayed))
+        if row is None:
+            items = tuple(i for i in range(displayed.bit_length()) if displayed >> i & 1)
+            shown = frozenset(items)
+            row = self._rows[(j, displayed)] = (
+                items, list(accumulate(choice_prob(self._models[j], i, shown) for i in items)))
+        return row
 
     def draw_type(self, t: int, rng: random.Random) -> int | None:
         """Sample which customer type arrives at step ``t`` (None for no arrival)."""
@@ -110,6 +121,7 @@ def run_benchmark(inst: Instance, policy: str, replicas: int, seed: int = 0,
     check_replicas(replicas)
     validate(inst).require()
     chooser = simlab._GreedyChooser(inst, high_only=(policy == "conservative"))
+    choose = functools.cache(chooser.choose)
     displayable = ((1 << inst.n_products) - 1) & ~chooser.low
     sampler = ScalarSampler(inst)
     result = simlab.BenchmarkResult(
@@ -124,7 +136,7 @@ def run_benchmark(inst: Instance, policy: str, replicas: int, seed: int = 0,
         cand = avail & displayable
         stage = 0
         while ct.patience is None or stage < ct.patience:
-            S, bits = chooser.choose(j, cand)
+            S, bits = choose(j, cand)
             if not S:
                 break
             stage += 1
@@ -146,7 +158,7 @@ def run_benchmark(inst: Instance, policy: str, replicas: int, seed: int = 0,
 def run_norepeat(inst: Instance, solution, alpha: float, replicas: int, seed: int,
                  gate_first_arrival: bool, record_traces: int = 0) -> norepeat.NoRepeatResult:
     """The no-repeat permutation walk, one replica at a time."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
     check_replicas(replicas)
     validate(inst).require()
@@ -244,12 +256,13 @@ def run_modified_algorithm3(inst: Instance, solution, alpha: float = 3.0, replic
 def benchmark_exact_revenue(inst: Instance, policy: str) -> float:
     """Exact expected revenue of the greedy or conservative benchmark.
 
-    The display is a function of (type, candidate mask) (the chooser's memo),
+    The display is a function of (type, candidate mask) (``choose`` above),
     so expected revenue is a finite-horizon dynamic program over (t, stock
     vector): at each step a type arrives with probability q_tj, and her
     stage walk is expanded exactly, purchase by purchase.
     """
     chooser = simlab._GreedyChooser(inst, high_only=(policy == "conservative"))
+    choose = functools.cache(chooser.choose)
     displayable = ((1 << inst.n_products) - 1) & ~chooser.low
     item_of = [p.item for p in inst.products]
     values: dict[tuple[int, tuple[int, ...]], float] = {}
@@ -272,7 +285,7 @@ def benchmark_exact_revenue(inst: Instance, policy: str) -> float:
         ct = inst.types[j]
         if ct.patience is not None and stage >= ct.patience:
             return stay
-        S, bits = chooser.choose(j, cand)
+        S, bits = choose(j, cand)
         if not S:
             return stay
         out = 0.0

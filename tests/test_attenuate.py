@@ -532,6 +532,23 @@ class TestAssortmentGoldens:
             assert _sha(got[key]) == want, key
 
 
+@pytest.mark.parametrize("plan_shape, inst_shape, message", [
+    ((4, 5), (6, 5), "plan has 4 customer types, the instance has 6"),
+    ((6, 5), (4, 5), "plan has 6 customer types, the instance has 4"),
+    ((4, 7), (4, 5), "plan names 6 products, the instance has 5"),
+], ids=["fewer-types", "more-types", "more-products"])
+def test_algorithm6_refuses_plan_for_another_instance(plan_shape, inst_shape, message):
+    def instance(m, n):
+        inst = simlab.random_norepeat_instance(seed=2, n=n, cap=2, m=m)
+        return Instance(inst.T, inst.items, inst.products, inst.types, inst.family,
+                        repeated_offers_allowed=True)
+
+    sol = mcdlp.solve_variant(instance(*plan_shape), McdlpVariant.MCDLP_R)
+    with pytest.raises(ValueError, match=message):
+        attenuate.run_algorithm6(instance(*inst_shape), sol, mc_budget=20, replicas=3, seed=0,
+                                 allow_uncertified=True)
+
+
 class TestInvariantsRaise:
     def _trace(self):
         inst = simlab.random_matching_instance(seed=4, n=5, m=3, T=6)

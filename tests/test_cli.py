@@ -80,6 +80,8 @@ class TestCli:
     @pytest.mark.parametrize("argv, message", [
         (["simulate", "--policy", "greedy", "--replicas", "0"], "--replicas: must be a positive integer, got 0"),
         (["simulate", "--policy", "attenuated", "--mc-budget", "0"], "--mc-budget: must be a positive integer, got 0"),
+        (["simulate", "--policy", "norepeat", "--alpha", "0"], "--alpha: must be positive, got 0"),
+        (["simulate", "--policy", "norepeat", "--alpha", "nan"], "--alpha: must be positive, got nan"),
         (["sweep", "--replicas", "5"], "--replicas: need at least 30 replicas per cell, got 5"),
         (["sweep", "--loading-factors", "2", "-1"], "--loading-factors: must be positive, got -1"),
         (["sweep", "--types", "0"], "--types: must be a positive integer, got 0"),
@@ -99,7 +101,7 @@ class TestCli:
         (["gen-instance", "hotel", "OUT", "--scale-factor", "-1"], "--scale-factor: must be positive, got -1"),
         (["gen-instance", "random-matching", "OUT", "--T", "0"], "--T: must be a positive integer, got 0"),
         (["fit-mnl", "--data", "DATA", "--products", "0"], "--products: must be a positive integer, got 0"),
-    ], ids=["simulate-replicas", "simulate-mc-budget", "sweep-replicas", "sweep-loading-factor",
+    ], ids=["simulate-replicas", "simulate-mc-budget", "simulate-alpha-zero", "simulate-alpha-nan", "sweep-replicas", "sweep-loading-factor",
             "sweep-types", "verify-gamma-T", "gen-instance-n", "colgen-eps", "sweep-cap", "sweep-patience",
             "sweep-scale-factor", "gen-instance-M-zero", "gen-instance-M-odd", "gen-instance-types",
             "gen-instance-cap", "gen-instance-patience", "gen-instance-loading-factor",

@@ -195,6 +195,25 @@ class TestRandomPatience:
         assert "type 1: exactly one of patience and leave_prob must be set" in refused.value.violations
 
 
+class TestInputsRefused:
+    @pytest.mark.parametrize("alpha", [0.0, math.nan])
+    def test_alpha_not_positive(self, alpha):
+        inst, sol = _solved_nr(seed=2)
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            norepeat.run_algorithm3(inst, sol, alpha=alpha, replicas=3, seed=0)
+
+    @pytest.mark.parametrize("plan_shape, inst_shape, message", [
+        ((4, 5), (6, 5), "plan has 4 customer types, the instance has 6"),
+        ((6, 5), (4, 5), "plan has 6 customer types, the instance has 4"),
+        ((4, 7), (4, 5), "plan names 6 products, the instance has 5"),
+    ], ids=["fewer-types", "more-types", "more-products"])
+    def test_plan_for_another_instance(self, plan_shape, inst_shape, message):
+        _, sol = _solved_nr(seed=2, n=plan_shape[1], m=plan_shape[0])
+        inst = simlab.random_norepeat_instance(seed=2, n=inst_shape[1], cap=2, m=inst_shape[0])
+        with pytest.raises(ValueError, match=message):
+            norepeat.run_algorithm3(inst, sol, replicas=3, seed=0)
+
+
 class TestInvariantsRaise:
     PAIR = frozenset({0, 1})
 

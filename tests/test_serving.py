@@ -8,6 +8,7 @@ import pytest
 import scalar_serving as scalar
 from mcassort import mcdlp, norepeat, simlab
 from mcassort.mcdlp import McdlpVariant
+from mcassort.trace import RunSampler
 
 
 def _small_hotel():
@@ -60,3 +61,59 @@ class TestProductsPastOneWord:
         # no table indexed by product subsets: the run stays within a few MB
         assert peak < 32 * 2**20, peak
         assert np.isfinite(fast.revenues).all()
+
+
+class TestOneCachePerRun:
+    """The per-run memo is the only serving cache: per run each memo key is
+    built once, and each build registers exactly one display."""
+
+    @staticmethod
+    def _count(monkeypatch, module):
+        """Record each memo build ((head, mask), display index) and each
+        registered (type, mask) of the runs ``module`` serves."""
+        built, registered = [], []
+        lookup, display = module.memo_lookup, RunSampler.display
+
+        def counted_lookup(memo, head, masks, make):
+            def counted_make(key_head, mask):
+                idx = make(key_head, mask)
+                built.append(((key_head, mask), idx))
+                return idx
+            return lookup(memo, head, masks, counted_make)
+
+        def counted_display(sampler, j, displayed):
+            registered.append((j, displayed))
+            return display(sampler, j, displayed)
+
+        monkeypatch.setattr(module, "memo_lookup", counted_lookup)
+        monkeypatch.setattr(RunSampler, "display", counted_display)
+        return built, registered
+
+    @pytest.mark.parametrize("policy", ["greedy", "conservative"])
+    def test_benchmark(self, monkeypatch, policy):
+        built, registered = self._count(monkeypatch, simlab)
+        asked = []
+        choose = simlab._GreedyChooser.choose
+
+        def counted_choose(chooser, j, mask):
+            asked.append((j, mask))
+            return choose(chooser, j, mask)
+
+        monkeypatch.setattr(simlab._GreedyChooser, "choose", counted_choose)
+        simlab.run_benchmark(_small_hotel(), policy, 3000, seed=5)
+        keys = [key for key, _ in built]
+        assert len(set(keys)) == len(keys) > 0
+        assert asked == keys
+        # a miss whose best display is empty registers none
+        assert [idx for _, idx in built if idx >= 0] == list(range(len(registered)))
+
+    @pytest.mark.parametrize("gated", [True, False], ids=["algorithm3", "modified-algorithm3"])
+    def test_norepeat(self, monkeypatch, gated):
+        inst = _small_hotel()
+        sol = mcdlp.solve_variant(inst, McdlpVariant.MMCDLP_NR)
+        built, registered = self._count(monkeypatch, norepeat)
+        norepeat._run(inst, sol, alpha=1.0, replicas=3000, seed=5, gate_first_arrival=gated)
+        keys = [key for key, _ in built]
+        assert len(set(keys)) == len(keys) > 0
+        assert [idx for _, idx in built] == list(range(len(registered)))
+        assert [mask for _, mask in registered] == [mask for _, mask in keys]

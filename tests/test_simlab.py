@@ -417,6 +417,16 @@ class TestSweep:
         with pytest.raises(TypeError, match="bad argument"):
             simlab.run_sweep(template, spec)
 
+    def test_unknown_policy_refused_before_any_lp(self, monkeypatch):
+        def unreached(*args, **kwargs):
+            raise AssertionError("solved an LP for a sweep with an unknown policy")
+
+        monkeypatch.setattr(mcdlp, "solve_variant", unreached)
+        template = simlab.gen_hotel_like(seed=1, n_types=5)
+        spec = simlab.SweepSpec(loading_factors=(2.0,), replicas=30, seed=4)
+        with pytest.raises(ValueError, match="^unknown sweep policy 'algorithm6'$"):
+            simlab.run_sweep(template, spec, policies=("greedy", "algorithm6"))
+
     def test_replica_floor(self):
         with pytest.raises(ValueError, match="replicas"):
             simlab.SweepSpec(replicas=10)

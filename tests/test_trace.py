@@ -166,15 +166,18 @@ class TestPurchases:
                 assert got == [draw_choice(model, S, _Replay([u])) for u in probes]
 
     def test_purchase_row(self):
+        """Each ``display`` call registers one new row: its items, running
+        purchase sums and shown mask, equal rows for a repeated display."""
         mnl = Mnl(weights=(1.0, 2.0, 3.0), no_purchase=4.0)
         ct = CustomerType(id=0, arrival=1.0, revenues=(1.0,) * 3, choice=mnl, patience=1)
         inst = Instance.single_level(T=1, inventories=[1] * 3, types=(ct,),
                                      family=AssortmentFamily.size_capped(3))
         sampler = RunSampler(inst)
-        items, cdf = sampler.purchase_row(0, 0b101)
-        assert items == (0, 2)
-        assert cdf == [1.0 / 8.0, 1.0 / 8.0 + 3.0 / 8.0]
-        assert _choices(sampler, 0, (0, 2), [0.0, 0.2, 0.6]) == [0, 2, None]
-        assert _choices(sampler, 0, (), [0.0]) == [None]
-        assert sampler.offered == [(0, 2), ()]
-        assert sampler.shown.tolist()[:2] == [[True, False, True], [False, False, False]]
+        assert [sampler.display(0, 0b101), sampler.display(0, 0), sampler.display(0, 0b101)] == [0, 1, 2]
+        assert sampler.offered == [(0, 2), (), (0, 2)]
+        assert sampler._cdf[:3].tolist() == [[1.0 / 8.0, 1.0 / 8.0 + 3.0 / 8.0], [2.0, 2.0],
+                                             [1.0 / 8.0, 1.0 / 8.0 + 3.0 / 8.0]]
+        assert sampler._items[:3].tolist() == [[0, 2, -1], [-1, -1, -1], [0, 2, -1]]
+        assert sampler.shown[:3].tolist() == [[True, False, True], [False, False, False], [True, False, True]]
+        us = np.array([0.0, 0.2, 0.6, 0.0])
+        assert sampler.draw_purchases(np.array([0, 2, 0, 1]), us).tolist() == [0, 2, -1, -1]
