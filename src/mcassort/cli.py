@@ -2,8 +2,8 @@
 
 Subcommands: gen-instance, solve-lp, simulate, sweep, colgen, verify-gamma,
 fit-mnl.  Stochastic commands require --seed; results go to stdout or --out.
-An instance that fails validation exits with status 2 and its violations on
-stderr.
+An instance that fails validation, or a malformed transactions file, exits
+with status 2 and its violations on stderr.
 """
 from __future__ import annotations
 
@@ -19,6 +19,10 @@ from .mcdlp import McdlpVariant
 from .model import InvalidInstanceError, load_instance, save_instance
 
 _VARIANTS = {v.value: v for v in McdlpVariant}
+
+
+class _InputError(ValueError):
+    """A malformed input file; ``main`` prints it and exits 2."""
 
 
 def _checked(kind, ok, rule: str):
@@ -169,6 +173,7 @@ def _cmd_colgen(args) -> int:
     ]
     for S in result.added:
         lines.append(f"added,\"{' '.join(str(i) for i in sorted(S))}\"")
+    lines += [f"warning,\"{w}\"" for w in result.warnings]
     _out(args, "\n".join(lines) + "\n")
     return 0
 
@@ -187,18 +192,38 @@ def _cmd_verify_gamma(args) -> int:
     return 0
 
 
+def _product_id(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"product ids must be integers, got {text!r}") from None
+
+
 def _cmd_fit_mnl(args) -> int:
     records = []
     with open(args.data, newline="") as fh:
         rows = csv.reader(fh)
-        n_feat = len(next(rows)) - 2
+        header = next(rows, None)
+        if header is None:
+            raise _InputError(f"{args.data}: empty file, expected a header row")
+        n_feat = len(header) - 2
         for cells in rows:
             if not "".join(cells).strip():
                 continue
-            features = tuple(cells[:n_feat])
-            offered = frozenset(int(x) for x in cells[n_feat].split(";") if x != "")
-            chosen = int(cells[n_feat + 1]) if cells[n_feat + 1].strip() else None
-            records.append(simlab.TransactionRecord(features, offered, chosen))
+            try:
+                if len(cells) != n_feat + 2:
+                    raise ValueError(f"expected {n_feat + 2} fields as in the header, got {len(cells)}")
+                features = tuple(cells[:n_feat])
+                offered = frozenset(_product_id(x) for x in cells[n_feat].split(";") if x != "")
+                chosen = _product_id(cells[n_feat + 1]) if cells[n_feat + 1].strip() else None
+                outside = sorted(i for i in offered if not 0 <= i < args.products)
+                if outside:
+                    raise ValueError(f"product {outside[0]} lies outside 0..{args.products - 1}")
+                records.append(simlab.TransactionRecord(features, offered, chosen))
+            except ValueError as exc:
+                raise _InputError(f"{args.data} line {rows.line_num}: {exc}") from None
+    if not records:
+        raise _InputError(f"{args.data}: no transaction rows after the header")
     fitted = simlab.fit_mnl(records, n_products=args.products)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -273,6 +298,8 @@ def main(argv=None) -> int:
     f.add_argument("--out")
 
     args = ap.parse_args(argv)
+    if args.cmd == "simulate" and args.alpha is not None and not args.policy.startswith("norepeat"):
+        r.error(f"argument --alpha: applies only to the norepeat policies, got --policy {args.policy}")
     command = {
         "gen-instance": _cmd_gen_instance,
         "solve-lp": _cmd_solve_lp,
@@ -284,7 +311,7 @@ def main(argv=None) -> int:
     }[args.cmd]
     try:
         return command(args)
-    except InvalidInstanceError as exc:
+    except (InvalidInstanceError, _InputError) as exc:
         sys.stderr.write(f"mcassort {args.cmd}: {exc}\n")
         return 2
 

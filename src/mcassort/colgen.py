@@ -475,15 +475,16 @@ def column_generate(
     has reduced cost above beta_j + tol.  Starts from the empty set and all
     feasible singletons.
 
-    For the no-repeat variants the pricing certificate is exact: the master
-    carries no artificial caps, so included columns always satisfy the dual
-    constraint and the oracle's maximizer being included implies termination.
-    Variants with real x <= 1 caps (repeated offers) can have at-cap columns
-    whose cap dual hides their reduced cost; when the oracle lands on one and
-    the family is enumerable the loop re-prices by exhaustive search over the
-    absent columns, otherwise it stops and records an uncertified-termination
-    warning.  The plan is the standard-form LP's on the final family; a
-    no-repeat master is that LP, so its last solution is the plan.
+    Each master is the variant's own LP on the restricted family, so the
+    last master's solution is the plan.  For the no-repeat variants the
+    pricing certificate is exact: their bounds never bind, so included
+    columns always satisfy the dual constraint and the oracle's maximizer
+    being included implies termination.  Capped variants (repeated offers,
+    single items) can have a column nonbasic at its cap, whose reduced cost
+    the duals do not show; when the oracle lands on one and the family is
+    enumerable the loop re-prices by exhaustive search over the absent
+    columns, otherwise it stops and records an uncertified-termination
+    warning.
     """
     singles = [frozenset({i}) for i in range(inst.n_products) if frozenset({i}) in inst.family]
     restricted: list[frozenset[int]] = [frozenset()] + singles
@@ -494,20 +495,19 @@ def column_generate(
     warns: list[str] = []
     pricing_s: list[float] = []
     per_iteration: list[int] = []
-    no_repeat = variant.no_repeat
     enumerable = family_size <= MAX_TABULAR_FAMILY
     tables = [FamilyTable(ct.choice, inst.family, inst.n_products) for ct in inst.types]
     for table in tables[1:]:  # one enumeration, made on first use, serves every type
         table._enumerate = tables[0]._enumerate
     for it in range(1, family_size + 2):
-        sol = mcdlp.solve_variant(inst, variant, assortments=restricted, colgen_master=True)
+        sol = mcdlp.solve_variant(inst, variant, assortments=restricted)
         if history and not sol.objective >= history[-1] - 1e-7:
             raise RuntimeError(
                 f"master objective decreased: {history[-1]!r} -> {sol.objective!r} "
                 f"at iteration {it}"
             )
         history.append(sol.objective)
-        duals = extract_duals(inst, sol.lp, no_repeat)
+        duals = extract_duals(inst, sol.lp, variant.no_repeat)
         new_cols: list[frozenset[int]] = []
         for j in range(inst.m):
             sub = SubproblemInstance.from_duals(inst, j, duals, tables[j])
@@ -531,8 +531,7 @@ def column_generate(
                 )
         if not new_cols:
             per_iteration.append(0)
-            final = sol if no_repeat else mcdlp.solve_variant(inst, variant, assortments=restricted)
-            return ColgenResult(final, it, added, family_size, duals, history, warns,
+            return ColgenResult(sol, it, added, family_size, duals, history, warns,
                                 pricing_s, per_iteration)
         before = len(added)
         for S in new_cols:

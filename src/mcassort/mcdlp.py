@@ -125,18 +125,16 @@ def build(
     inst: Instance,
     variant: McdlpVariant,
     assortments: Sequence[frozenset[int]] | None = None,
-    colgen_master: bool = False,
 ) -> lpcore.LpModel:
     """Emit the LP for ``variant``; ``assortments`` restricts the columns
     (used by column generation), defaulting to the whole enumerated family.
+    A restricted build is the same LP on fewer sets, so it is also the
+    column-generation master.
 
     No-repeat variables get the bound 2 · patience + 2, which never binds: an
     ("overlap", j, i) row caps a set holding product i at 1, and the patience
-    row caps the empty set; x <= 1 there would only add degenerate vertices,
-    and a no-repeat ``colgen_master`` is the standard build.  Repeated-offer
-    and single-item caps bind: they stay bounds, or with ``colgen_master``
-    become ("xcap", j, k) rows under the slack bound, whose duals pricing
-    needs (a column nonbasic at a bound hides its reduced cost from it).
+    row caps the empty set; x <= 1 there would only add degenerate vertices.
+    Repeated-offer and single-item caps bind and stay bounds.
     """
     _check_preconditions(inst, variant)
     fam = tuple(assortments) if assortments is not None else inst.family.assortments(inst.n_products)
@@ -174,11 +172,7 @@ def build(
     if variant == McdlpVariant.SINGLE_ITEM:
         # aggregated copies of a multi-unit item admit weights up to the stock
         upper[:] = [float(inst.items[inst.products[min(S)].item].inventory) if len(S) == 1 else 1.0 for S in fam]
-
-    if colgen_master and not variant.no_repeat:
-        rows += [lpcore.LpRow((j * F + k,), (1.0,), cap, ("xcap", j, k))
-                 for j in range(m) for k, cap in enumerate(upper[j].tolist())]
-    if colgen_master or variant.no_repeat:
+    if variant.no_repeat:
         upper[:] = [[2.0 * _patience_rhs(ct) + 2.0] for ct in inst.types]
 
     return lpcore.LpModel(nvars, tuple(objective.ravel().tolist()), tuple(rows), (0.0,) * nvars,
@@ -189,13 +183,12 @@ def solve_variant(
     inst: Instance,
     variant: McdlpVariant,
     assortments: Sequence[frozenset[int]] | None = None,
-    colgen_master: bool = False,
 ) -> McdlpSolution:
     """Build and solve ``variant``; raises ``InvalidInstanceError`` on an
     instance that fails ``validate``."""
     validate(inst).require()
     fam = tuple(assortments) if assortments is not None else inst.family.assortments(inst.n_products)
-    model = build(inst, variant, fam, colgen_master=colgen_master)
+    model = build(inst, variant, fam)
     sol = lpcore.solve(model)
     if not sol.optimal:
         raise lpcore.LpError(f"MCDLP solve returned status {sol.status}")

@@ -361,6 +361,10 @@ def fit_mnl(
     """
     if not records:
         raise ValueError("need at least one transaction record")
+    for rec in records:
+        outside = sorted(i for i in rec.offered if not 0 <= i < n_products)
+        if outside:
+            raise ValueError(f"offered product {outside[0]} lies outside 0..{n_products - 1}")
     groups: dict = {}
     for rec in records:
         groups.setdefault(rec.features, []).append(rec)

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from mcassort import cli, mcdlp, norepeat, simlab
+from mcassort import cli, colgen, mcdlp, norepeat, simlab
 from mcassort.mcdlp import McdlpVariant
 from mcassort.model import instance_to_dict, load_instance, save_instance
 
@@ -82,6 +82,10 @@ class TestCli:
         (["simulate", "--policy", "attenuated", "--mc-budget", "0"], "--mc-budget: must be a positive integer, got 0"),
         (["simulate", "--policy", "norepeat", "--alpha", "0"], "--alpha: must be positive, got 0"),
         (["simulate", "--policy", "norepeat", "--alpha", "nan"], "--alpha: must be positive, got nan"),
+        (["simulate", "--policy", "greedy", "--alpha", "7"],
+         "--alpha: applies only to the norepeat policies, got --policy greedy"),
+        (["simulate", "--policy", "attenuated-assort", "--alpha", "7"],
+         "--alpha: applies only to the norepeat policies, got --policy attenuated-assort"),
         (["sweep", "--replicas", "5"], "--replicas: need at least 30 replicas per cell, got 5"),
         (["sweep", "--loading-factors", "2", "-1"], "--loading-factors: must be positive, got -1"),
         (["sweep", "--types", "0"], "--types: must be a positive integer, got 0"),
@@ -101,7 +105,8 @@ class TestCli:
         (["gen-instance", "hotel", "OUT", "--scale-factor", "-1"], "--scale-factor: must be positive, got -1"),
         (["gen-instance", "random-matching", "OUT", "--T", "0"], "--T: must be a positive integer, got 0"),
         (["fit-mnl", "--data", "DATA", "--products", "0"], "--products: must be a positive integer, got 0"),
-    ], ids=["simulate-replicas", "simulate-mc-budget", "simulate-alpha-zero", "simulate-alpha-nan", "sweep-replicas", "sweep-loading-factor",
+    ], ids=["simulate-replicas", "simulate-mc-budget", "simulate-alpha-zero", "simulate-alpha-nan",
+            "simulate-alpha-greedy", "simulate-alpha-attenuated-assort", "sweep-replicas", "sweep-loading-factor",
             "sweep-types", "verify-gamma-T", "gen-instance-n", "colgen-eps", "sweep-cap", "sweep-patience",
             "sweep-scale-factor", "gen-instance-M-zero", "gen-instance-M-odd", "gen-instance-types",
             "gen-instance-cap", "gen-instance-patience", "gen-instance-loading-factor",
@@ -141,6 +146,39 @@ class TestCli:
                      "--instance", path]) == 0
         out = capsys.readouterr().out
         assert "objective," in out and "iterations," in out
+
+    def test_colgen_prints_degraded_certificate_warnings(self, tmp_path, capsys, monkeypatch):
+        # without an enumerable family an at-cap pricing maximizer ends the
+        # run uncertified, and the output says so
+        path = str(tmp_path / "r.json")
+        inst = simlab.random_norepeat_instance(seed=1, n=4, cap=4, m=3)
+        save_instance(inst, path)
+        monkeypatch.setattr(colgen, "MAX_TABULAR_FAMILY", 0)
+        assert _run(["colgen", "--variant", "mcdlp-r", "--oracle", "mnl-exact", "--instance", path]) == 0
+        warned = [line for line in capsys.readouterr().out.splitlines() if line.startswith("warning,")]
+        res = colgen.column_generate(inst, McdlpVariant.MCDLP_R, colgen.MnlExactOracle())
+        assert res.warnings and warned == [f'warning,"{w}"' for w in res.warnings]
+        assert all("termination certificate degraded" in line for line in warned)
+
+    @pytest.mark.parametrize("text, named", [
+        ("", ": empty file, expected a header row"),
+        ("segment,offered,chosen\n", ": no transaction rows after the header"),
+        ("segment,offered,chosen\na,0;1,0\na,0;1\n", " line 3: expected 3 fields as in the header, got 2"),
+        ("segment,offered,chosen\na,0;1,0\na,0;1,0,x\n", " line 3: expected 3 fields as in the header, got 4"),
+        ("segment,offered,chosen\na,0;2,0\n", " line 2: product 2 lies outside 0..1"),
+        ("segment,offered,chosen\na,0;-1,0\n", " line 2: product -1 lies outside 0..1"),
+        ("segment,offered,chosen\na,0;one,0\n", " line 2: product ids must be integers, got 'one'"),
+        ("segment,offered,chosen\na,0;1,1.5\n", " line 2: product ids must be integers, got '1.5'"),
+        ("segment,offered,chosen\na,0;1,0\n\na,0,1\n", " line 4: chosen product must lie in the offered set"),
+    ], ids=["empty", "header-only", "short-row", "long-row", "id-too-large", "negative-id", "text-id",
+            "fractional-chosen", "chosen-not-offered"])
+    def test_malformed_transactions_exit_2_naming_the_line(self, tmp_path, capsys, text, named):
+        data = tmp_path / "tx.csv"
+        data.write_text(text)
+        assert _run(["fit-mnl", "--data", str(data), "--products", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"mcassort fit-mnl: {data}{named}\n"
 
     def test_sweep_to_file(self, tmp_path):
         out_file = str(tmp_path / "sweep.csv")

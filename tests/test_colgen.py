@@ -417,25 +417,49 @@ class TestColumnGeneration:
         res = column_generate(inst, McdlpVariant.MCDLP_NR, BruteForceOracle())
         assert res.iterations > 1 and calls == [5]
 
-    def test_no_repeat_plan_is_the_last_master(self):
-        # a no-repeat master is the standard-form LP on its family, so the
-        # last master's solution is returned without a re-solve
-        inst = simlab.random_norepeat_instance(seed=3, n=5, cap=2, m=4)
-        res = column_generate(inst, McdlpVariant.MCDLP_NR, BruteForceOracle())
-        assert res.iterations > 1 and res.objective == res.objective_history[-1]
-        fresh = mcdlp.solve_variant(inst, McdlpVariant.MCDLP_NR, res.solution.assortments)
+    @pytest.mark.parametrize("variant, seed, n, cap, m, oracle", [
+        (McdlpVariant.MCDLP_NR, 3, 5, 2, 4, BruteForceOracle()),
+        (McdlpVariant.MCDLP_R, 5, 4, 4, 3, MnlExactOracle()),
+    ], ids=["mcdlp-nr", "mcdlp-r"])
+    def test_plan_is_the_last_master(self, monkeypatch, variant, seed, n, cap, m, oracle):
+        # every master is the variant's own LP on its family, so the last
+        # master's solution is returned without a re-solve
+        inst = simlab.random_norepeat_instance(seed=seed, n=n, cap=cap, m=m)
+        solves = []
+        solve = mcdlp.lpcore.solve
+        monkeypatch.setattr(mcdlp.lpcore, "solve", lambda model: solves.append(model) or solve(model))
+        res = column_generate(inst, variant, oracle)
+        assert res.iterations > 1 and len(solves) == res.iterations
+        assert res.objective == res.objective_history[-1]
+        fresh = mcdlp.solve_variant(inst, variant, res.solution.assortments)
         assert res.solution == fresh
         assert (np.array(res.solution.lp.x).tobytes(), np.array(res.solution.lp.duals).tobytes()) == (
             np.array(fresh.lp.x).tobytes(), np.array(fresh.lp.duals).tobytes())
 
-    def test_repeated_variant_plan_is_re_solved_in_standard_form(self):
-        # MCDLP-R's master carries its caps as xcap rows; the plan comes from
-        # the standard form, caps as bounds, on the final family
-        inst = simlab.random_norepeat_instance(seed=5, n=4, cap=4, m=3)
+    def test_at_cap_maximizer_is_re_priced_over_absent_sets(self, monkeypatch):
+        # a repeated-offer column nonbasic at its x <= 1 cap hides its reduced
+        # cost from the duals; brute force over the absent sets takes over
+        inst = simlab.random_norepeat_instance(seed=37, n=5, cap=2, m=3)
+        excluded = []
+        bruteforce = colgen.subproblem_bruteforce
+
+        def counting(sub, exclude=None):
+            if exclude is not None:
+                excluded.append(len(exclude))
+            return bruteforce(sub, exclude)
+        monkeypatch.setattr(colgen, "subproblem_bruteforce", counting)
+        res = column_generate(inst, McdlpVariant.MCDLP_R, BruteForceOracle())
+        full = mcdlp.solve_variant(inst, McdlpVariant.MCDLP_R)
+        assert len(excluded) > 0 and not res.warnings
+        assert res.objective == pytest.approx(full.objective, rel=1e-6)
+
+    def test_at_cap_maximizer_without_enumeration_degrades_the_certificate(self, monkeypatch):
+        inst = simlab.random_norepeat_instance(seed=1, n=4, cap=4, m=3)
+        monkeypatch.setattr(colgen, "MAX_TABULAR_FAMILY", inst.family.count(inst.n_products) - 1)
         res = column_generate(inst, McdlpVariant.MCDLP_R, MnlExactOracle())
-        fam = res.solution.assortments
-        assert res.solution == mcdlp.solve_variant(inst, McdlpVariant.MCDLP_R, fam)
-        assert res.solution.lp != mcdlp.solve_variant(inst, McdlpVariant.MCDLP_R, fam, colgen_master=True).lp
+        full = mcdlp.solve_variant(inst, McdlpVariant.MCDLP_R)
+        assert res.warnings and all("termination certificate degraded" in w for w in res.warnings)
+        assert res.objective <= full.objective + 1e-6
 
     def test_complete_start_terminates_immediately(self):
         # family = empty set + singletons: the starting set is everything

@@ -549,7 +549,7 @@ def _variant_models():
             (f"mcdlp-nrs-{seed}", mcdlp.build(homog, McdlpVariant.MCDLP_NRS)),
         ]
         fam = norepeat.family.assortments(norepeat.n_products)[:6]
-        out.append((f"colgen-master-{seed}", mcdlp.build(norepeat, McdlpVariant.MCDLP_NR, fam, colgen_master=True)))
+        out.append((f"colgen-master-{seed}", mcdlp.build(norepeat, McdlpVariant.MCDLP_NR, fam)))
     hotel = simlab.build_hotel_instance(simlab.gen_hotel_like(seed=2, n_types=6), 2.0, 2.0, 2, 3, seed=1)
     out.append(("mmcdlp-nr", mcdlp.build(hotel, McdlpVariant.MMCDLP_NR)))
     return out

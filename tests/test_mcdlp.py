@@ -34,11 +34,10 @@ def _toy_matching():
                                  matching_with_timeouts=True)
 
 
-def row_by_row_build(inst, variant, assortments=None, colgen_master=False):
+def row_by_row_build(inst, variant, assortments=None):
     """The LP build as it was before the one-pass builder: probabilities
     cached per (type, assortment), then each row assembled on its own.  The
-    bounds follow the builder's rule: slack for the no-repeat variants and
-    for every colgen master."""
+    bounds follow the builder's rule: slack for the no-repeat variants."""
     mcdlp._check_preconditions(inst, variant)
     fam = tuple(assortments) if assortments is not None else inst.family.assortments(inst.n_products)
     m = inst.m
@@ -76,19 +75,14 @@ def row_by_row_build(inst, variant, assortments=None, colgen_master=False):
             for prod in range(inst.n_products):
                 coeffs = [(var(j, k), 1.0) for k, S in enumerate(fam) if prod in S]
                 rows.append((coeffs, 1.0, ("overlap", j, prod)))
-    caps_are_real = variant in (McdlpVariant.SINGLE_ITEM, McdlpVariant.MCDLP_R)
     if variant == McdlpVariant.SINGLE_ITEM:
         for j in range(m):
             for k, S in enumerate(fam):
                 if len(S) == 1:
                     (i,) = tuple(S)
                     upper[var(j, k)] = float(inst.items[inst.products[i].item].inventory)
-    if colgen_master and caps_are_real:
-        for j in range(m):
-            for k in range(F):
-                rows.append(([(var(j, k), 1.0)], upper[var(j, k)], ("xcap", j, k)))
     # no-repeat overlap rows already cap every non-empty set at 1
-    if colgen_master or not caps_are_real:
+    if variant.no_repeat:
         for j in range(m):
             slack = 2.0 * mcdlp._patience_rhs(inst.types[j]) + 2.0
             for k in range(F):
@@ -116,9 +110,9 @@ def _two_level_tabular():
 class TestOnePassBuild:
     """The one-pass builder emits models equal to the row-by-row build, float for float."""
 
-    def _same(self, inst, variant, assortments=None, colgen_master=False):
-        got = mcdlp.build(inst, variant, assortments, colgen_master=colgen_master)
-        assert got == row_by_row_build(inst, variant, assortments, colgen_master=colgen_master)
+    def _same(self, inst, variant, assortments=None):
+        got = mcdlp.build(inst, variant, assortments)
+        assert got == row_by_row_build(inst, variant, assortments)
         return got
 
     def test_hotel_mmcdlp_nr_cells(self):
@@ -130,15 +124,12 @@ class TestOnePassBuild:
     def test_hardness_single_item(self):
         self._same(simlab.gen_hardness_instance(14), McdlpVariant.SINGLE_ITEM)
 
-    @pytest.mark.parametrize("colgen_master", [False, True])
-    def test_single_item_multi_unit_stock(self, colgen_master):
-        # a singleton's weight is capped by its item's stock: in the bounds,
-        # or in the xcap rows of a colgen master
+    def test_single_item_multi_unit_stock(self):
+        # a singleton's weight is capped by its item's stock, in the bounds
         inst = replace(simlab.random_matching_instance(seed=5, n=5, m=4, T=6),
                        items=tuple(Item(i, b) for i, b in enumerate((3, 1, 2, 1, 4))))
-        model = self._same(inst, McdlpVariant.SINGLE_ITEM, colgen_master=colgen_master)
-        caps = [row.rhs for row in model.rows if row.tag[0] == "xcap"] if colgen_master else model.upper
-        assert len(caps) == model.num_vars and sorted(set(caps)) == [1.0, 2.0, 3.0, 4.0]
+        model = self._same(inst, McdlpVariant.SINGLE_ITEM)
+        assert sorted(set(model.upper)) == [1.0, 2.0, 3.0, 4.0]
 
     def test_attenuated_online_mcdlp_r(self, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -147,11 +138,12 @@ class TestOnePassBuild:
         self._same(assortment_instance(AttenuatedOnline.ASSORT_SEED), McdlpVariant.MCDLP_R)
 
     def test_colgen_masters(self):
+        # a colgen master is the standard build on a restricted family
         inst = simlab.random_norepeat_instance(seed=3, n=6, cap=3, m=4)
         fam = inst.family.assortments(inst.n_products)[::7]
         for variant in (McdlpVariant.MCDLP_NR, McdlpVariant.MCDLP_R):
-            model = self._same(inst, variant, fam, colgen_master=True)
-            assert any(row.tag[0] == "xcap" for row in model.rows) == (variant == McdlpVariant.MCDLP_R)
+            model = self._same(inst, variant, fam)
+            assert model.num_vars == inst.m * len(fam)
 
     def test_tabular_two_price_levels(self):
         inst = _two_level_tabular()
@@ -168,16 +160,15 @@ class TestOnePassBuild:
         assert sum(list(S) != sorted(S) for S in fam) == 257
         return inst
 
-    @pytest.mark.parametrize("colgen_master", [False, True])
-    def test_unsorted_sets_full_family(self, unsorted_inst, colgen_master):
+    def test_unsorted_sets_full_family(self, unsorted_inst):
         for variant in (McdlpVariant.MCDLP_NR, McdlpVariant.MCDLP_R):
-            self._same(unsorted_inst, variant, colgen_master=colgen_master)
+            self._same(unsorted_inst, variant)
 
     def test_unsorted_sets_restricted(self, unsorted_inst):
         fam = unsorted_inst.family.assortments(unsorted_inst.n_products)
         restricted = [S for S in fam if list(S) != sorted(S)][::3] + list(fam[:15])
         for variant in (McdlpVariant.MCDLP_NR, McdlpVariant.MCDLP_R):
-            self._same(unsorted_inst, variant, restricted, colgen_master=True)
+            self._same(unsorted_inst, variant, restricted)
 
 
 def _no_repeat_builds():
@@ -202,8 +193,7 @@ _NO_REPEAT_BUILDS = _no_repeat_builds()
 
 class TestImpliedBounds:
     """A no-repeat LP's x <= 1 bounds are implied by its overlap rows, so its
-    builds carry a bound that never binds, and its colgen master is its
-    standard build.  The capped variants keep caps that bind."""
+    builds carry a bound that never binds."""
 
     @pytest.mark.parametrize("inst, variant, fam", [case[1:] for case in _NO_REPEAT_BUILDS],
                              ids=[case[0] for case in _NO_REPEAT_BUILDS])
@@ -219,18 +209,6 @@ class TestImpliedBounds:
         # the empty set's column is held by its patience row alone
         for j, ct in enumerate(inst.types):
             assert min(model.upper[j * F:(j + 1) * F]) > mcdlp._patience_rhs(ct) >= 1.0
-        assert model == mcdlp.build(inst, variant, fam, colgen_master=True)
-
-    def test_capped_variants_move_their_caps_into_rows(self):
-        matching = replace(simlab.random_matching_instance(seed=5, n=5, m=4, T=6),
-                           items=tuple(Item(i, b) for i, b in enumerate((3, 1, 2, 1, 4))))
-        norepeat = simlab.random_norepeat_instance(seed=3, n=6, cap=3, m=4)
-        for inst, variant in ((matching, McdlpVariant.SINGLE_ITEM), (norepeat, McdlpVariant.MCDLP_R)):
-            standard = mcdlp.build(inst, variant)
-            master = mcdlp.build(inst, variant, colgen_master=True)
-            assert standard != master
-            assert standard.upper == tuple(row.rhs for row in master.rows if row.tag[0] == "xcap")
-            assert min(standard.upper) == 1.0
 
 
 class TestBuild:

@@ -376,6 +376,13 @@ class TestFitMnl:
         model = simlab.fit_mnl(recs, n_products=2, scale_factor=2.0)[("t",)]
         assert model.no_purchase == pytest.approx(2.0 * max(model.weights))
 
+    @pytest.mark.parametrize("product", [-1, 2])
+    def test_product_outside_the_range_is_refused(self, product):
+        # a negative id would wrap onto the last product's weight
+        recs = [simlab.TransactionRecord(("t",), frozenset({0, product}), 0) for _ in range(10)]
+        with pytest.raises(ValueError, match=f"offered product {product} lies outside 0..1"):
+            simlab.fit_mnl(recs, n_products=2)
+
 
 class TestSweep:
     def test_csv_deterministic(self):
