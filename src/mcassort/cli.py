@@ -173,7 +173,6 @@ def _cmd_colgen(args) -> int:
     ]
     for S in result.added:
         lines.append(f"added,\"{' '.join(str(i) for i in sorted(S))}\"")
-    lines += [f"warning,\"{w}\"" for w in result.warnings]
     _out(args, "\n".join(lines) + "\n")
     return 0
 

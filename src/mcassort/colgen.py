@@ -6,8 +6,8 @@ restricted LP, reads the duals (zeta per item, gamma/beta per type, sigma per
 an exchangeable subproblem oracle: exhaustive search, the exact nested-scan
 optimum for MNL without overlap penalties, or the knapsack-style FPTAS for
 MNL with penalties.  Any assortment whose pricing value exceeds beta_j by
-more than a tolerance joins the restricted family; termination within |S|
-iterations is guaranteed because no set is ever added twice.
+a tolerance joins the restricted family.  No set is added twice, so the loop
+ends within |S| iterations, its certificate exact for every oracle and variant.
 
 An oracle with approximation factor alpha carries that factor onto the
 master objective: the returned plan is within alpha of the full optimum.
@@ -15,6 +15,7 @@ master objective: the returned plan is within alpha of the full optimum.
 from __future__ import annotations
 
 import functools
+import heapq
 import logging
 import math
 import time
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import lpcore, mcdlp
 # choice_prob is unused here but stays bound: perfbench's tracer rebinds it in every importer
-from .model import MAX_TABULAR_FAMILY, Instance, Mnl, choice_prob, family_probs, slot_sums  # noqa: F401
+from .model import Instance, Mnl, choice_prob, family_probs, slot_sums  # noqa: F401
 
 TOL_RC = 1e-7
 
@@ -152,7 +153,7 @@ class SubproblemInstance:
 
 
 class PricingOracle(Protocol):
-    def solve(self, sub: SubproblemInstance) -> tuple[frozenset[int], float]: ...
+    def solve(self, sub: SubproblemInstance, exclude: set | None = None) -> tuple[frozenset[int], float]: ...
 
 
 def subproblem_bruteforce(
@@ -178,37 +179,53 @@ def subproblem_bruteforce(
     return best, best_v
 
 
-def subproblem_mnl_repeated(sub: SubproblemInstance) -> tuple[frozenset[int], float]:
-    """Exact optimum of max_S sum w_i v_i / (sum_{k in S} v_k + 1) for MNL.
+def subproblem_mnl_repeated(
+    sub: SubproblemInstance, exclude: set | None = None
+) -> tuple[frozenset[int], float]:
+    """Exact optimum of max_S sum w_i v_i / (sum_{k in S} v_k + 1) for MNL
+    over the sets not in ``exclude``, or (empty set, 0) if none beats 0.
 
     Requires zero overlap penalties on the items with w > 0 and an
-    unrestricted family: the optimum is then among the nested prefixes of
-    items sorted by descending w (items with w <= 0 can only hurt and are
-    excluded up front, whatever their penalty).
+    unrestricted family.  An item lifts the ratio iff its w exceeds it, so
+    the best set holding items F and avoiding items O, if it beats 0, is F
+    plus a prefix of the others by descending w, cut before the first w <= 0.
+    Lawler's partitioning (Management Science 18(7), 1972) pops cells
+    (S, F, O) best first, from F = O = {}, and returns the first S not
+    excluded; each excluded S splits by free item t: as S before t, t flipped.
     """
     if not isinstance(sub.choice, Mnl):
         raise ValueError("nested-scan pricing needs an MNL choice model")
     if np.any(np.abs(np.asarray(sub.sigma)[np.asarray(sub.w) > 0]) > 1e-12):
-        raise ValueError("nested-scan pricing requires sigma = 0 (repeated-offer dual)")
+        raise ValueError("nested-scan pricing, and so excluding sets, requires sigma = 0 (repeated-offer dual)")
     if not sub.family.is_unrestricted(sub.n_products):
         raise ValueError("nested-scan pricing requires an unrestricted family; use brute force")
-    v = np.array(sub.choice.weights)
-    v0 = sub.choice.no_purchase
+    v, v0 = np.array(sub.choice.weights), sub.choice.no_purchase
     order = sorted(range(sub.n_products), key=lambda i: (-sub.w[i], i))
-    best, best_v = frozenset(), 0.0
-    members: list[int] = []
-    num = 0.0
-    den = v0
-    for i in order:
-        if sub.w[i] <= 0:
-            break
-        members.append(i)
-        num += sub.w[i] * v[i]
-        den += v[i]
-        val = num / den
-        if val > best_v + 1e-15:
-            best, best_v = frozenset(members), val
-    return best, best_v
+
+    def cell(F: frozenset[int], O: frozenset[int]) -> tuple:
+        """Heap entry of the best set holding F and avoiding O; its sorted members break ties."""
+        members = [i for i in order if i in F]
+        num, den = sum(sub.w[i] * v[i] for i in members), v0 + sum(v[i] for i in members)
+        pen = sum(sub.sigma[i] for i in members)    # only items with w <= 0 carry one
+        best, best_v = F, num / den - pen
+        for i in [i for i in order if sub.w[i] > 0 and i not in F and i not in O]:
+            members.append(i)
+            num += sub.w[i] * v[i]
+            den += v[i]
+            val = num / den - pen
+            if val > best_v + 1e-15:
+                best, best_v = frozenset(members), val
+        return -best_v, sorted(best), best, F, O
+
+    heap = [cell(frozenset(), frozenset())]
+    while heap and heap[0][0] < -1e-15:
+        neg, _, S, F, O = heapq.heappop(heap)
+        if not exclude or S not in exclude:
+            return S, -neg
+        for t in [t for t in order if t not in F and t not in O]:
+            heapq.heappush(heap, cell(F, O | {t}) if t in S else cell(F | {t}, O))
+            F, O = (F | {t}, O) if t in S else (F, O | {t})
+    return frozenset(), 0.0
 
 
 @dataclass(frozen=True)
@@ -306,7 +323,8 @@ def _dp_backtrack_stack(V: np.ndarray, wt: np.ndarray, vt, k, a, b) -> np.ndarra
     return chosen
 
 
-def subproblem_mnl_fptas(sub: SubproblemInstance, eps: float = 0.1) -> tuple[frozenset[int], float]:
+def subproblem_mnl_fptas(sub: SubproblemInstance, eps: float = 0.1,
+                         exclude: set | None = None) -> tuple[frozenset[int], float]:
     """Knapsack-style approximation of the MNL pricing problem with penalties.
 
     Guesses the optimal penalty total phi, weighted-value total gamma and
@@ -315,7 +333,7 @@ def subproblem_mnl_fptas(sub: SubproblemInstance, eps: float = 0.1) -> tuple[fro
     with the true objective and the overall best assortment is returned.
     Items with w <= 0 are dropped (they can never help); items with zero
     penalty ride along without consuming any phi budget.  With every penalty
-    zero the exact nested-scan routine applies instead.
+    zero, or sets to ``exclude``, the exact nested-scan routine applies.
 
     Each (gamma, delta) table is scanned for the whole phi grid at once.
     V[a, b, n] is nondecreasing in the target a: V[., ., 0] is 0 then inf,
@@ -343,8 +361,8 @@ def subproblem_mnl_fptas(sub: SubproblemInstance, eps: float = 0.1) -> tuple[fro
     ids = [i for i in range(sub.n_products) if sub.w[i] > 0]
     if not ids:
         return frozenset(), 0.0
-    if all(sub.sigma[i] <= 0 for i in ids):
-        return subproblem_mnl_repeated(sub)
+    if exclude or all(sub.sigma[i] <= 0 for i in ids):
+        return subproblem_mnl_repeated(sub, exclude)
     cfg = FptasConfig.from_subproblem(sub, eps)
     n = len(ids)
     w = np.array([sub.w[i] for i in ids])
@@ -421,13 +439,13 @@ def subproblem_mnl_fptas(sub: SubproblemInstance, eps: float = 0.1) -> tuple[fro
 
 
 class BruteForceOracle:
-    def solve(self, sub: SubproblemInstance) -> tuple[frozenset[int], float]:
-        return subproblem_bruteforce(sub)
+    def solve(self, sub: SubproblemInstance, exclude: set | None = None) -> tuple[frozenset[int], float]:
+        return subproblem_bruteforce(sub, exclude)
 
 
 class MnlExactOracle:
-    def solve(self, sub: SubproblemInstance) -> tuple[frozenset[int], float]:
-        return subproblem_mnl_repeated(sub)
+    def solve(self, sub: SubproblemInstance, exclude: set | None = None) -> tuple[frozenset[int], float]:
+        return subproblem_mnl_repeated(sub, exclude)
 
 
 class MnlFptasOracle:
@@ -436,10 +454,12 @@ class MnlFptasOracle:
     realized factor against brute force."""
 
     def __init__(self, eps: float = 0.1):
+        if not 0 < eps < 1:
+            raise ValueError(f"eps must lie in (0,1), got {eps!r}")
         self.eps = eps
 
-    def solve(self, sub: SubproblemInstance) -> tuple[frozenset[int], float]:
-        return subproblem_mnl_fptas(sub, self.eps)
+    def solve(self, sub: SubproblemInstance, exclude: set | None = None) -> tuple[frozenset[int], float]:
+        return subproblem_mnl_fptas(sub, self.eps, exclude)
 
 
 @dataclass
@@ -457,7 +477,6 @@ class ColgenResult:
     family_size: int
     duals: DualBundle
     objective_history: list[float] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
     pricing_s: list[float] = field(default_factory=list)
     added_per_iteration: list[int] = field(default_factory=list)
 
@@ -476,15 +495,15 @@ def column_generate(
     feasible singletons.
 
     Each master is the variant's own LP on the restricted family, so the
-    last master's solution is the plan.  For the no-repeat variants the
-    pricing certificate is exact: their bounds never bind, so included
-    columns always satisfy the dual constraint and the oracle's maximizer
-    being included implies termination.  Capped variants (repeated offers,
-    single items) can have a column nonbasic at its cap, whose reduced cost
-    the duals do not show; when the oracle lands on one and the family is
-    enumerable the loop re-prices by exhaustive search over the absent
-    columns, otherwise it stops and records an uncertified-termination
-    warning.
+    last master's solution is the plan, and its termination certificate is
+    exact for every oracle on every variant.  For the no-repeat variants the
+    bounds never bind, so included columns always satisfy the dual
+    constraint and the oracle's maximizer being included implies
+    termination.  Capped variants (repeated offers, single items) can have a
+    column nonbasic at its cap, whose reduced cost the duals do not show;
+    when the oracle lands on one, the same oracle re-prices with the
+    master's columns excluded.  Capped variants have no overlap rows, so
+    sigma = 0 there and every oracle can exclude.
     """
     singles = [frozenset({i}) for i in range(inst.n_products) if frozenset({i}) in inst.family]
     restricted: list[frozenset[int]] = [frozenset()] + singles
@@ -492,10 +511,8 @@ def column_generate(
     family_size = inst.family.count(inst.n_products)
     added: list[frozenset[int]] = []
     history: list[float] = []
-    warns: list[str] = []
     pricing_s: list[float] = []
     per_iteration: list[int] = []
-    enumerable = family_size <= MAX_TABULAR_FAMILY
     tables = [FamilyTable(ct.choice, inst.family, inst.n_products) for ct in inst.types]
     for table in tables[1:]:  # one enumeration, made on first use, serves every type
         table._enumerate = tables[0]._enumerate
@@ -514,25 +531,14 @@ def column_generate(
             start = time.perf_counter()
             S, value = oracle.solve(sub)
             pricing_s.append(time.perf_counter() - start)
-            if value <= duals.beta[j] + TOL_RC or not S:
-                continue
-            if S not in have:
+            if value > duals.beta[j] + TOL_RC and S in have:
+                # an included at-cap column shadows the oracle's view
+                S, value = oracle.solve(sub, exclude=have)
+            if value > duals.beta[j] + TOL_RC and S:
                 new_cols.append(S)
-                continue
-            # an included at-cap column shadows the oracle's view
-            if enumerable:
-                S2, v2 = subproblem_bruteforce(sub, exclude=have)
-                if v2 > duals.beta[j] + TOL_RC and S2:
-                    new_cols.append(S2)
-            else:
-                warns.append(
-                    f"type {j}: pricing maximizer already in the master at its cap; "
-                    "termination certificate degraded (family not enumerable)"
-                )
         if not new_cols:
             per_iteration.append(0)
-            return ColgenResult(sol, it, added, family_size, duals, history, warns,
-                                pricing_s, per_iteration)
+            return ColgenResult(sol, it, added, family_size, duals, history, pricing_s, per_iteration)
         before = len(added)
         for S in new_cols:
             if S not in have:

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from mcassort import cli, colgen, mcdlp, norepeat, simlab
+from mcassort import cli, colgen, mcdlp, model, norepeat, simlab
 from mcassort.mcdlp import McdlpVariant
 from mcassort.model import instance_to_dict, load_instance, save_instance
 
@@ -147,18 +147,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "objective," in out and "iterations," in out
 
-    def test_colgen_prints_degraded_certificate_warnings(self, tmp_path, capsys, monkeypatch):
-        # without an enumerable family an at-cap pricing maximizer ends the
-        # run uncertified, and the output says so
+    def test_colgen_certifies_the_optimum_without_enumeration(self, tmp_path, capsys, monkeypatch):
+        # the nested scan re-prices past an at-cap pricing maximizer itself,
+        # so a run that may not enumerate the family still prints the full
+        # optimum, and no warning lines
         path = str(tmp_path / "r.json")
         inst = simlab.random_norepeat_instance(seed=1, n=4, cap=4, m=3)
         save_instance(inst, path)
-        monkeypatch.setattr(colgen, "MAX_TABULAR_FAMILY", 0)
+        full = mcdlp.solve_variant(inst, McdlpVariant.MCDLP_R)
+        monkeypatch.setattr(model, "MAX_TABULAR_FAMILY", 0)
         assert _run(["colgen", "--variant", "mcdlp-r", "--oracle", "mnl-exact", "--instance", path]) == 0
-        warned = [line for line in capsys.readouterr().out.splitlines() if line.startswith("warning,")]
-        res = colgen.column_generate(inst, McdlpVariant.MCDLP_R, colgen.MnlExactOracle())
-        assert res.warnings and warned == [f'warning,"{w}"' for w in res.warnings]
-        assert all("termination certificate degraded" in line for line in warned)
+        out = capsys.readouterr().out.splitlines()
+        assert not [line for line in out if line.startswith("warning,")]
+        objective = float(next(line for line in out if line.startswith("objective,")).split(",")[1])
+        assert objective == pytest.approx(full.objective, rel=1e-6, abs=0)
 
     @pytest.mark.parametrize("text, named", [
         ("", ": empty file, expected a header row"),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcassort import colgen, mcdlp, simlab
+from mcassort import colgen, mcdlp, model, simlab
 from mcassort.colgen import (
     BruteForceOracle,
     DualBundle,
@@ -286,6 +286,55 @@ class TestMnlExact:
         with pytest.raises(ValueError, match="sigma = 0"):
             subproblem_mnl_repeated(sub)
 
+    @staticmethod
+    def _agrees_with_bruteforce(sub, exclude):
+        # values within 1e-12 relative; the sets may differ only when the two
+        # best sets outside ``exclude`` lie within 1e-12 of each other
+        S, v = subproblem_mnl_repeated(sub, exclude)
+        Sb, vb = subproblem_bruteforce(sub, exclude)
+        assert abs(v - vb) <= 1e-12 * max(abs(v), abs(vb)), (S, v, Sb, vb)
+        vals = sub.table.values(sub.w, sub.sigma)
+        left = sorted((x for T, x in zip(sub.table.sets, vals) if T not in exclude), reverse=True)
+        if len(left) < 2 or left[0] - left[1] > 1e-12:
+            assert S == Sb, (S, v, Sb, vb)
+
+    @staticmethod
+    def _exclusions(rng, sub):
+        """Excluded families of several sizes, some holding the unrestricted maximizer."""
+        fam = sub.table.sets
+        ranked = [fam[k] for k in np.argsort(-sub.table.values(sub.w, sub.sigma), kind="stable")]
+        best, _ = subproblem_bruteforce(sub)
+        drop = {fam[k] for k in rng.choice(len(fam), size=len(fam) // 2, replace=False)}
+        return [set(), {best}, set(ranked[:2]), set(ranked[:5]), drop, drop | {best}, set(fam[1:]), set(fam)]
+
+    def test_exclude_matches_bruteforce_random(self):
+        # penalties sit only on items with w <= 0, which the scan may force in
+        rng = np.random.default_rng(50)
+        for _ in range(60):
+            n = int(rng.integers(1, 8))
+            w = rng.uniform(-0.5, 1.5, n)
+            sub = SubproblemInstance(
+                w=w, sigma=np.where(w <= 0, rng.uniform(0.0, 0.2, n), 0.0),
+                choice=Mnl(weights=tuple(rng.uniform(0.3, 1.2, n)), no_purchase=float(rng.uniform(0.5, 2.0))),
+                family=AssortmentFamily.size_capped(n), n_products=n)
+            for exclude in self._exclusions(rng, sub):
+                self._agrees_with_bruteforce(sub, exclude)
+
+    def test_exclude_matches_bruteforce_on_ties(self):
+        # the weights of test_tie_heavy_duals (equal up to a few ulps) and of
+        # test_random_duals_property at tie = 0 (exactly equal), with sigma = 0
+        rng = np.random.default_rng(51)
+        for k in range(40):
+            n = int(rng.integers(2, 8))
+            if k % 2:
+                w, v, v0 = np.full(n, 0.8) + rng.integers(-3, 4, n) * 2e-16, (1.0,) * n, 1.0
+            else:
+                w, v, v0 = np.full(n, rng.uniform(-0.5, 1.5)), tuple(rng.uniform(0.3, 1.2, n)), rng.uniform(0.5, 2.0)
+            sub = SubproblemInstance(w=w, sigma=np.zeros(n), choice=Mnl(weights=v, no_purchase=float(v0)),
+                                     family=AssortmentFamily.size_capped(n), n_products=n)
+            for exclude in self._exclusions(rng, sub):
+                self._agrees_with_bruteforce(sub, exclude)
+
     def test_rejects_capped_family(self):
         rng = np.random.default_rng(1)
         sub = _random_sub(rng, 4, family=AssortmentFamily.size_capped(2))
@@ -316,6 +365,34 @@ class TestFptas:
         sub = _random_sub(rng, 3)
         with pytest.raises(ValueError):
             subproblem_mnl_fptas(sub, 1.5)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, -0.1, float("nan")])
+    def test_oracle_rejects_eps_outside_the_unit_interval(self, eps):
+        # refused at construction, before any master LP is solved
+        with pytest.raises(ValueError, match=r"eps must lie in \(0,1\)"):
+            MnlFptasOracle(eps)
+
+    def test_exclude_under_penalties_raises(self):
+        rng = np.random.default_rng(8)
+        sub = _random_sub(rng, 4)
+        best, _ = subproblem_mnl_fptas(sub, 0.2)
+        with pytest.raises(ValueError, match="excluding sets, requires sigma = 0"):
+            subproblem_mnl_fptas(sub, 0.2, exclude={best})
+        with pytest.raises(ValueError, match="excluding sets, requires sigma = 0"):
+            MnlFptasOracle(0.2).solve(sub, exclude={best})
+
+    def test_zero_sigma_passes_exclude_to_the_nested_scan(self):
+        rng = np.random.default_rng(9)
+        sub = _random_sub(rng, 5)
+        sub0 = SubproblemInstance(w=sub.w, sigma=np.zeros(5), choice=sub.choice,
+                                  family=sub.family, n_products=5)
+        exclude = {subproblem_mnl_repeated(sub0)[0]}
+        want = subproblem_mnl_repeated(sub0, exclude)
+        assert want[0] not in exclude
+        for got in (subproblem_mnl_fptas(sub0, 0.2, exclude), MnlFptasOracle(0.2).solve(sub0, exclude),
+                    MnlExactOracle().solve(sub0, exclude)):
+            assert got == want
+        assert BruteForceOracle().solve(sub0, exclude) == subproblem_bruteforce(sub0, exclude)
 
     def test_guarantee_against_bruteforce(self):
         rng = np.random.default_rng(5)
@@ -450,16 +527,44 @@ class TestColumnGeneration:
         monkeypatch.setattr(colgen, "subproblem_bruteforce", counting)
         res = column_generate(inst, McdlpVariant.MCDLP_R, BruteForceOracle())
         full = mcdlp.solve_variant(inst, McdlpVariant.MCDLP_R)
-        assert len(excluded) > 0 and not res.warnings
+        assert len(excluded) > 0
         assert res.objective == pytest.approx(full.objective, rel=1e-6)
 
-    def test_at_cap_maximizer_without_enumeration_degrades_the_certificate(self, monkeypatch):
+    def test_at_cap_maximizer_without_enumeration_is_certified(self, monkeypatch):
+        # the nested scan re-prices past the at-cap column itself, so the
+        # family is never enumerated and the certificate stays exact
         inst = simlab.random_norepeat_instance(seed=1, n=4, cap=4, m=3)
-        monkeypatch.setattr(colgen, "MAX_TABULAR_FAMILY", inst.family.count(inst.n_products) - 1)
-        res = column_generate(inst, McdlpVariant.MCDLP_R, MnlExactOracle())
         full = mcdlp.solve_variant(inst, McdlpVariant.MCDLP_R)
-        assert res.warnings and all("termination certificate degraded" in w for w in res.warnings)
-        assert res.objective <= full.objective + 1e-6
+        monkeypatch.setattr(model, "MAX_TABULAR_FAMILY", 0)
+        res = column_generate(inst, McdlpVariant.MCDLP_R, MnlExactOracle())
+        assert res.objective == pytest.approx(full.objective, rel=1e-6, abs=0)
+
+    def test_at_cap_re_pricing_without_enumeration_reaches_optimum(self, monkeypatch):
+        # with enumeration forbidden, every at-cap re-pricing goes through the
+        # oracle's own exclude; each run must end at the full optimum
+        runs = [simlab.random_norepeat_instance(seed=seed, n=n, cap=cap, m=m)
+                for n, cap, m in ((4, 4, 3), (5, 5, 4)) for seed in range(30)]
+        full = [mcdlp.solve_variant(inst, McdlpVariant.MCDLP_R).objective for inst in runs]
+        re_priced = []
+        repeated = colgen.subproblem_mnl_repeated
+        monkeypatch.setattr(colgen, "subproblem_mnl_repeated",
+                            lambda sub, exclude=None: re_priced.append(bool(exclude)) or repeated(sub, exclude))
+        monkeypatch.setattr(model, "MAX_TABULAR_FAMILY", 0)
+        got = [column_generate(inst, McdlpVariant.MCDLP_R, MnlExactOracle()).objective for inst in runs]
+        assert any(re_priced)
+        assert got == pytest.approx(full, rel=1e-6, abs=0)
+
+    def test_explicit_family_re_prices_at_any_size(self, monkeypatch):
+        # an explicit family enumerates whatever its size; brute force
+        # re-prices over it, even with a tabular cap below the family's size
+        inst = simlab.random_norepeat_instance(seed=1, n=4, cap=4, m=3)
+        sets = [c for r in range(1, 4) for c in itertools.combinations(range(4), r)]
+        inst = dataclasses.replace(inst, family=AssortmentFamily.explicit(sets))
+        full = mcdlp.solve_variant(inst, McdlpVariant.MCDLP_R)
+        for mod in (colgen, model):
+            monkeypatch.setattr(mod, "MAX_TABULAR_FAMILY", inst.family.count(inst.n_products) - 1, raising=False)
+        res = column_generate(inst, McdlpVariant.MCDLP_R, BruteForceOracle())
+        assert res.objective == pytest.approx(full.objective, rel=1e-6, abs=0)
 
     def test_complete_start_terminates_immediately(self):
         # family = empty set + singletons: the starting set is everything
